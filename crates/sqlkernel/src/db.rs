@@ -686,8 +686,9 @@ impl Database {
             // tail — every mutation is logged anyway, so the log *is*
             // the dirty tracking.
             let anchor = wal.last_lsn();
-            let scanned = wal::scan(&wal.store().read_all()?);
-            let dirty = pager::dirty_tables(&scanned, engine.anchor());
+            let mut dirty = Default::default();
+            wal.store()
+                .visit(&mut |log| dirty = pager::log_dirty_tables(log, engine.anchor()))?;
             if let Some(inj) = &injector {
                 if inj.frozen() {
                     return Err(crashed_error());
@@ -1547,58 +1548,34 @@ impl Connection {
 
         if let Some(table_name) = fast_table {
             let catalog = self.db.inner.catalog.read();
-            // Writer-writer serialization without excluding readers: one
-            // write statement per table at a time.
-            let _stmt = catalog.table_stmt(&table_name)?;
-            let ctx = self.snapshot_ctx();
-            let mut table = catalog.table_mut(&table_name)?;
-            let mut scratch = UndoLog::with_stamp(ctx.stamp());
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // UPDATE/DELETE sets share one compiled plan when the
+            // statement compiles; the interpreter covers the rest.
+            let plan = (!matches!(cached.stmt, Statement::Insert(_)))
+                .then(|| self.compiled_plan(&cached, &catalog));
+            return self.fast_write(&catalog, &table_name, None, |table, undo| {
                 let mut total = 0;
                 for params in param_sets {
-                    total += match &cached.stmt {
-                        Statement::Insert(s) => crate::exec::dml::run_insert_on(
+                    total += match plan.as_deref() {
+                        Some(CompiledPlan::Dml(p)) => crate::plan::run_dml_plan(
                             &catalog,
-                            &mut table,
-                            s,
+                            Some(&mut *table),
+                            p,
                             params,
                             &named,
-                            &mut scratch,
+                            undo,
                         )?,
-                        Statement::Update(s) => crate::exec::dml::run_update_on(
+                        _ => crate::exec::dml::run_write(
                             &catalog,
-                            &mut table,
-                            s,
+                            Some(&mut *table),
+                            &cached.stmt,
                             params,
                             &named,
-                            &mut scratch,
+                            undo,
                         )?,
-                        Statement::Delete(s) => crate::exec::dml::run_delete_on(
-                            &catalog,
-                            &mut table,
-                            s,
-                            params,
-                            &named,
-                            &mut scratch,
-                        )?,
-                        _ => unreachable!("verb checked above"),
                     };
                 }
                 Ok(total)
-            }))
-            .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
-            return match result {
-                Ok(total) => {
-                    self.finish_fast_write(&catalog, &table_name, table, scratch, &ctx)?;
-                    Ok(total)
-                }
-                Err(e) => {
-                    // Batch atomicity: every already-applied set unwinds.
-                    scratch.rollback_on_table(&mut table);
-                    self.db.note_rollback();
-                    Err(e)
-                }
-            };
+            });
         }
 
         // Subquery-bearing batch: the exclusive general path.
@@ -1608,18 +1585,14 @@ impl Connection {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut total = 0;
             for params in param_sets {
-                total += match &cached.stmt {
-                    Statement::Insert(s) => {
-                        crate::exec::dml::run_insert(&catalog, s, params, &named, &mut scratch)?
-                    }
-                    Statement::Update(s) => {
-                        crate::exec::dml::run_update(&catalog, s, params, &named, &mut scratch)?
-                    }
-                    Statement::Delete(s) => {
-                        crate::exec::dml::run_delete(&catalog, s, params, &named, &mut scratch)?
-                    }
-                    _ => unreachable!("verb checked above"),
-                };
+                total += crate::exec::dml::run_write(
+                    &catalog,
+                    None,
+                    &cached.stmt,
+                    params,
+                    &named,
+                    &mut scratch,
+                )?;
             }
             Ok(total)
         }))
@@ -1805,55 +1778,79 @@ impl Connection {
         }
     }
 
-    /// Durability + commit phase shared by the fast write paths.
+    /// Run one single-table write on the fast path. The caller holds the
+    /// shared catalog-shape lock; `body` runs under the table's statement
+    /// mutex (writer-writer serialization without excluding readers: one
+    /// write statement per table at a time) and its exclusive guard, in a
+    /// fresh undo scope, with panics contained. A failed body is unwound
+    /// with the guard still held. `plan_slot`, if given, is invalidated
+    /// when the write aborts for a fault or never becomes durable.
     ///
-    /// Default (MVCC) mode drops the exclusive table guard *before* the
-    /// WAL append and re-derives the after-images under a shared guard:
-    /// the statement's versions are still unstamped — invisible to every
-    /// snapshot — so readers proceed against the pre-statement state
-    /// while the append (and any group-commit window) runs. The caller's
-    /// per-table statement mutex keeps other writers out, so the rows the
+    /// Durability and commit: default (MVCC) mode drops the exclusive
+    /// table guard *before* the WAL append and re-derives the after-images
+    /// under a shared guard: the statement's versions are still unstamped
+    /// — invisible to every snapshot — so readers proceed against the
+    /// pre-statement state while the append (and any group-commit window)
+    /// runs. The statement mutex keeps other writers out, so the rows the
     /// shared guard exposes are exactly what this statement wrote. Only
     /// after the append is acknowledged does the commit stamp (autocommit)
     /// or the enclosing transaction's eventual COMMIT publish the
     /// versions. Legacy mode keeps the PR 5 shape — append under the
-    /// statement-long exclusive guard — as a benchmark A/B baseline.
-    ///
-    /// On append failure the statement's versions are unwound under a
+    /// statement-long exclusive guard — as a benchmark A/B baseline. On
+    /// append failure the statement's versions are unwound under a
     /// re-taken exclusive guard and the error is returned; nothing was
     /// ever visible.
-    fn finish_fast_write(
+    fn fast_write(
         &self,
         catalog: &Catalog,
         table_name: &str,
-        mut table: crate::sync::TableWriteGuard<'_, Table>,
-        scratch: UndoLog,
-        ctx: &SnapshotCtx<'_>,
-    ) -> SqlResult<()> {
-        if self.db.legacy_locking() {
-            if let Err(e) = self.wal_log_statement_on(catalog, &table, &scratch) {
+        plan_slot: Option<&CachedStmt>,
+        body: impl FnOnce(&mut Table, &mut UndoLog) -> SqlResult<usize>,
+    ) -> SqlResult<usize> {
+        let _stmt = catalog.table_stmt(table_name)?;
+        let ctx = self.snapshot_ctx();
+        let mut table = catalog.table_mut(table_name)?;
+        let mut scratch = UndoLog::with_stamp(ctx.stamp());
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            body(&mut table, &mut scratch)
+        }))
+        .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
+        let n = match result {
+            Ok(n) => n,
+            Err(e) => {
                 scratch.rollback_on_table(&mut table);
                 self.db.note_rollback();
+                if Self::fault_aborted(&e) {
+                    if let Some(cached) = plan_slot {
+                        Self::invalidate_plan_slot(cached);
+                    }
+                }
                 return Err(e);
             }
-            drop(table);
-        } else {
-            drop(table);
-            let read = catalog.table(table_name)?;
-            if let Err(e) = self.wal_log_statement_on(catalog, &read, &scratch) {
-                drop(read);
-                let mut table = catalog.table_mut(table_name)?;
-                scratch.rollback_on_table(&mut table);
-                self.db.note_rollback();
-                return Err(e);
+        };
+        let held = self.db.legacy_locking().then_some(table);
+        let logged = match &held {
+            Some(table) => self.wal_log_statement_on(catalog, table, &scratch),
+            None => self.wal_log_statement_on(catalog, &*catalog.table(table_name)?, &scratch),
+        };
+        if let Err(e) = logged {
+            match held {
+                Some(mut table) => scratch.rollback_on_table(&mut table),
+                None => scratch.rollback_on_table(&mut *catalog.table_mut(table_name)?),
             }
+            self.db.note_rollback();
+            if let Some(cached) = plan_slot {
+                Self::invalidate_plan_slot(cached);
+            }
+            return Err(e);
         }
+        drop(held);
         if let Some(txn) = self.txn.borrow_mut().as_mut() {
             txn.absorb(scratch);
         } else {
             self.db.commit_stamp(&ctx.stamp);
         }
-        Ok(())
+        Ok(n)
     }
 
     /// Execute through the compiled plan when one applies; otherwise
@@ -1904,75 +1901,26 @@ impl Connection {
                 // on disjoint tables proceeds truly concurrently.
                 let catalog = self.db.inner.catalog.read();
                 let plan = self.compiled_plan(cached, &catalog);
-                let fast_table = match &*plan {
-                    CompiledPlan::Update(p) if !p.has_subquery() => {
-                        Some(p.table_name().to_string())
-                    }
-                    CompiledPlan::Delete(p) if !p.has_subquery() => {
-                        Some(p.table_name().to_string())
-                    }
-                    _ => None,
-                };
-                if let Some(table_name) = fast_table {
-                    self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
-                    if let Err(e) = catalog.fault_bind_complete() {
-                        Self::invalidate_plan_slot(cached);
-                        return Err(e);
-                    }
-                    // Writer-writer serialization without excluding
-                    // readers: one write statement per table at a time.
-                    let _stmt = catalog.table_stmt(&table_name)?;
-                    let ctx = self.snapshot_ctx();
-                    // The exclusive guard covers only the in-memory
-                    // apply; versions stay unstamped (invisible) until
-                    // the WAL append is acknowledged, so readers are
-                    // never atomicity witnesses.
-                    let mut table = catalog.table_mut(&table_name)?;
-                    let mut scratch = UndoLog::with_stamp(ctx.stamp());
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &*plan {
-                            CompiledPlan::Update(p) => crate::plan::run_update_plan_on(
-                                &catalog,
-                                &mut table,
-                                p,
-                                params,
-                                &named,
-                                &mut scratch,
-                            ),
-                            CompiledPlan::Delete(p) => crate::plan::run_delete_plan_on(
-                                &catalog,
-                                &mut table,
-                                p,
-                                params,
-                                &named,
-                                &mut scratch,
-                            ),
-                            _ => unreachable!("eligibility checked above"),
-                        }))
-                        .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
-                    return match result {
-                        Ok(n) => {
-                            if let Err(e) =
-                                self.finish_fast_write(&catalog, &table_name, table, scratch, &ctx)
-                            {
-                                // The write never became durable; its
-                                // in-memory versions were unwound.
-                                Self::invalidate_plan_slot(cached);
-                                return Err(e);
-                            }
-                            Ok(StatementResult::Affected(n))
+                if let CompiledPlan::Dml(p) = &*plan {
+                    if !p.has_subquery() {
+                        self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
+                        if let Err(e) = catalog.fault_bind_complete() {
+                            Self::invalidate_plan_slot(cached);
+                            return Err(e);
                         }
-                        Err(e) => {
-                            // Statement atomicity: wipe this statement's
-                            // effects, using the guard we still hold.
-                            scratch.rollback_on_table(&mut table);
-                            self.db.note_rollback();
-                            if Self::fault_aborted(&e) {
-                                Self::invalidate_plan_slot(cached);
-                            }
-                            Err(e)
-                        }
-                    };
+                        return self
+                            .fast_write(&catalog, p.table_name(), Some(cached), |table, undo| {
+                                crate::plan::run_dml_plan(
+                                    &catalog,
+                                    Some(table),
+                                    p,
+                                    params,
+                                    &named,
+                                    undo,
+                                )
+                            })
+                            .map(StatementResult::Affected);
+                    }
                 }
                 drop(catalog);
                 if matches!(&*plan, CompiledPlan::Unsupported) {
@@ -1999,12 +1947,14 @@ impl Connection {
                 // undone instead of poisoning the catalog lock.
                 let result =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &*plan {
-                        CompiledPlan::Update(p) => {
-                            crate::plan::run_update_plan(&catalog, p, params, &named, &mut scratch)
-                        }
-                        CompiledPlan::Delete(p) => {
-                            crate::plan::run_delete_plan(&catalog, p, params, &named, &mut scratch)
-                        }
+                        CompiledPlan::Dml(p) => crate::plan::run_dml_plan(
+                            &catalog,
+                            None,
+                            p,
+                            params,
+                            &named,
+                            &mut scratch,
+                        ),
                         _ => unreachable!("SELECT plans handled above"),
                     }))
                     .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
@@ -2042,33 +1992,17 @@ impl Connection {
                 self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
                 let named: HashMap<String, Value> = HashMap::new();
                 let catalog = self.db.inner.catalog.read();
-                // Writer-writer serialization without excluding readers.
-                let _stmt = catalog.table_stmt(&ins.table)?;
-                let ctx = self.snapshot_ctx();
-                let mut table = catalog.table_mut(&ins.table)?;
-                let mut scratch = UndoLog::with_stamp(ctx.stamp());
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    crate::exec::dml::run_insert_on(
+                self.fast_write(&catalog, &ins.table, None, |table, undo| {
+                    crate::exec::dml::run_write(
                         &catalog,
-                        &mut table,
-                        ins,
+                        Some(table),
+                        &cached.stmt,
                         params,
                         &named,
-                        &mut scratch,
+                        undo,
                     )
-                }))
-                .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
-                match result {
-                    Ok(n) => {
-                        self.finish_fast_write(&catalog, &ins.table, table, scratch, &ctx)?;
-                        Ok(StatementResult::Affected(n))
-                    }
-                    Err(e) => {
-                        scratch.rollback_on_table(&mut table);
-                        self.db.note_rollback();
-                        Err(e)
-                    }
-                }
+                })
+                .map(StatementResult::Affected)
             }
             _ => self.execute_ast_inner(&cached.stmt, params),
         }

@@ -34,6 +34,7 @@ use crate::catalog::Catalog;
 use crate::db::QueryResult;
 use crate::error::SqlResult;
 use crate::exec::select::{cmp_keys, combine_agg_values, TopK};
+use crate::exec::Probe;
 use crate::plan::{
     bound_usize, Access, AggPlan, Evals, InputPlan, JoinPlan, JoinSide, JoinStep, OrderKey,
     SelectPlan,
@@ -114,69 +115,22 @@ fn gather_rows<'t>(
     evals: &mut Evals,
     pushdown: Option<usize>,
 ) -> SqlResult<Vec<&'t [Value]>> {
-    Ok(match access {
-        Access::Full => {
-            catalog.note_full_scan();
-            let rows: Vec<&[Value]> = table.scan().map(|r| r.as_slice()).collect();
-            catalog.note_full_scan_rows(rows.len() as u64);
-            rows
-        }
-        Access::IndexEq { col, key } => {
-            let index = table.find_index(&[*col]).expect("plan epoch guards index");
-            let key = evals.eval(key, ctx)?;
-            catalog.note_index_scan();
-            if key.is_null() {
-                Vec::new()
-            } else {
-                table
-                    .index_eq_entries(index, &SortKey(vec![key]))
-                    .into_iter()
-                    .map(|(_, row)| row.as_slice())
-                    .collect()
-            }
-        }
-        Access::IndexRange {
-            col,
-            lower,
-            upper,
-            rev,
-        } => {
-            let index = table.find_index(&[*col]).expect("plan epoch guards index");
-            let lower = match lower {
-                Some((e, inc)) => Some((evals.eval(e, ctx)?, *inc)),
-                None => None,
-            };
-            let upper = match upper {
-                Some((e, inc)) => Some((evals.eval(e, ctx)?, *inc)),
-                None => None,
-            };
-            catalog.note_range_scan();
-            table
-                .index_range_entries(
-                    index,
-                    lower.as_ref().map(|(v, i)| (v, *i)),
-                    upper.as_ref().map(|(v, i)| (v, *i)),
-                    *rev,
-                    false,
-                )
-                .into_iter()
-                .map(|(_, row)| row.as_slice())
-                .collect()
-        }
-        Access::IndexOrder { col, desc } => {
-            let index = table.find_index(&[*col]).expect("plan epoch guards index");
-            let mut rows: Vec<&[Value]> = table
-                .index_range_entries(index, None, None, *desc, true)
-                .into_iter()
-                .map(|(_, row)| row.as_slice())
-                .collect();
-            if let Some(n) = pushdown {
-                rows.truncate(n);
-            }
-            catalog.note_range_scan();
-            rows
-        }
-    })
+    let probe = access.probe(ctx, evals)?;
+    if let Probe::Full = probe {
+        catalog.note_full_scan();
+        let rows: Vec<&[Value]> = table.scan().map(|r| r.as_slice()).collect();
+        catalog.note_full_scan_rows(rows.len() as u64);
+        return Ok(rows);
+    }
+    let mut rows: Vec<&[Value]> = probe
+        .index_entries(catalog, table)
+        .into_iter()
+        .map(|(_, row)| row.as_slice())
+        .collect();
+    if let (Access::IndexOrder { .. }, Some(n)) = (access, pushdown) {
+        rows.truncate(n);
+    }
+    Ok(rows)
 }
 
 /// Gather one join side as *borrowed* rows in rowid order — the order
@@ -185,6 +139,8 @@ fn gather_rows<'t>(
 /// scan counters for the access path actually used. Keys and bounds in
 /// a join side's access are plan constants (they come from pushed
 /// column-vs-constant comparisons), so evaluation cannot error on a row.
+/// Join sides never take an order-only walk: output order is rowid order
+/// regardless of access, so order can't be served.
 fn gather_side<'t>(
     catalog: &Catalog,
     table: &'t Table,
@@ -193,72 +149,29 @@ fn gather_side<'t>(
     evals: &mut Evals,
 ) -> SqlResult<Vec<&'t [Value]>> {
     let keep = |row: &[Value]| side.prefilter.iter().all(|c| c.passes(row));
-    Ok(match &side.access {
-        Access::Full => {
-            catalog.note_full_scan();
-            let mut walked = 0u64;
-            let rows: Vec<&[Value]> = table
-                .scan()
-                .map(|r| r.as_slice())
-                .inspect(|_| walked += 1)
-                .filter(|r| keep(r))
-                .collect();
-            catalog.note_full_scan_rows(walked);
-            rows
-        }
-        Access::IndexEq { col, key } => {
-            let index = table.find_index(&[*col]).expect("plan epoch guards index");
-            let key = evals.eval(key, ctx)?;
-            catalog.note_index_scan();
-            if key.is_null() {
-                Vec::new()
-            } else {
-                // Entries for one key arrive rowid-ascending already.
-                table
-                    .index_eq_entries(index, &SortKey(vec![key]))
-                    .into_iter()
-                    .map(|(_, row)| row.as_slice())
-                    .filter(|r| keep(r))
-                    .collect()
-            }
-        }
-        Access::IndexRange {
-            col,
-            lower,
-            upper,
-            rev,
-        } => {
-            let index = table.find_index(&[*col]).expect("plan epoch guards index");
-            let lower = match lower {
-                Some((e, inc)) => Some((evals.eval(e, ctx)?, *inc)),
-                None => None,
-            };
-            let upper = match upper {
-                Some((e, inc)) => Some((evals.eval(e, ctx)?, *inc)),
-                None => None,
-            };
-            catalog.note_range_scan();
-            // A range walk is key-major; re-sort to rowid order so the
-            // side is indistinguishable from the interpreter's scan.
-            let mut entries: Vec<(RowId, &[Value])> = table
-                .index_range_entries(
-                    index,
-                    lower.as_ref().map(|(v, i)| (v, *i)),
-                    upper.as_ref().map(|(v, i)| (v, *i)),
-                    *rev,
-                    false,
-                )
-                .into_iter()
-                .map(|(id, row)| (id, row.as_slice()))
-                .filter(|(_, r)| keep(r))
-                .collect();
-            entries.sort_unstable_by_key(|(id, _)| *id);
-            entries.into_iter().map(|(_, r)| r).collect()
-        }
-        // Join sides never take an order-only walk: output order is
-        // rowid order regardless of access, so order can't be served.
-        Access::IndexOrder { .. } => unreachable!("join sides never compile IndexOrder"),
-    })
+    let probe = side.access.probe(ctx, evals)?;
+    if let Probe::Full = probe {
+        catalog.note_full_scan();
+        let mut walked = 0u64;
+        let rows: Vec<&[Value]> = table
+            .scan()
+            .map(|r| r.as_slice())
+            .inspect(|_| walked += 1)
+            .filter(|r| keep(r))
+            .collect();
+        catalog.note_full_scan_rows(walked);
+        return Ok(rows);
+    }
+    // A range walk is key-major; re-sort to rowid order so the side is
+    // indistinguishable from the interpreter's scan.
+    let mut entries: Vec<(RowId, &[Value])> = probe
+        .index_entries(catalog, table)
+        .into_iter()
+        .map(|(id, row)| (id, row.as_slice()))
+        .filter(|(_, r)| keep(r))
+        .collect();
+    entries.sort_unstable_by_key(|(id, _)| *id);
+    Ok(entries.into_iter().map(|(_, r)| r).collect())
 }
 
 /// Equi-key hash side of a join step. Single-column keys index the map

@@ -12,13 +12,77 @@ pub mod dml;
 pub mod select;
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::db::StatementResult;
 use crate::error::{SqlError, SqlResult};
+use crate::storage::{Row, RowId, SortKey, Table};
 use crate::txn::UndoLog;
 use crate::types::Value;
+
+/// A single-table access path with its keys evaluated for one execution
+/// — what every executor's scan starts from.
+#[derive(Debug)]
+pub(crate) enum Probe {
+    /// Walk the whole table in row id order.
+    Full,
+    /// Point lookup of `key` on the single-column index over `col`.
+    Eq { col: usize, key: Value },
+    /// Walk of the single-column index over `col` between the bounds
+    /// (`(value, inclusive)`, `None` = unbounded), backwards when `rev`;
+    /// NULL keys only when `nulls` (a pure ORDER BY walk).
+    Range {
+        col: usize,
+        lower: Option<(Value, bool)>,
+        upper: Option<(Value, bool)>,
+        rev: bool,
+        nulls: bool,
+    },
+}
+
+impl Probe {
+    /// The rows an index probe selects, in key order (row ids ascending
+    /// within a key), resolved through the installed snapshot — an entry
+    /// whose visible version no longer carries its key is skipped. Ticks
+    /// `index_scans` or `range_scans`. Callers walk `Full` probes
+    /// themselves.
+    pub(crate) fn index_entries<'t>(
+        self,
+        catalog: &Catalog,
+        table: &'t Table,
+    ) -> Vec<(RowId, &'t Arc<Row>)> {
+        let index = |col: usize| table.find_index(&[col]).expect("probe implies index");
+        match self {
+            Probe::Full => unreachable!("full scans walk the table"),
+            Probe::Eq { col, key } => {
+                catalog.note_index_scan();
+                // `col = NULL` is never true.
+                if key.is_null() {
+                    return Vec::new();
+                }
+                table.index_eq_entries(index(col), &SortKey(vec![key]))
+            }
+            Probe::Range {
+                col,
+                lower,
+                upper,
+                rev,
+                nulls,
+            } => {
+                catalog.note_range_scan();
+                table.index_range_entries(
+                    index(col),
+                    lower.as_ref().map(|(v, i)| (v, *i)),
+                    upper.as_ref().map(|(v, i)| (v, *i)),
+                    rev,
+                    nulls,
+                )
+            }
+        }
+    }
+}
 
 /// Execute one statement. `params` are `?` host parameters, `named_params`
 /// are `:name` bindings (lower-cased keys; used inside procedure bodies).
@@ -34,16 +98,8 @@ pub fn execute(
             let rs = select::run_select(catalog, s, params, named_params)?;
             Ok(StatementResult::Rows(rs))
         }
-        Statement::Insert(s) => {
-            let n = dml::run_insert(catalog, s, params, named_params, undo)?;
-            Ok(StatementResult::Affected(n))
-        }
-        Statement::Update(s) => {
-            let n = dml::run_update(catalog, s, params, named_params, undo)?;
-            Ok(StatementResult::Affected(n))
-        }
-        Statement::Delete(s) => {
-            let n = dml::run_delete(catalog, s, params, named_params, undo)?;
+        Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
+            let n = dml::run_write(catalog, None, stmt, params, named_params, undo)?;
             Ok(StatementResult::Affected(n))
         }
         Statement::CreateTable(s) => {

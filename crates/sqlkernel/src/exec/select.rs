@@ -15,6 +15,7 @@ use crate::ast::*;
 use crate::catalog::Catalog;
 use crate::db::QueryResult;
 use crate::error::{SqlError, SqlResult};
+use crate::exec::Probe;
 use crate::expr::{aggregate_key, eval, eval_predicate, is_aggregate_name, EvalCtx, RowSchema};
 use crate::storage::Row;
 use crate::types::Value;
@@ -476,72 +477,67 @@ fn try_index_scan(
             .collect(),
     );
 
-    // Equality probe first: a point lookup beats any range walk.
-    if let Some((col, value_expr)) = find_eq_candidate(&conjuncts, &binding, &table) {
-        let index = table.find_index(&[col]).expect("candidate implies index");
-        let key = eval(value_expr, ctx)?;
-        catalog.note_index_scan();
-        // `col = NULL` is never true.
-        let rows: Vec<Arc<Row>> = if key.is_null() {
-            Vec::new()
-        } else {
-            table
-                .index_eq_entries(index, &crate::storage::SortKey(vec![key]))
-                .into_iter()
-                .map(|(_, row)| Arc::clone(row))
-                .collect()
-        };
-        return Ok(Some((Rows { schema, rows }, None)));
-    }
-
     let order_hint = naive_order_hint(order_by, &binding, &table);
+    let probe = match index_probe(&conjuncts, &binding, &table, order_hint, ctx)? {
+        Some(probe) => probe,
+        // Pure ORDER BY over an indexed column: a whole-index walk emits
+        // all rows already sorted — NULL keys included, in their
+        // NULLS-first (or, descending, NULLS-last) sort position.
+        None => match order_hint {
+            Some((col, desc)) if table.find_index(&[col]).is_some() => Probe::Range {
+                col,
+                lower: None,
+                upper: None,
+                rev: desc,
+                nulls: true,
+            },
+            _ => return Ok(None),
+        },
+    };
+    // Range and whole-index walks emit rows in key order.
+    let served = match &probe {
+        Probe::Range { col, rev, .. } => Some((*col, *rev)),
+        _ => None,
+    };
+    let rows: Vec<Arc<Row>> = probe
+        .index_entries(catalog, &table)
+        .into_iter()
+        .map(|(_, row)| Arc::clone(row))
+        .collect();
+    Ok(Some((Rows { schema, rows }, served)))
+}
 
-    // Range walk over the first indexed column with a range conjunct.
-    if let Some(spec) = find_range_candidate(&conjuncts, &binding, &table) {
-        let index = table
-            .find_index(&[spec.col])
-            .expect("candidate implies index");
-        let lower = match &spec.lower {
-            Some((e, inc)) => Some((eval(e, ctx)?, *inc)),
-            None => None,
-        };
-        let upper = match &spec.upper {
-            Some((e, inc)) => Some((eval(e, ctx)?, *inc)),
-            None => None,
-        };
-        // Walk backwards when a single-item ORDER BY … DESC targets the
-        // range column, so the emission order serves the sort.
-        let rev = order_hint.is_some_and(|(c, desc)| c == spec.col && desc);
-        let rows: Vec<Arc<Row>> = table
-            .index_range_entries(
-                index,
-                lower.as_ref().map(|(v, i)| (v, *i)),
-                upper.as_ref().map(|(v, i)| (v, *i)),
-                rev,
-                false,
-            )
-            .into_iter()
-            .map(|(_, row)| Arc::clone(row))
-            .collect();
-        catalog.note_range_scan();
-        return Ok(Some((Rows { schema, rows }, Some((spec.col, rev)))));
+/// The index access the interpreter takes for a single-table WHERE, keys
+/// evaluated: an equality probe first (a point lookup beats any range
+/// walk), then a range walk over the first indexed column with a range
+/// conjunct — backwards when `order_hint` asks for that column
+/// descending, so the emission order serves the sort. `None` when no
+/// index serves a conjunct. The plan compiler's `choose_access` makes the
+/// same choice.
+pub(crate) fn index_probe(
+    conjuncts: &[Expr],
+    binding: &str,
+    table: &crate::storage::Table,
+    order_hint: Option<(usize, bool)>,
+    ctx: &EvalCtx<'_>,
+) -> SqlResult<Option<Probe>> {
+    if let Some((col, key)) = find_eq_candidate(conjuncts, binding, table) {
+        return Ok(Some(Probe::Eq {
+            col,
+            key: eval(key, ctx)?,
+        }));
     }
-
-    // Pure ORDER BY over an indexed column: a whole-index walk emits all
-    // rows already sorted — NULL keys included, in their NULLS-first
-    // (or, descending, NULLS-last) sort position.
-    if let Some((col, desc)) = order_hint {
-        if let Some(index) = table.find_index(&[col]) {
-            let rows: Vec<Arc<Row>> = table
-                .index_range_entries(index, None, None, desc, true)
-                .into_iter()
-                .map(|(_, row)| Arc::clone(row))
-                .collect();
-            catalog.note_range_scan();
-            return Ok(Some((Rows { schema, rows }, Some((col, desc)))));
-        }
-    }
-    Ok(None)
+    let Some(spec) = find_range_candidate(conjuncts, binding, table) else {
+        return Ok(None);
+    };
+    let bound = |b: Option<(&Expr, bool)>| b.map(|(e, inc)| Ok((eval(e, ctx)?, inc))).transpose();
+    Ok(Some(Probe::Range {
+        col: spec.col,
+        lower: bound(spec.lower)?,
+        upper: bound(spec.upper)?,
+        rev: order_hint.is_some_and(|(c, desc)| c == spec.col && desc),
+        nulls: false,
+    }))
 }
 
 /// First conjunct of the form `col = row-independent-expr` (either side)

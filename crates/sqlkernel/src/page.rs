@@ -266,25 +266,83 @@ pub fn pack_stream(
     stream: &[u8],
     epoch: u64,
     page_lsn: u64,
-    mut alloc: impl FnMut() -> u64,
+    alloc: impl FnMut() -> u64,
 ) -> Vec<(u64, Vec<u8>)> {
     let mut out = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        let page_no = alloc();
-        let mut builder = PageBuilder::new(kind, page_no);
-        // One maximal cell per page keeps slot overhead minimal for bulk
-        // streams; short tails still cost a single small cell.
-        let take = (stream.len() - pos).min(builder.free());
-        let pushed = builder.try_push(&stream[pos..pos + take]);
-        debug_assert!(pushed, "a free()-sized cell always fits");
-        pos += take;
-        out.push((page_no, builder.finalize(epoch, page_lsn)));
-        if pos >= stream.len() {
-            break;
+    let mut packer = StreamPacker::new(kind, epoch, page_lsn, alloc, |no, page| {
+        out.push((no, page));
+        Ok(())
+    });
+    packer.write(stream).expect("collecting pages cannot fail");
+    packer.finish().expect("collecting pages cannot fail");
+    out
+}
+
+/// [`pack_stream`] for a stream produced piecemeal: bytes go in through
+/// [`StreamPacker::write`], and each page is sealed and handed to `put`
+/// as soon as it is full, so the whole stream never exists at once. The
+/// layout is `pack_stream`'s: one maximal cell per page, at least one page.
+pub struct StreamPacker<A, P> {
+    kind: PageKind,
+    epoch: u64,
+    page_lsn: u64,
+    alloc: A,
+    put: P,
+    /// The open page's cell.
+    cell: Vec<u8>,
+    pages: Vec<u64>,
+    len: u64,
+}
+
+impl<A, P> StreamPacker<A, P>
+where
+    A: FnMut() -> u64,
+    P: FnMut(u64, Vec<u8>) -> SqlResult<()>,
+{
+    /// An empty stream of `kind` pages.
+    pub fn new(kind: PageKind, epoch: u64, page_lsn: u64, alloc: A, put: P) -> Self {
+        StreamPacker {
+            kind,
+            epoch,
+            page_lsn,
+            alloc,
+            put,
+            cell: Vec::with_capacity(MAX_CELL),
+            pages: Vec::new(),
+            len: 0,
         }
     }
-    out
+
+    /// Append bytes to the stream, sealing every page they fill.
+    pub fn write(&mut self, mut bytes: &[u8]) -> SqlResult<()> {
+        while !bytes.is_empty() {
+            if self.cell.len() == MAX_CELL {
+                self.seal()?;
+            }
+            let take = (MAX_CELL - self.cell.len()).min(bytes.len());
+            self.cell.extend_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            self.len += take as u64;
+        }
+        Ok(())
+    }
+
+    fn seal(&mut self) -> SqlResult<()> {
+        let page_no = (self.alloc)();
+        let mut builder = PageBuilder::new(self.kind, page_no);
+        let pushed = builder.try_push(&self.cell);
+        debug_assert!(pushed, "a MAX_CELL-sized cell always fits");
+        self.cell.clear();
+        self.pages.push(page_no);
+        (self.put)(page_no, builder.finalize(self.epoch, self.page_lsn))
+    }
+
+    /// Seal the last page; returns the stream length and its pages in
+    /// stream order.
+    pub fn finish(mut self) -> SqlResult<(u64, Vec<u64>)> {
+        self.seal()?;
+        Ok((self.len, self.pages))
+    }
 }
 
 /// Reassemble a stream packed by [`pack_stream`]: parse each page,

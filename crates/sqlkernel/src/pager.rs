@@ -45,11 +45,11 @@ use crate::bufferpool::BufferPool;
 use crate::catalog::{Catalog, Sequence};
 use crate::error::{SqlError, SqlResult};
 use crate::fault::{crashed_error, FaultInjector, PageFault};
-use crate::page::{pack_stream, PageBuilder, PageKind, PageView, PAGE_SIZE};
+use crate::page::{pack_stream, PageBuilder, PageKind, PageView, StreamPacker, PAGE_SIZE};
 use crate::schema::TableSchema;
 use crate::storage::{Row, RowId};
 use crate::sync::Mutex;
-use crate::wal::{self, IndexDef, Reader, ScannedLog, TableImage, WalOp, WalRecord};
+use crate::wal::{self, Frames, IndexDef, Reader, ScannedLog, TableImage, WalOp, WalRecord};
 
 // ---------------------------------------------------------------- stores
 
@@ -84,10 +84,20 @@ fn oversized(len: usize) -> SqlError {
 /// In-memory page store. Clones share the same buffer (mirroring
 /// [`crate::MemLogStore`]), so a test can keep a handle to the "disk"
 /// across simulated process crashes — and reach past the pager to plant
-/// at-rest corruption.
+/// at-rest corruption. Each page keeps its own buffer (the bytes written
+/// to it so far), so growing the store never re-copies it.
 #[derive(Debug, Clone, Default)]
 pub struct MemPageStore {
-    buf: Arc<Mutex<Vec<u8>>>,
+    disk: Arc<Mutex<MemDisk>>,
+}
+
+#[derive(Debug, Default)]
+struct MemDisk {
+    /// Per page, its bytes up to the furthest one written (empty =
+    /// never written); missing bytes read as zeros.
+    pages: Vec<Vec<u8>>,
+    /// Furthest byte offset ever written, as a flat file would report it.
+    len: usize,
 }
 
 impl MemPageStore {
@@ -98,7 +108,7 @@ impl MemPageStore {
 
     /// Total bytes written so far (partial tail pages included).
     pub fn len(&self) -> usize {
-        self.buf.lock().len()
+        self.disk.lock().len
     }
 
     /// Is the store untouched?
@@ -107,25 +117,39 @@ impl MemPageStore {
     }
 
     /// Flip one bit of a stored page in place — at-rest corruption, as a
-    /// decaying disk would produce it. No-op if the byte was never
-    /// written.
+    /// decaying disk would produce it. No-op past the end of the store.
     pub fn flip_bit(&self, page_no: u64, bit: usize) {
-        let mut buf = self.buf.lock();
-        let at = page_no as usize * PAGE_SIZE + bit / 8;
-        if let Some(byte) = buf.get_mut(at) {
-            *byte ^= 1 << (bit % 8);
+        let mut disk = self.disk.lock();
+        let at = bit / 8;
+        if page_no as usize * PAGE_SIZE + at >= disk.len {
+            return;
         }
+        let page = disk.page_mut(page_no, at + 1);
+        page[at] ^= 1 << (bit % 8);
+    }
+}
+
+impl MemDisk {
+    /// Page `page_no`'s buffer, zero-extended to at least `len` bytes.
+    fn page_mut(&mut self, page_no: u64, len: usize) -> &mut Vec<u8> {
+        let no = page_no as usize;
+        if self.pages.len() <= no {
+            self.pages.resize_with(no + 1, Vec::new);
+        }
+        let page = &mut self.pages[no];
+        if page.len() < len {
+            page.resize(len, 0);
+        }
+        page
     }
 }
 
 impl PageStore for MemPageStore {
     fn read_page(&self, page_no: u64) -> SqlResult<Vec<u8>> {
-        let buf = self.buf.lock();
-        let start = page_no as usize * PAGE_SIZE;
+        let disk = self.disk.lock();
         let mut out = vec![0u8; PAGE_SIZE];
-        if start < buf.len() {
-            let n = (buf.len() - start).min(PAGE_SIZE);
-            out[..n].copy_from_slice(&buf[start..start + n]);
+        if let Some(page) = disk.pages.get(page_no as usize) {
+            out[..page.len()].copy_from_slice(page);
         }
         Ok(out)
     }
@@ -134,12 +158,9 @@ impl PageStore for MemPageStore {
         if bytes.len() > PAGE_SIZE {
             return Err(oversized(bytes.len()));
         }
-        let mut buf = self.buf.lock();
-        let start = page_no as usize * PAGE_SIZE;
-        if buf.len() < start + bytes.len() {
-            buf.resize(start + bytes.len(), 0);
-        }
-        buf[start..start + bytes.len()].copy_from_slice(bytes);
+        let mut disk = self.disk.lock();
+        disk.page_mut(page_no, bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        disk.len = disk.len.max(page_no as usize * PAGE_SIZE + bytes.len());
         Ok(())
     }
 
@@ -374,17 +395,8 @@ fn corrupt(detail: impl Into<String>) -> SqlError {
     SqlError::Runtime(format!("paged: {}", detail.into()))
 }
 
-/// Serialize a table's rows into the byte stream its data pages carry.
-fn encode_rows(rows: &[(RowId, Row)]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    wal::put_u32(&mut buf, rows.len() as u32);
-    for (id, row) in rows {
-        wal::put_u64(&mut buf, *id);
-        wal::put_row(&mut buf, row);
-    }
-    buf
-}
-
+/// Decode a table's data-page stream: a row count, then `(row id, row)`
+/// pairs (written by [`PagedEngine::checkpoint`]).
 fn decode_rows(bytes: &[u8]) -> SqlResult<Vec<(RowId, Row)>> {
     let mut r = Reader::new(bytes);
     let n = r.u32()? as usize;
@@ -556,16 +568,32 @@ fn op_table(op: &WalOp) -> Option<&str> {
 pub fn dirty_tables(scanned: &ScannedLog, after_lsn: u64) -> HashSet<String> {
     let mut out = HashSet::new();
     for (lsn, rec) in &scanned.records {
-        if *lsn <= after_lsn {
-            continue;
-        }
-        if let WalRecord::Op { op, .. } = rec {
-            if let Some(t) = op_table(op) {
-                out.insert(t.to_lowercase());
-            }
-        }
+        note_dirty(&mut out, *lsn, rec, after_lsn);
     }
     out
+}
+
+/// [`dirty_tables`] straight from raw log bytes: frames are decoded one
+/// at a time (same checksum and stop rule as [`wal::scan`]) and dropped
+/// once their table name is noted, so the checkpoint never holds the
+/// decoded log.
+pub fn log_dirty_tables(log: &[u8], after_lsn: u64) -> HashSet<String> {
+    let mut out = HashSet::new();
+    for (lsn, rec) in Frames::new(log) {
+        note_dirty(&mut out, lsn, &rec, after_lsn);
+    }
+    out
+}
+
+fn note_dirty(out: &mut HashSet<String>, lsn: u64, rec: &WalRecord, after_lsn: u64) {
+    if lsn <= after_lsn {
+        return;
+    }
+    if let WalRecord::Op { op, .. } = rec {
+        if let Some(t) = op_table(op) {
+            out.insert(t.to_lowercase());
+        }
+    }
 }
 
 /// Page-number allocator for one checkpoint: monotone from 2, skipping
@@ -948,7 +976,19 @@ impl PagedEngine {
         let mut names = catalog.table_names();
         names.sort(); // deterministic page layout
         let mut new_dir = Vec::with_capacity(names.len());
+        // Data pages go to the pool as they fill (it writes back what
+        // it evicts), so no table's image or stream is ever held whole.
+        // A dying checkpoint collects them instead and lands half.
         let mut pending: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut put = |no: u64, page: Vec<u8>| {
+            if partial {
+                pending.push((no, page));
+                Ok(())
+            } else {
+                self.pool.put(no, page, anchor_lsn)
+            }
+        };
+        let mut cell = Vec::new();
         for name in &names {
             let table = catalog.table(name)?;
             if table.schema.temporary {
@@ -965,19 +1005,31 @@ impl PagedEngine {
                     continue;
                 }
             }
-            let image = wal::image_of(catalog, &table);
-            let stream = encode_rows(&image.rows);
-            let pages = pack_stream(PageKind::Data, &stream, new_epoch, anchor_lsn, || {
-                alloc.next_page()
-            });
+            let mut packer = StreamPacker::new(
+                PageKind::Data,
+                new_epoch,
+                anchor_lsn,
+                || alloc.next_page(),
+                &mut put,
+            );
+            // The row stream: a row count, then `(row id, row)` pairs.
+            cell.clear();
+            wal::put_u32(&mut cell, table.iter().count() as u32);
+            packer.write(&cell)?;
+            for (id, row) in table.iter() {
+                cell.clear();
+                wal::put_u64(&mut cell, id);
+                wal::put_row(&mut cell, row);
+                packer.write(&cell)?;
+            }
+            let (stream_len, pages) = packer.finish()?;
             new_dir.push(TableEntry {
-                schema: image.schema,
-                next_row_id: image.next_row_id,
-                indexes: image.indexes,
-                stream_len: stream.len() as u64,
-                pages: pages.iter().map(|(no, _)| *no).collect(),
+                schema: table.schema.clone(),
+                next_row_id: table.next_row_id(),
+                indexes: wal::index_defs_of(catalog, &table),
+                stream_len,
+                pages,
             });
-            pending.extend(pages);
         }
 
         if partial {
@@ -988,10 +1040,6 @@ impl PagedEngine {
                 self.pool.put(no, bytes, anchor_lsn)?;
             }
             return self.pool.flush_all();
-        }
-
-        for (no, bytes) in pending {
-            self.pool.put(no, bytes, anchor_lsn)?;
         }
         self.pool.flush_all()?; // data pages durable
 

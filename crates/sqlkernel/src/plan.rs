@@ -26,8 +26,7 @@
 use std::collections::HashMap;
 
 use crate::ast::{
-    BinOp, DeleteStmt, Expr, FromClause, JoinKind, OrderItem, SelectItem, SelectStmt, Statement,
-    TableSource, UpdateStmt,
+    BinOp, Expr, FromClause, JoinKind, OrderItem, SelectItem, SelectStmt, Statement, TableSource,
 };
 use crate::bound::{
     as_col_cmps, bind, eval_bound, eval_bound_predicate, infallible_predicate, BoundCtx, BoundExpr,
@@ -35,13 +34,15 @@ use crate::bound::{
 };
 use crate::catalog::Catalog;
 use crate::error::{SqlError, SqlResult};
+use crate::exec::dml::{run_dml, DmlEval, RowChange};
 use crate::exec::select::{
     collect_aggregates, find_eq_candidate, find_range_candidate, flatten_and, naive_order_hint,
     order_targets_column, projection_plan, split_equi_join,
 };
+use crate::exec::Probe;
 use crate::expr::{aggregate_key, is_aggregate_name, RowSchema};
-use crate::storage::{RowId, Table};
-use crate::txn::{UndoLog, UndoOp};
+use crate::storage::Table;
+use crate::txn::UndoLog;
 use crate::types::Value;
 
 /// Synthetic binding under which aggregate results appear in the virtual
@@ -67,6 +68,39 @@ pub(crate) enum Access {
     /// Whole-index walk taken purely for `ORDER BY` key order
     /// (NULL keys included in their sort position).
     IndexOrder { col: usize, desc: bool },
+}
+
+impl Access {
+    /// Evaluate the path's keys for one execution. An `IndexOrder` walk
+    /// is the unbounded range that keeps NULL keys in sort position.
+    pub(crate) fn probe(&self, ctx: &BoundCtx<'_>, evals: &mut Evals) -> SqlResult<Probe> {
+        Ok(match self {
+            Access::Full => Probe::Full,
+            Access::IndexEq { col, key } => Probe::Eq {
+                col: *col,
+                key: evals.eval(key, ctx)?,
+            },
+            Access::IndexRange {
+                col,
+                lower,
+                upper,
+                rev,
+            } => Probe::Range {
+                col: *col,
+                lower: evals.bound(lower, ctx)?,
+                upper: evals.bound(upper, ctx)?,
+                rev: *rev,
+                nulls: false,
+            },
+            Access::IndexOrder { col, desc } => Probe::Range {
+                col: *col,
+                lower: None,
+                upper: None,
+                rev: *desc,
+                nulls: true,
+            },
+        })
+    }
 }
 
 /// One base-table side of a compiled join: how to scan it and which
@@ -203,15 +237,20 @@ pub struct AggPlan {
     pub(crate) offset: Option<BoundExpr>,
 }
 
-/// A compiled `UPDATE`: filter plus `(column ordinal, value)` pairs.
+/// A compiled `UPDATE` or `DELETE`: the access path that finds candidate
+/// rows (chosen exactly as for a `SELECT`), the full WHERE re-checked on
+/// every candidate, and, for an `UPDATE`, the SET list. Executed by the
+/// shared collect/apply path in [`crate::exec::dml`].
 #[derive(Debug)]
-pub struct UpdatePlan {
+pub struct DmlPlan {
     table: String,
+    access: Access,
     filter: Option<BoundExpr>,
-    assignments: Vec<(usize, BoundExpr)>,
+    /// `(column ordinal, value)` per SET item; `None` for a `DELETE`.
+    assignments: Option<Vec<(usize, BoundExpr)>>,
 }
 
-impl UpdatePlan {
+impl DmlPlan {
     /// The target table, as written in the statement.
     pub fn table_name(&self) -> &str {
         &self.table
@@ -223,41 +262,24 @@ impl UpdatePlan {
         self.filter
             .as_ref()
             .is_some_and(BoundExpr::contains_subquery)
-            || self.assignments.iter().any(|(_, e)| e.contains_subquery())
-    }
-}
-
-/// A compiled `DELETE`.
-#[derive(Debug)]
-pub struct DeletePlan {
-    table: String,
-    filter: Option<BoundExpr>,
-}
-
-impl DeletePlan {
-    /// The target table, as written in the statement.
-    pub fn table_name(&self) -> &str {
-        &self.table
-    }
-
-    /// Does the filter run a subquery? See [`UpdatePlan::has_subquery`].
-    pub fn has_subquery(&self) -> bool {
-        self.filter
-            .as_ref()
-            .is_some_and(BoundExpr::contains_subquery)
+            || self
+                .assignments
+                .iter()
+                .flatten()
+                .any(|(_, e)| e.contains_subquery())
     }
 }
 
 /// The result of compiling one statement against one catalog epoch.
 #[derive(Debug)]
 pub enum CompiledPlan {
-    /// Boxed: a `SelectPlan` is an order of magnitude larger than the
-    /// other variants, and plans are built once then executed many times.
+    /// Plans are boxed: they differ widely in size, and are built once
+    /// then executed many times.
     Select(Box<SelectPlan>),
     /// Grouped/aggregating `SELECT`, run through the hash aggregator.
     Aggregate(Box<AggPlan>),
-    Update(UpdatePlan),
-    Delete(DeletePlan),
+    /// `UPDATE` or `DELETE`.
+    Dml(Box<DmlPlan>),
     /// Compilation declined; execute through the interpreter.
     Unsupported,
 }
@@ -268,8 +290,13 @@ pub enum CompiledPlan {
 pub fn compile(catalog: &Catalog, stmt: &Statement) -> CompiledPlan {
     match stmt {
         Statement::Select(s) => compile_select(catalog, s).unwrap_or(CompiledPlan::Unsupported),
-        Statement::Update(u) => compile_update(catalog, u).unwrap_or(CompiledPlan::Unsupported),
-        Statement::Delete(d) => compile_delete(catalog, d).unwrap_or(CompiledPlan::Unsupported),
+        Statement::Update(u) => compile_dml(
+            catalog,
+            &u.table,
+            u.where_clause.as_ref(),
+            Some(&u.assignments),
+        ),
+        Statement::Delete(d) => compile_dml(catalog, &d.table, d.where_clause.as_ref(), None),
         _ => CompiledPlan::Unsupported,
     }
 }
@@ -936,31 +963,35 @@ fn compile_select_agg(catalog: &Catalog, stmt: &SelectStmt) -> Option<CompiledPl
     })))
 }
 
-fn compile_update(catalog: &Catalog, stmt: &UpdateStmt) -> Option<CompiledPlan> {
-    let table = catalog.table(&stmt.table).ok()?;
-    // The interpreter binds the scan under the table's declared name.
-    let schema = table_row_schema(&table, &table.schema.name.clone());
-    let mut assignments = Vec::with_capacity(stmt.assignments.len());
-    for (col, e) in &stmt.assignments {
-        let pos = table.schema.resolve(col).ok()?;
-        assignments.push((pos, bind(e, &schema).ok()?));
-    }
-    let filter = bind_opt(stmt.where_clause.as_ref(), &schema)?;
-    Some(CompiledPlan::Update(UpdatePlan {
-        table: stmt.table.clone(),
-        filter,
-        assignments,
-    }))
-}
-
-fn compile_delete(catalog: &Catalog, stmt: &DeleteStmt) -> Option<CompiledPlan> {
-    let table = catalog.table(&stmt.table).ok()?;
-    let schema = table_row_schema(&table, &table.schema.name.clone());
-    let filter = bind_opt(stmt.where_clause.as_ref(), &schema)?;
-    Some(CompiledPlan::Delete(DeletePlan {
-        table: stmt.table.clone(),
-        filter,
-    }))
+/// Compile an `UPDATE` (`set` present) or `DELETE`.
+fn compile_dml(
+    catalog: &Catalog,
+    name: &str,
+    where_clause: Option<&Expr>,
+    set: Option<&[(String, Expr)]>,
+) -> CompiledPlan {
+    let compile = || {
+        let table = catalog.table(name).ok()?;
+        // The interpreter binds the scan under the table's declared name.
+        let binding = table.schema.name.clone();
+        let schema = table_row_schema(&table, &binding);
+        let assignments = match set {
+            Some(set) => Some(
+                set.iter()
+                    .map(|(col, e)| Some((table.schema.resolve(col).ok()?, bind(e, &schema).ok()?)))
+                    .collect::<Option<Vec<_>>>()?,
+            ),
+            None => None,
+        };
+        let (access, _) = choose_access(where_clause, &[], &binding, &table, &schema)?;
+        Some(CompiledPlan::Dml(Box::new(DmlPlan {
+            table: name.to_string(),
+            access,
+            filter: bind_opt(where_clause, &schema)?,
+            assignments,
+        })))
+    };
+    compile().unwrap_or(CompiledPlan::Unsupported)
 }
 
 // ---------------------------------------------------------------- execution
@@ -978,6 +1009,17 @@ impl Evals {
     pub(crate) fn pred(&mut self, e: &BoundExpr, ctx: &BoundCtx<'_>) -> SqlResult<bool> {
         self.0 += 1;
         eval_bound_predicate(e, ctx)
+    }
+
+    /// Evaluate one `(expr, inclusive)` range bound of an access path.
+    pub(crate) fn bound(
+        &mut self,
+        b: &Option<(BoundExpr, bool)>,
+        ctx: &BoundCtx<'_>,
+    ) -> SqlResult<Option<(Value, bool)>> {
+        b.as_ref()
+            .map(|(e, inc)| Ok((self.eval(e, ctx)?, *inc)))
+            .transpose()
     }
 }
 
@@ -999,208 +1041,61 @@ pub(crate) fn bound_usize(
 // plain plan (`run_select_batched`) and the aggregate plan
 // (`run_agg_plan`) run batch-at-a-time over borrowed storage rows.
 
-/// Collect phase of a compiled `UPDATE`: evaluate filter + assignments
-/// against an immutable snapshot (avoiding the Halloween problem).
-fn collect_update(
-    catalog: &Catalog,
-    table: &Table,
-    plan: &UpdatePlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    evals: &mut Evals,
-) -> SqlResult<Vec<(RowId, Vec<Value>)>> {
-    let ctx = BoundCtx {
-        catalog,
-        params,
-        named_params,
-        row: None,
-    };
-    let mut changes = Vec::new();
-    let mut walked = 0u64;
-    for (id, row) in table.iter() {
-        walked += 1;
+/// The compiled plan's [`DmlEval`]: ordinal loads over bound expressions.
+struct BoundDml<'a> {
+    plan: &'a DmlPlan,
+    ctx: BoundCtx<'a>,
+    evals: Evals,
+}
+
+impl DmlEval for BoundDml<'_> {
+    fn probe(&mut self, _table: &Table) -> SqlResult<Probe> {
+        self.plan.access.probe(&self.ctx, &mut self.evals)
+    }
+
+    fn change(&mut self, row: &[Value]) -> SqlResult<Option<RowChange>> {
         let rc = BoundCtx {
             row: Some(row),
-            ..ctx
+            ..self.ctx
         };
-        let hit = match &plan.filter {
-            Some(pred) => evals.pred(pred, &rc)?,
-            None => true,
-        };
-        if !hit {
-            continue;
-        }
-        let mut new_row = (**row).clone();
-        for (pos, e) in &plan.assignments {
-            new_row[*pos] = evals.eval(e, &rc)?;
-        }
-        changes.push((id, new_row));
-    }
-    catalog.note_full_scan_rows(walked);
-    Ok(changes)
-}
-
-/// Apply phase of a compiled `UPDATE`: write the precomputed rows under
-/// the caller's exclusive table guard, recording undo for atomicity.
-fn apply_update(
-    catalog: &Catalog,
-    table: &mut Table,
-    changes: Vec<(RowId, Vec<Value>)>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let table_name = table.schema.name.clone();
-    let mut n = 0;
-    for (id, new_row) in changes {
-        let old = table.update(id, new_row)?;
-        undo.record(UndoOp::Update {
-            table: table_name.clone(),
-            row_id: id,
-            old,
-        });
-        n += 1;
-        catalog.fault_row_applied()?;
-    }
-    Ok(n)
-}
-
-/// Execute a compiled `UPDATE` in the interpreter's two phases: collect
-/// under a shared table guard (subqueries in the filter may re-read this
-/// very table), then apply under the exclusive guard. The guard gap is
-/// harmless: this path runs with the catalog-shape lock held exclusively,
-/// so no other statement can slip in between.
-pub fn run_update_plan(
-    catalog: &Catalog,
-    plan: &UpdatePlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let mut evals = Evals(0);
-    let changes = {
-        let table = catalog.table(&plan.table)?;
-        collect_update(catalog, &table, plan, params, named_params, &mut evals)?
-    };
-    let mut table = catalog.table_mut(&plan.table)?;
-    let n = apply_update(catalog, &mut table, changes, undo)?;
-    drop(table);
-    catalog.note_bound_evals(evals.0);
-    Ok(n)
-}
-
-/// Fast-path variant of [`run_update_plan`]: both phases run against a
-/// table guard the *caller* already holds, so the whole statement is one
-/// atomic unit even under the shared catalog-shape lock. Callers must
-/// have checked [`UpdatePlan::has_subquery`] — a subquery would re-enter
-/// the catalog's table map and self-deadlock on the held guard.
-pub fn run_update_plan_on(
-    catalog: &Catalog,
-    table: &mut Table,
-    plan: &UpdatePlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let mut evals = Evals(0);
-    let changes = collect_update(catalog, table, plan, params, named_params, &mut evals)?;
-    let n = apply_update(catalog, table, changes, undo)?;
-    catalog.note_bound_evals(evals.0);
-    Ok(n)
-}
-
-/// Collect phase of a compiled `DELETE`: gather victim row ids against
-/// an immutable snapshot.
-fn collect_delete(
-    catalog: &Catalog,
-    table: &Table,
-    plan: &DeletePlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    evals: &mut Evals,
-) -> SqlResult<Vec<RowId>> {
-    let ctx = BoundCtx {
-        catalog,
-        params,
-        named_params,
-        row: None,
-    };
-    let mut out = Vec::new();
-    let mut walked = 0u64;
-    for (id, row) in table.iter() {
-        walked += 1;
-        let hit = match &plan.filter {
-            Some(pred) => {
-                let rc = BoundCtx {
-                    row: Some(row),
-                    ..ctx
-                };
-                evals.pred(pred, &rc)?
+        if let Some(pred) = &self.plan.filter {
+            if !self.evals.pred(pred, &rc)? {
+                return Ok(None);
             }
-            None => true,
-        };
-        if hit {
-            out.push(id);
         }
+        let Some(set) = &self.plan.assignments else {
+            return Ok(Some(RowChange::Delete));
+        };
+        let mut new_row = row.to_vec();
+        for (pos, e) in set {
+            new_row[*pos] = self.evals.eval(e, &rc)?;
+        }
+        Ok(Some(RowChange::Update(new_row)))
     }
-    catalog.note_full_scan_rows(walked);
-    Ok(out)
 }
 
-/// Apply phase of a compiled `DELETE` under the caller's table guard.
-fn apply_delete(
+/// Execute a compiled `UPDATE`/`DELETE`; returns the rows changed.
+/// `held` is the caller's write guard on the plan's table, for plans
+/// without a subquery (see [`crate::exec::dml`] for the guard discipline).
+pub fn run_dml_plan(
     catalog: &Catalog,
-    table: &mut Table,
-    victims: Vec<RowId>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let table_name = table.schema.name.clone();
-    let mut n = 0;
-    for id in victims {
-        let row = table.delete(id)?;
-        undo.record(UndoOp::Delete {
-            table: table_name.clone(),
-            row_id: id,
-            row,
-        });
-        n += 1;
-        catalog.fault_row_applied()?;
-    }
-    Ok(n)
-}
-
-/// Execute a compiled `DELETE` (two-phase, like the interpreter; see
-/// [`run_update_plan`] for the guard discipline).
-pub fn run_delete_plan(
-    catalog: &Catalog,
-    plan: &DeletePlan,
+    held: Option<&mut Table>,
+    plan: &DmlPlan,
     params: &[Value],
     named_params: &HashMap<String, Value>,
     undo: &mut UndoLog,
 ) -> SqlResult<usize> {
-    let mut evals = Evals(0);
-    let victims = {
-        let table = catalog.table(&plan.table)?;
-        collect_delete(catalog, &table, plan, params, named_params, &mut evals)?
+    let mut eval = BoundDml {
+        plan,
+        ctx: BoundCtx {
+            catalog,
+            params,
+            named_params,
+            row: None,
+        },
+        evals: Evals(0),
     };
-    let mut table = catalog.table_mut(&plan.table)?;
-    let n = apply_delete(catalog, &mut table, victims, undo)?;
-    drop(table);
-    catalog.note_bound_evals(evals.0);
-    Ok(n)
-}
-
-/// Fast-path variant of [`run_delete_plan`] against a held table guard;
-/// see [`run_update_plan_on`] for the subquery-freedom requirement.
-pub fn run_delete_plan_on(
-    catalog: &Catalog,
-    table: &mut Table,
-    plan: &DeletePlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let mut evals = Evals(0);
-    let victims = collect_delete(catalog, table, plan, params, named_params, &mut evals)?;
-    let n = apply_delete(catalog, table, victims, undo)?;
-    catalog.note_bound_evals(evals.0);
+    let n = run_dml(catalog, held, &plan.table, &mut eval, undo)?;
+    catalog.note_bound_evals(eval.evals.0);
     Ok(n)
 }

@@ -91,6 +91,20 @@ pub trait LogStore: std::fmt::Debug + Send + Sync {
     fn reset(&self, bytes: &[u8]) -> SqlResult<()>;
     /// Current size in bytes.
     fn size(&self) -> SqlResult<u64>;
+    /// Run `f` over the entire log. Stores that hold the log in memory
+    /// lend it without a copy.
+    fn visit(&self, f: &mut dyn FnMut(&[u8])) -> SqlResult<()> {
+        f(&self.read_all()?);
+        Ok(())
+    }
+    /// Drop the head of the log: `cut` sees the whole log and returns how
+    /// many leading bytes to discard. Atomic like [`LogStore::reset`];
+    /// in-memory stores drop the prefix in place.
+    fn drop_prefix(&self, cut: &mut dyn FnMut(&[u8]) -> usize) -> SqlResult<()> {
+        let bytes = self.read_all()?;
+        let n = cut(&bytes).min(bytes.len());
+        self.reset(&bytes[n..])
+    }
 }
 
 /// In-memory log store for tests: cloning shares the buffer, so a test
@@ -139,6 +153,18 @@ impl LogStore for MemLogStore {
 
     fn size(&self) -> SqlResult<u64> {
         Ok(self.buf.lock().len() as u64)
+    }
+
+    fn visit(&self, f: &mut dyn FnMut(&[u8])) -> SqlResult<()> {
+        f(&self.buf.lock());
+        Ok(())
+    }
+
+    fn drop_prefix(&self, cut: &mut dyn FnMut(&[u8]) -> usize) -> SqlResult<()> {
+        let mut buf = self.buf.lock();
+        let n = cut(&buf).min(buf.len());
+        buf.drain(..n);
+        Ok(())
     }
 }
 
@@ -853,28 +879,56 @@ pub struct ScannedLog {
     pub dropped_bytes: u64,
 }
 
+/// A log's records, decoded one frame at a time. Iteration stops at the
+/// first frame that is short, fails its checksum, or fails to decode —
+/// everything before that point is the durable history, and
+/// [`Frames::valid_len`] is its byte length.
+#[derive(Debug)]
+pub(crate) struct Frames<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Frames<'a> {
+    /// Frames of `bytes`, from the start.
+    pub(crate) fn new(bytes: &'a [u8]) -> Frames<'a> {
+        Frames { bytes, pos: 0 }
+    }
+
+    /// Byte length of the frames yielded so far.
+    pub(crate) fn valid_len(&self) -> usize {
+        self.pos
+    }
+}
+
+impl Iterator for Frames<'_> {
+    type Item = (u64, WalRecord);
+
+    fn next(&mut self) -> Option<(u64, WalRecord)> {
+        let rest = &self.bytes[self.pos..];
+        if rest.len() < 12 {
+            return None;
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+        let sum = u64::from_le_bytes(rest[4..12].try_into().unwrap());
+        // Torn frame, corrupt payload, or undecodable record.
+        let payload = rest.get(12..12 + len)?;
+        if checksum(payload) != sum {
+            return None;
+        }
+        let record = decode_payload(payload).ok()?;
+        self.pos += 12 + len;
+        Some(record)
+    }
+}
+
 /// Scan a log, stopping at the first record that is short, fails its
 /// checksum, or fails to decode. Everything before that point is the
 /// durable history.
 pub fn scan(bytes: &[u8]) -> ScannedLog {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while bytes.len() - pos >= 12 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        if bytes.len() - pos - 12 < len {
-            break; // torn frame
-        }
-        let payload = &bytes[pos + 12..pos + 12 + len];
-        if checksum(payload) != sum {
-            break; // corrupt payload
-        }
-        match decode_payload(payload) {
-            Ok(rec) => records.push(rec),
-            Err(_) => break,
-        }
-        pos += 12 + len;
-    }
+    let mut frames = Frames::new(bytes);
+    let records = frames.by_ref().collect();
+    let pos = frames.valid_len();
     ScannedLog {
         records,
         valid_len: pos,
@@ -897,7 +951,7 @@ fn is_temp(catalog: &Catalog, table: &str) -> bool {
         .unwrap_or(false)
 }
 
-fn index_defs_of(catalog: &Catalog, table: &Table) -> Vec<IndexDef> {
+pub(crate) fn index_defs_of(catalog: &Catalog, table: &Table) -> Vec<IndexDef> {
     table
         .index_iter()
         .map(|i| IndexDef {
@@ -1723,20 +1777,21 @@ impl Wal {
         if self.sealed.load(Ordering::Relaxed) {
             return Err(crashed_error());
         }
-        let bytes = self.store.read_all()?;
-        let mut pos = 0usize;
-        while bytes.len() - pos >= 12 {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            if bytes.len() - pos - 12 < len || len < 8 {
-                break; // torn or undecodable frame: keep it and the rest
+        self.store.drop_prefix(&mut |bytes| {
+            let mut pos = 0usize;
+            while bytes.len() - pos >= 12 {
+                let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+                if bytes.len() - pos - 12 < len || len < 8 {
+                    break; // torn or undecodable frame: keep it and the rest
+                }
+                let lsn = u64::from_le_bytes(bytes[pos + 12..pos + 20].try_into().unwrap());
+                if lsn > keep_after_lsn {
+                    break;
+                }
+                pos += 12 + len;
             }
-            let lsn = u64::from_le_bytes(bytes[pos + 12..pos + 20].try_into().unwrap());
-            if lsn > keep_after_lsn {
-                break;
-            }
-            pos += 12 + len;
-        }
-        self.store.reset(&bytes[pos..])?;
+            pos
+        })?;
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

@@ -220,6 +220,122 @@ fn batch_update_and_delete_match_looped_execution() {
 }
 
 #[test]
+fn indexed_batches_match_looped_and_full_scan_execution() {
+    // Batches whose predicates hit the index paths — INT and TEXT keys,
+    // NULL keys and `= NULL`, empty and BETWEEN ranges, key-moving
+    // updates, and deletes inside a transaction after keys moved — must
+    // end where the looped statements and an index-free table end.
+    fn p(v: &[Option<i64>]) -> Vec<Value> {
+        v.iter()
+            .map(|x| x.map_or(Value::Null, Value::Int))
+            .collect()
+    }
+    fn t(v: Option<&str>) -> Value {
+        v.map_or(Value::Null, Value::text)
+    }
+    let steps: Vec<(&str, Vec<Vec<Value>>)> = vec![
+        (
+            "UPDATE t2 SET k = k + 100 WHERE k >= ?",
+            vec![p(&[Some(50)]), p(&[Some(20)]), p(&[None]), p(&[Some(130)])],
+        ),
+        (
+            "UPDATE t2 SET v = ? WHERE name = ?",
+            vec![
+                vec![Value::Int(-1), t(Some("n3"))],
+                vec![Value::Int(-2), t(None)],
+                vec![Value::Int(-3), t(Some("nope"))],
+            ],
+        ),
+        (
+            "DELETE FROM t2 WHERE k BETWEEN ? AND ?",
+            vec![
+                p(&[Some(40), Some(10)]),
+                p(&[Some(5), Some(12)]),
+                p(&[None, Some(90)]),
+            ],
+        ),
+        (
+            "DELETE FROM t2 WHERE name = ?",
+            vec![vec![t(None)], vec![t(Some("n1"))]],
+        ),
+        ("BEGIN", vec![]),
+        (
+            "UPDATE t2 SET k = k + 100 WHERE k >= ? AND k < ?",
+            vec![p(&[Some(0), Some(60)])],
+        ),
+        (
+            "DELETE FROM t2 WHERE k = ?",
+            vec![p(&[Some(30)]), p(&[Some(130)])],
+        ),
+        (
+            "DELETE FROM t2 WHERE k < ?",
+            vec![p(&[Some(15)]), p(&[Some(115)])],
+        ),
+        (
+            "UPDATE t2 SET name = ? WHERE k > ?",
+            vec![vec![t(Some("late")), Value::Int(200)]],
+        ),
+        ("COMMIT", vec![]),
+    ];
+    fn run(
+        ddl: &str,
+        steps: &[(&str, Vec<Vec<Value>>)],
+        batched: bool,
+    ) -> (Vec<usize>, Vec<Vec<Value>>) {
+        let db = Database::new("eb_indexed");
+        let conn = db.connect();
+        conn.execute_script(ddl).unwrap();
+        for i in 0..60i64 {
+            let k = if i % 9 == 0 {
+                Value::Null
+            } else {
+                Value::Int((i * 7) % 60)
+            };
+            let name = if i % 11 == 0 {
+                Value::Null
+            } else {
+                Value::text(format!("n{}", i % 5))
+            };
+            conn.execute(
+                "INSERT INTO t2 VALUES (?, ?, ?, ?)",
+                &[Value::Int(i), k, name, Value::Int(i)],
+            )
+            .unwrap();
+        }
+        let mut affected = Vec::new();
+        for (sql, sets) in steps {
+            if sets.is_empty() {
+                conn.execute(sql, &[]).unwrap();
+            } else if batched {
+                affected.push(conn.execute_batch(sql, sets).unwrap());
+            } else {
+                let n = sets
+                    .iter()
+                    .map(|s| conn.execute(sql, s).unwrap().affected().unwrap())
+                    .sum();
+                affected.push(n);
+            }
+        }
+        let rows = conn
+            .query("SELECT * FROM t2 ORDER BY id", &[])
+            .unwrap()
+            .rows;
+        (affected, rows)
+    }
+    let indexed = "CREATE TABLE t2 (id INT PRIMARY KEY, k INT, name TEXT, v INT);
+                   CREATE INDEX t2_k ON t2 (k);
+                   CREATE INDEX t2_name ON t2 (name);";
+    let bare = "CREATE TABLE t2 (id INT, k INT, name TEXT, v INT);";
+    let batched = run(indexed, &steps, true);
+    assert_eq!(batched, run(indexed, &steps, false));
+    assert_eq!(batched, run(bare, &steps, true));
+    assert!(
+        batched.0.iter().sum::<usize>() > 20,
+        "the steps touched rows"
+    );
+}
+
+#[test]
 fn batch_inside_transaction_rides_the_transaction() {
     let db = orders_db("eb_txn");
     let conn = db.connect();

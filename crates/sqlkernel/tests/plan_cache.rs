@@ -488,37 +488,157 @@ fn differential_select_corpus() {
     }
 }
 
+/// A copy of `t` with no index at all, not even a key: every DML
+/// statement against it runs as a full scan — the oracle for the
+/// index-driven access paths. Rows go in in `id` order, so row ids (and
+/// with them emission order) match the indexed twins.
+fn scan_oracle(src: &Connection) -> Connection {
+    let conn = Database::new("diff_scan_oracle").connect();
+    conn.execute("CREATE TABLE t (id INT, a INT, b INT, s TEXT)", &[])
+        .unwrap();
+    for row in src.query("SELECT * FROM t ORDER BY id", &[]).unwrap().rows {
+        conn.execute("INSERT INTO t VALUES (?, ?, ?, ?)", &row)
+            .unwrap();
+    }
+    conn
+}
+
+/// WHERE clauses aimed at the index access paths: INT and TEXT keys,
+/// `col = NULL`, empty ranges, BETWEEN — alone, or ANDed with a generic
+/// predicate the full re-check must still apply.
+fn gen_dml_predicate(rng: &mut Rng) -> String {
+    let keyed = match rng.range(0, 10) {
+        0 => format!(
+            "s = '{}'",
+            rng.pick(&["widget", "gadget", "item3", "item7"])
+        ),
+        1 => format!("s {} 'item4'", rng.pick(&["<", "<=", ">", ">="])),
+        2 => "s BETWEEN 'gadget' AND 'item5'".to_string(),
+        3 => format!("{} = NULL", rng.pick(&["a", "b", "s", "id"])),
+        4 => {
+            let hi = rng.irange(-5, 40);
+            format!("a BETWEEN {} AND {hi}", hi + rng.irange(1, 20))
+        }
+        5 => format!(
+            "id >= {} AND id < {}",
+            rng.irange(10, 30),
+            rng.irange(0, 10)
+        ),
+        6 => format!("a >= {}", rng.irange(-5, 80)),
+        7 => format!("id = {}", rng.irange(0, 30)),
+        _ => return gen_predicate(rng),
+    };
+    if rng.bool() {
+        format!("{keyed} AND {}", gen_predicate(rng))
+    } else {
+        keyed
+    }
+}
+
+fn gen_dml(rng: &mut Rng) -> String {
+    if rng.bool() {
+        let set = rng.pick(&[
+            "b = b + 1",
+            "a = NULL",
+            "s = 'touched', b = a",
+            "a = b, b = a",
+            "a = a + 100",
+            "s = 'item9'",
+        ]);
+        format!("UPDATE t SET {} WHERE {}", set, gen_dml_predicate(rng))
+    } else {
+        format!("DELETE FROM t WHERE {}", gen_dml_predicate(rng))
+    }
+}
+
+/// Compiled, interpreted and full-scan executions of one DML statement
+/// must affect the same rows.
+fn run_dml_three_ways(conns: &[Connection; 3], sql: &str, ctx: &str) {
+    let c = conns[0].execute(sql, &[]).unwrap();
+    let stmt = parse_statement(sql).unwrap();
+    let i = conns[1].execute_ast(&stmt, &[]).unwrap();
+    let o = conns[2].execute_ast(&stmt, &[]).unwrap();
+    assert_eq!(c.affected(), i.affected(), "{ctx}: {sql}");
+    assert_eq!(
+        c.affected(),
+        o.affected(),
+        "{ctx}: full scan disagrees: {sql}"
+    );
+}
+
 #[test]
 fn differential_update_delete_corpus() {
-    for case in 0..48 {
+    for case in 0..64 {
         let mut rng = Rng::new(0xD1FF ^ case);
         let (cdb, idb) = twin_dbs(&mut rng);
         let (cc, ic) = (cdb.connect(), idb.connect());
-        for round in 0..6 {
-            let sql = if rng.bool() {
-                let set = rng.pick(&[
-                    "b = b + 1",
-                    "a = NULL",
-                    "s = 'touched', b = a",
-                    "a = b, b = a",
-                ]);
-                format!("UPDATE t SET {} WHERE {}", set, gen_predicate(&mut rng))
-            } else {
-                format!("DELETE FROM t WHERE {}", gen_predicate(&mut rng))
-            };
-            // DML mutates, so each side executes exactly once per round.
-            // Later rounds reuse earlier statements' cached plans on the
-            // compiled side whenever the generator repeats itself.
-            let c = cc.execute(&sql, &[]).unwrap();
-            let stmt = parse_statement(&sql).unwrap();
-            let i = ic.execute_ast(&stmt, &[]).unwrap();
-            assert_eq!(
-                c.affected(),
-                i.affected(),
-                "case {case} round {round}: {sql}"
-            );
-            assert_same_state(&cc, &ic, case, &sql);
+        if rng.bool() {
+            for c in [&cc, &ic] {
+                c.execute("CREATE INDEX idx_s ON t (s)", &[]).unwrap();
+            }
         }
+        let conns = [cc, ic, scan_oracle(&cdb.connect())];
+        for round in 0..8 {
+            let ctx = format!("case {case} round {round}");
+            if rng.range(0, 4) == 0 {
+                // A transaction that moves keys, then deletes by the old
+                // and the new keys: stale index entries for the old keys
+                // must be skipped, the moved rows found under the new.
+                let lo = rng.irange(-5, 60);
+                let stmts = [
+                    "BEGIN".to_string(),
+                    format!("UPDATE t SET a = a + 100 WHERE a >= {lo}"),
+                    format!("DELETE FROM t WHERE a = {}", rng.irange(-5, 80)),
+                    format!(
+                        "DELETE FROM t WHERE a BETWEEN {} AND 200",
+                        lo + rng.irange(90, 130)
+                    ),
+                    format!("UPDATE t SET b = -1 WHERE a < {}", rng.irange(-5, 60)),
+                    "COMMIT".to_string(),
+                ];
+                for sql in &stmts {
+                    if sql == "BEGIN" || sql == "COMMIT" {
+                        for c in &conns {
+                            c.execute(sql, &[]).unwrap();
+                        }
+                    } else {
+                        run_dml_three_ways(&conns, sql, &ctx);
+                    }
+                }
+            } else {
+                // Later rounds reuse earlier statements' cached plans on
+                // the compiled side whenever the generator repeats itself.
+                run_dml_three_ways(&conns, &gen_dml(&mut rng), &ctx);
+            }
+            assert_same_state(&conns[0], &conns[1], case, &ctx);
+            assert_same_state(&conns[0], &conns[2], case, &ctx);
+        }
+    }
+}
+
+#[test]
+fn parameterized_key_moves_match_interpreter_and_full_scan() {
+    // `SET k = k + 100 WHERE k >= ?` through the range path, with the
+    // cached plan re-run under fresh parameters.
+    for case in 0..16 {
+        let mut rng = Rng::new(0x0B0E ^ case);
+        let (cdb, idb) = twin_dbs(&mut rng);
+        let (cc, ic) = (cdb.connect(), idb.connect());
+        for c in [&cc, &ic] {
+            c.execute("CREATE INDEX IF NOT EXISTS idx_a ON t (a)", &[])
+                .unwrap();
+        }
+        let oc = scan_oracle(&cc);
+        let sql = "UPDATE t SET a = a + 100 WHERE a >= ?";
+        let stmt = parse_statement(sql).unwrap();
+        for _ in 0..4 {
+            let p = [Value::Int(rng.irange(-5, 150))];
+            let c = cc.execute(sql, &p).unwrap();
+            assert_eq!(c, ic.execute_ast(&stmt, &p).unwrap(), "case {case}");
+            assert_eq!(c, oc.execute_ast(&stmt, &p).unwrap(), "case {case}");
+        }
+        assert_same_state(&cc, &ic, case, sql);
+        assert_same_state(&cc, &oc, case, sql);
     }
 }
 

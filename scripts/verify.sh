@@ -9,6 +9,11 @@ cargo build --release --workspace
 # NB: plain `cargo test` at the root only tests the root `flowsql`
 # package — `--workspace` is what runs the crate suites.
 cargo test --workspace -q
+# The end-to-end benchmark's tiny gate: every workload (in memory, large
+# Orders, durable over paged storage on all three stacks) runs its
+# correctness gate and emits every declared metric. e2ebench is a
+# workspace of its own, so the run above does not reach it.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 
