@@ -25,6 +25,7 @@ use crate::expr::{
     apply_binary_op, apply_negation, apply_unary_op, compare, in_membership, is_aggregate_name,
     like_match, scalar_function, three_and, value_to_three, RowSchema,
 };
+use crate::storage::Snapshot;
 use crate::types::Value;
 
 /// An expression with column references resolved to ordinals.
@@ -155,6 +156,7 @@ impl BoundExpr {
 /// fixed at bind time.
 pub struct BoundCtx<'a> {
     pub catalog: &'a Catalog,
+    pub snap: &'a Snapshot,
     pub params: &'a [Value],
     pub named_params: &'a HashMap<String, Value>,
     pub row: Option<&'a [Value]>,
@@ -306,13 +308,15 @@ fn fold(node: BoundExpr) -> BoundExpr {
     if !foldable {
         return node;
     }
-    // A constant subtree needs no catalog, parameters, or row; a throwaway
-    // empty catalog satisfies the context. (NEXTVAL — the only
-    // catalog-dependent function — was excluded above.)
+    // A constant subtree needs no catalog, snapshot, parameters, or row;
+    // a throwaway empty catalog satisfies the context. (NEXTVAL — the
+    // only catalog-dependent function — was excluded above.)
     let catalog = Catalog::new();
+    let snap = Snapshot::committed();
     static EMPTY: std::sync::OnceLock<HashMap<String, Value>> = std::sync::OnceLock::new();
     let ctx = BoundCtx {
         catalog: &catalog,
+        snap: &snap,
         params: &[],
         named_params: EMPTY.get_or_init(HashMap::new),
         row: None,
@@ -794,7 +798,7 @@ pub fn eval_bound_predicate(expr: &BoundExpr, ctx: &BoundCtx<'_>) -> SqlResult<b
 
 fn run_subquery(stmt: &SelectStmt, ctx: &BoundCtx<'_>) -> SqlResult<crate::db::QueryResult> {
     // Subqueries are uncorrelated: no outer row is passed down.
-    crate::exec::select::run_select(ctx.catalog, stmt, ctx.params, ctx.named_params)
+    crate::exec::select::run_select(ctx.catalog, ctx.snap, stmt, ctx.params, ctx.named_params)
 }
 
 #[cfg(test)]
@@ -832,9 +836,11 @@ mod tests {
         let b = bind_const("1 / 0");
         assert!(b.const_value().is_none());
         let catalog = Catalog::new();
+        let snap = Snapshot::committed();
         let named = HashMap::new();
         let ctx = BoundCtx {
             catalog: &catalog,
+            snap: &snap,
             params: &[],
             named_params: &named,
             row: None,
@@ -846,9 +852,11 @@ mod tests {
     fn short_circuit_hides_foldable_error_like_interpreter() {
         let b = bind_const("FALSE AND (1 / 0 = 1)");
         let catalog = Catalog::new();
+        let snap = Snapshot::committed();
         let named = HashMap::new();
         let ctx = BoundCtx {
             catalog: &catalog,
+            snap: &snap,
             params: &[],
             named_params: &named,
             row: None,
@@ -871,10 +879,12 @@ mod tests {
         let e = parse_expression("t.b + a").unwrap();
         let b = bind(&e, &schema).unwrap();
         let catalog = Catalog::new();
+        let snap = Snapshot::committed();
         let named = HashMap::new();
         let row = vec![Value::Int(40), Value::Int(2)];
         let ctx = BoundCtx {
             catalog: &catalog,
+            snap: &snap,
             params: &[],
             named_params: &named,
             row: Some(&row),

@@ -12,9 +12,7 @@ use crate::fault::{crashed_error, CrashPoint, FaultInjector, FaultPlan, PrepareC
 use crate::pager::{self, FilePageStore, PageStore, PagedEngine};
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::CompiledPlan;
-use crate::storage::{
-    enter_snapshot, new_stamp, MvccShared, Snapshot, SnapshotScope, Table, TxnStamp,
-};
+use crate::storage::{new_stamp, MvccShared, Snapshot, Table, TxnStamp};
 use crate::sync::{Mutex, RwLock};
 use crate::txn::{UndoLog, UndoOp};
 use crate::types::Value;
@@ -389,12 +387,6 @@ struct DbInner {
     /// Commits since the last auto-GC sweep (see `maybe_gc`).
     commits_since_gc: AtomicU64,
     gc_due: AtomicBool,
-    /// Benchmark A/B knob: `true` restores the PR 5 lock shape (WAL
-    /// append under the statement-long exclusive table guard) on the
-    /// fast write paths. Data stays fully versioned either way — only
-    /// the contention profile changes. Set before the workload, not
-    /// mid-flight.
-    legacy_locking: AtomicBool,
 }
 
 /// A named in-memory database. Cloning is cheap (`Arc`); all clones see
@@ -452,7 +444,6 @@ impl Database {
                 snapshot_counter: AtomicU64::new(0),
                 commits_since_gc: AtomicU64::new(0),
                 gc_due: AtomicBool::new(false),
-                legacy_locking: AtomicBool::new(false),
             }),
         }
     }
@@ -799,12 +790,12 @@ impl Database {
         self.inner.rollback_counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Register a read snapshot at the current commit timestamp. Returns
-    /// the snapshot timestamp and a fresh write stamp (0 = uncommitted)
-    /// for any versions written under it. Taken under the registry mutex
-    /// so a concurrent commit is either fully stamped before the
-    /// timestamp is read or gets a strictly later timestamp.
-    fn register_snapshot(&self) -> (u64, TxnStamp) {
+    /// Register a read snapshot at the current commit timestamp, with a
+    /// fresh write stamp (0 = uncommitted) for any versions written under
+    /// it. Taken under the registry mutex so a concurrent commit is
+    /// either fully stamped before the timestamp is read or gets a
+    /// strictly later timestamp.
+    fn register_snapshot(&self) -> Snapshot {
         let mut reg = self.inner.snapshots.lock();
         let ts = self.inner.commit_clock.load(Ordering::Acquire).max(1);
         *reg.entry(ts).or_insert(0) += 1;
@@ -813,7 +804,10 @@ impl Database {
         }
         drop(reg);
         self.inner.snapshot_counter.fetch_add(1, Ordering::Relaxed);
-        (ts, new_stamp())
+        Snapshot {
+            ts,
+            stamp: new_stamp(),
+        }
     }
 
     /// Release a snapshot registration and advance the GC floor to the
@@ -859,17 +853,6 @@ impl Database {
         let floor = self.inner.mvcc.floor.load(Ordering::Acquire);
         let catalog = self.inner.catalog.read();
         catalog.gc_tables(floor);
-    }
-
-    /// Restore the PR 5 lock shape (WAL append under the statement-long
-    /// exclusive table guard) on the fast write paths — a benchmark A/B
-    /// knob. Rows stay versioned either way; only contention changes.
-    pub fn set_legacy_locking(&self, on: bool) {
-        self.inner.legacy_locking.store(on, Ordering::Release);
-    }
-
-    fn legacy_locking(&self) -> bool {
-        self.inner.legacy_locking.load(Ordering::Acquire)
     }
 
     /// Fetch (or parse and cache) the plan for one statement text.
@@ -952,7 +935,7 @@ impl Database {
             db: self.clone(),
             id,
             txn: std::cell::RefCell::new(None),
-            txn_stamp: std::cell::RefCell::new(None),
+            txn_snap: std::cell::RefCell::new(None),
             temp_tables: std::cell::RefCell::new(Vec::new()),
             stmt_memo: std::cell::RefCell::new(StmtMemo::default()),
             wal_txn: std::cell::Cell::new(None),
@@ -1212,11 +1195,11 @@ pub struct Connection {
     db: Database,
     id: u64,
     txn: std::cell::RefCell<Option<UndoLog>>,
-    /// Write stamp and snapshot timestamp of the open explicit
-    /// transaction: every statement inside BEGIN…COMMIT reads the same
-    /// snapshot (repeatable read) and writes under the same stamp, which
-    /// `COMMIT` stores the commit timestamp into at the WAL-ack point.
-    txn_stamp: std::cell::RefCell<Option<(TxnStamp, u64)>>,
+    /// Snapshot of the open explicit transaction: every statement inside
+    /// BEGIN…COMMIT reads at the same timestamp (repeatable read) and
+    /// writes under the same stamp, which `COMMIT` stores the commit
+    /// timestamp into at the WAL-ack point.
+    txn_snap: std::cell::RefCell<Option<Snapshot>>,
     temp_tables: std::cell::RefCell<Vec<String>>,
     /// Connection-local statement memo: repeat executions of the same
     /// text skip the global statement-cache mutex entirely. Entries are
@@ -1248,34 +1231,19 @@ impl std::fmt::Debug for Connection {
     }
 }
 
-/// RAII around one statement's MVCC snapshot. Installs the thread-local
-/// snapshot scope so storage resolves row visibility against it, and —
-/// for a per-statement (autocommit) snapshot — releases the registry
-/// entry on drop. Inert when the thread already runs under a snapshot
-/// (nested execution: CALL bodies, delegated interpreter runs): the
-/// outer scope rules, and this ctx merely reuses its stamp.
+/// One statement's MVCC snapshot, passed by reference to every executor
+/// and storage call that resolves visibility. A per-statement
+/// (autocommit) snapshot releases its registry entry on drop.
 struct SnapshotCtx<'a> {
     /// `Some` when this ctx owns a registry entry to release.
     db: Option<&'a Database>,
-    ts: u64,
-    stamp: TxnStamp,
-    scope: Option<SnapshotScope>,
-}
-
-impl SnapshotCtx<'_> {
-    /// The write stamp for versions created under this snapshot.
-    fn stamp(&self) -> TxnStamp {
-        Arc::clone(&self.stamp)
-    }
+    snap: Snapshot,
 }
 
 impl Drop for SnapshotCtx<'_> {
     fn drop(&mut self) {
-        // Uninstall the thread-local scope before releasing the registry
-        // entry, so no reader can resolve against a released snapshot.
-        self.scope.take();
         if let Some(db) = self.db {
-            db.release_snapshot(self.ts);
+            db.release_snapshot(self.snap.ts);
         }
     }
 }
@@ -1286,40 +1254,18 @@ impl Connection {
         &self.db
     }
 
-    /// Establish the snapshot this statement reads under: the enclosing
-    /// scope's when nested, the transaction's under BEGIN…COMMIT, or a
-    /// freshly registered per-statement snapshot in autocommit.
+    /// Establish the snapshot this statement reads under: the
+    /// transaction's under BEGIN…COMMIT, or a freshly registered
+    /// per-statement snapshot in autocommit. Statements the connection
+    /// runs on a statement's behalf (CALL bodies, subqueries) get the
+    /// same snapshot as an argument, not a new one.
     fn snapshot_ctx(&self) -> SnapshotCtx<'_> {
-        if let Some(outer) = crate::storage::current_snapshot() {
-            return SnapshotCtx {
-                db: None,
-                ts: outer.ts,
-                stamp: outer.stamp,
-                scope: None,
-            };
+        if let Some(snap) = self.txn_snap.borrow().clone() {
+            return SnapshotCtx { db: None, snap };
         }
-        if let Some((stamp, ts)) = self.txn_stamp.borrow().clone() {
-            let scope = enter_snapshot(Snapshot {
-                ts,
-                stamp: Arc::clone(&stamp),
-            });
-            return SnapshotCtx {
-                db: None,
-                ts,
-                stamp,
-                scope: Some(scope),
-            };
-        }
-        let (ts, stamp) = self.db.register_snapshot();
-        let scope = enter_snapshot(Snapshot {
-            ts,
-            stamp: Arc::clone(&stamp),
-        });
         SnapshotCtx {
             db: Some(&self.db),
-            ts,
-            stamp,
-            scope: Some(scope),
+            snap: self.db.register_snapshot(),
         }
     }
 
@@ -1552,12 +1498,13 @@ impl Connection {
             // statement compiles; the interpreter covers the rest.
             let plan = (!matches!(cached.stmt, Statement::Insert(_)))
                 .then(|| self.compiled_plan(&cached, &catalog));
-            return self.fast_write(&catalog, &table_name, None, |table, undo| {
+            return self.fast_write(&catalog, &table_name, None, |snap, table, undo| {
                 let mut total = 0;
                 for params in param_sets {
                     total += match plan.as_deref() {
                         Some(CompiledPlan::Dml(p)) => crate::plan::run_dml_plan(
                             &catalog,
+                            snap,
                             Some(&mut *table),
                             p,
                             params,
@@ -1566,6 +1513,7 @@ impl Connection {
                         )?,
                         _ => crate::exec::dml::run_write(
                             &catalog,
+                            snap,
                             Some(&mut *table),
                             &cached.stmt,
                             params,
@@ -1579,44 +1527,22 @@ impl Connection {
         }
 
         // Subquery-bearing batch: the exclusive general path.
-        let ctx = self.snapshot_ctx();
         let mut catalog = self.db.inner.catalog.write();
-        let mut scratch = UndoLog::with_stamp(ctx.stamp());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        self.exclusive_write(&mut catalog, None, |catalog, snap, undo| {
             let mut total = 0;
             for params in param_sets {
                 total += crate::exec::dml::run_write(
-                    &catalog,
+                    catalog,
+                    snap,
                     None,
                     &cached.stmt,
                     params,
                     &named,
-                    &mut scratch,
+                    undo,
                 )?;
             }
             Ok(total)
-        }))
-        .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
-        match result {
-            Ok(total) => {
-                if let Err(e) = self.wal_log_statement(&catalog, &scratch) {
-                    scratch.rollback(&mut catalog);
-                    self.db.note_rollback();
-                    return Err(e);
-                }
-                if let Some(txn) = self.txn.borrow_mut().as_mut() {
-                    txn.absorb(scratch);
-                } else {
-                    self.db.commit_stamp(&ctx.stamp);
-                }
-                Ok(total)
-            }
-            Err(e) => {
-                scratch.rollback(&mut catalog);
-                self.db.note_rollback();
-                Err(e)
-            }
-        }
+        })
     }
 
     /// Fetch the cached compiled plan for this statement, re-binding it
@@ -1654,8 +1580,13 @@ impl Connection {
     /// in garbage recovery must discard). An error return means the
     /// caller must treat the statement as failed and undo its in-memory
     /// effects.
-    fn wal_log_statement(&self, catalog: &Catalog, scratch: &UndoLog) -> SqlResult<()> {
-        self.wal_log_with(catalog, || wal::ops_from_undo(catalog, scratch.ops()))
+    fn wal_log_statement(
+        &self,
+        catalog: &Catalog,
+        snap: &Snapshot,
+        scratch: &UndoLog,
+    ) -> SqlResult<()> {
+        self.wal_log_with(catalog, || wal::ops_from_undo(catalog, snap, scratch.ops()))
     }
 
     /// Fast-path variant of [`Connection::wal_log_statement`]: derives
@@ -1779,78 +1710,116 @@ impl Connection {
     }
 
     /// Run one single-table write on the fast path. The caller holds the
-    /// shared catalog-shape lock; `body` runs under the table's statement
-    /// mutex (writer-writer serialization without excluding readers: one
-    /// write statement per table at a time) and its exclusive guard, in a
-    /// fresh undo scope, with panics contained. A failed body is unwound
-    /// with the guard still held. `plan_slot`, if given, is invalidated
-    /// when the write aborts for a fault or never becomes durable.
+    /// shared catalog-shape lock; `body` runs under the statement's
+    /// snapshot, the table's statement mutex (writer-writer serialization
+    /// without excluding readers: one write statement per table at a
+    /// time) and its exclusive guard, in a fresh undo scope, with panics
+    /// contained. A failed body is unwound with the guard still held.
+    /// `plan_slot`, if given, is invalidated when the write aborts for a
+    /// fault or never becomes durable.
     ///
-    /// Durability and commit: default (MVCC) mode drops the exclusive
-    /// table guard *before* the WAL append and re-derives the after-images
-    /// under a shared guard: the statement's versions are still unstamped
-    /// — invisible to every snapshot — so readers proceed against the
-    /// pre-statement state while the append (and any group-commit window)
-    /// runs. The statement mutex keeps other writers out, so the rows the
-    /// shared guard exposes are exactly what this statement wrote. Only
-    /// after the append is acknowledged does the commit stamp (autocommit)
-    /// or the enclosing transaction's eventual COMMIT publish the
-    /// versions. Legacy mode keeps the PR 5 shape — append under the
-    /// statement-long exclusive guard — as a benchmark A/B baseline. On
-    /// append failure the statement's versions are unwound under a
-    /// re-taken exclusive guard and the error is returned; nothing was
-    /// ever visible.
+    /// Durability and commit: the exclusive table guard is dropped
+    /// *before* the WAL append and the after-images are re-derived under
+    /// a shared guard. The statement's versions are still unstamped —
+    /// invisible to every snapshot — so readers proceed against the
+    /// pre-statement state while the append (and any group-commit
+    /// window) runs. The statement mutex keeps other writers out, so the
+    /// rows the shared guard exposes are exactly what this statement
+    /// wrote. Only after the append is acknowledged does the commit
+    /// stamp (autocommit) or the enclosing transaction's eventual COMMIT
+    /// publish the versions. On append failure the statement's versions
+    /// are unwound under a re-taken exclusive guard and the error is
+    /// returned; nothing was ever visible.
     fn fast_write(
         &self,
         catalog: &Catalog,
         table_name: &str,
         plan_slot: Option<&CachedStmt>,
-        body: impl FnOnce(&mut Table, &mut UndoLog) -> SqlResult<usize>,
+        body: impl FnOnce(&Snapshot, &mut Table, &mut UndoLog) -> SqlResult<usize>,
     ) -> SqlResult<usize> {
         let _stmt = catalog.table_stmt(table_name)?;
         let ctx = self.snapshot_ctx();
         let mut table = catalog.table_mut(table_name)?;
-        let mut scratch = UndoLog::with_stamp(ctx.stamp());
+        let mut scratch = UndoLog::new(Arc::clone(&ctx.snap.stamp));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            body(&mut table, &mut scratch)
+            body(&ctx.snap, &mut table, &mut scratch)
         }))
         .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
         let n = match result {
             Ok(n) => n,
             Err(e) => {
                 scratch.rollback_on_table(&mut table);
-                self.db.note_rollback();
-                if Self::fault_aborted(&e) {
-                    if let Some(cached) = plan_slot {
-                        Self::invalidate_plan_slot(cached);
-                    }
-                }
+                self.note_failed_write(plan_slot, Self::fault_aborted(&e));
                 return Err(e);
             }
         };
-        let held = self.db.legacy_locking().then_some(table);
-        let logged = match &held {
-            Some(table) => self.wal_log_statement_on(catalog, table, &scratch),
-            None => self.wal_log_statement_on(catalog, &*catalog.table(table_name)?, &scratch),
-        };
+        drop(table);
+        let logged = self.wal_log_statement_on(catalog, &*catalog.table(table_name)?, &scratch);
         if let Err(e) = logged {
-            match held {
-                Some(mut table) => scratch.rollback_on_table(&mut table),
-                None => scratch.rollback_on_table(&mut *catalog.table_mut(table_name)?),
-            }
-            self.db.note_rollback();
-            if let Some(cached) = plan_slot {
-                Self::invalidate_plan_slot(cached);
-            }
+            scratch.rollback_on_table(&mut *catalog.table_mut(table_name)?);
+            self.note_failed_write(plan_slot, true);
             return Err(e);
         }
-        drop(held);
-        if let Some(txn) = self.txn.borrow_mut().as_mut() {
-            txn.absorb(scratch);
-        } else {
-            self.db.commit_stamp(&ctx.stamp);
-        }
+        self.publish(scratch, &ctx.snap.stamp);
         Ok(n)
+    }
+
+    /// Run one statement on the exclusive path, under the caller's
+    /// catalog write lock: `body` runs under a snapshot taken after the
+    /// lock (the transaction's inside BEGIN…COMMIT) in a fresh undo
+    /// scope, with panics contained so a crashing statement surfaces as
+    /// an error with its partial work undone instead of poisoning the
+    /// lock. The WAL append follows while the lock is still held, so the
+    /// after-images derived from the undo log are exactly what `body`
+    /// wrote; a failed body or append is rolled back before the error
+    /// returns. `plan_slot`, if given, is invalidated as in
+    /// [`Connection::fast_write`].
+    fn exclusive_write<T>(
+        &self,
+        catalog: &mut Catalog,
+        plan_slot: Option<&CachedStmt>,
+        body: impl FnOnce(&mut Catalog, &Snapshot, &mut UndoLog) -> SqlResult<T>,
+    ) -> SqlResult<T> {
+        let ctx = self.snapshot_ctx();
+        let mut scratch = UndoLog::new(Arc::clone(&ctx.snap.stamp));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            body(catalog, &ctx.snap, &mut scratch)
+        }))
+        .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
+        let out = match result {
+            Ok(out) => out,
+            Err(e) => {
+                scratch.rollback(catalog);
+                self.note_failed_write(plan_slot, Self::fault_aborted(&e));
+                return Err(e);
+            }
+        };
+        if let Err(e) = self.wal_log_statement(catalog, &ctx.snap, &scratch) {
+            scratch.rollback(catalog);
+            self.note_failed_write(plan_slot, true);
+            return Err(e);
+        }
+        self.publish(scratch, &ctx.snap.stamp);
+        Ok(out)
+    }
+
+    /// Account for a write statement whose effects were just rolled
+    /// back, dropping `plan_slot`'s plan when it may be `stale`.
+    fn note_failed_write(&self, plan_slot: Option<&CachedStmt>, stale: bool) {
+        self.db.note_rollback();
+        if let Some(cached) = plan_slot.filter(|_| stale) {
+            Self::invalidate_plan_slot(cached);
+        }
+    }
+
+    /// Publish a durable statement: fold its undo scope into the open
+    /// transaction, or in autocommit store the commit timestamp into
+    /// its stamp.
+    fn publish(&self, scratch: UndoLog, stamp: &TxnStamp) {
+        match self.txn.borrow_mut().as_mut() {
+            Some(txn) => txn.absorb(scratch),
+            None => self.db.commit_stamp(stamp),
+        }
     }
 
     /// Execute through the compiled plan when one applies; otherwise
@@ -1863,7 +1832,7 @@ impl Connection {
                 // Readers resolve row visibility against this snapshot;
                 // they take per-table guards only in shared mode and
                 // never observe an unstamped (uncommitted) version.
-                let _snap = self.snapshot_ctx();
+                let ctx = self.snapshot_ctx();
                 let catalog = self.db.inner.catalog.read();
                 let plan = self.compiled_plan(cached, &catalog);
                 if let Err(e) = catalog.fault_bind_complete() {
@@ -1873,6 +1842,7 @@ impl Connection {
                 let rs = match &*plan {
                     CompiledPlan::Select(p) => crate::exec::batch::run_select_batched(
                         &catalog,
+                        &ctx.snap,
                         p,
                         params,
                         &named,
@@ -1880,12 +1850,13 @@ impl Connection {
                     )?,
                     CompiledPlan::Aggregate(p) => crate::exec::batch::run_agg_plan(
                         &catalog,
+                        &ctx.snap,
                         p,
                         params,
                         &named,
                         &mut self.batch.borrow_mut(),
                     )?,
-                    _ => crate::exec::select::run_select(&catalog, s, params, &named)?,
+                    _ => crate::exec::select::run_select(&catalog, &ctx.snap, s, params, &named)?,
                 };
                 self.db
                     .inner
@@ -1909,16 +1880,22 @@ impl Connection {
                             return Err(e);
                         }
                         return self
-                            .fast_write(&catalog, p.table_name(), Some(cached), |table, undo| {
-                                crate::plan::run_dml_plan(
-                                    &catalog,
-                                    Some(table),
-                                    p,
-                                    params,
-                                    &named,
-                                    undo,
-                                )
-                            })
+                            .fast_write(
+                                &catalog,
+                                p.table_name(),
+                                Some(cached),
+                                |snap, table, undo| {
+                                    crate::plan::run_dml_plan(
+                                        &catalog,
+                                        snap,
+                                        Some(table),
+                                        p,
+                                        params,
+                                        &named,
+                                        undo,
+                                    )
+                                },
+                            )
                             .map(StatementResult::Affected);
                     }
                 }
@@ -1931,60 +1908,19 @@ impl Connection {
                 // have moved the epoch in the lock gap.
                 let mut catalog = self.db.inner.catalog.write();
                 let plan = self.compiled_plan(cached, &catalog);
-                if matches!(&*plan, CompiledPlan::Unsupported) {
+                let CompiledPlan::Dml(p) = &*plan else {
                     drop(catalog);
                     return self.execute_ast_inner(&cached.stmt, params);
-                }
+                };
                 self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
                 if let Err(e) = catalog.fault_bind_complete() {
                     Self::invalidate_plan_slot(cached);
                     return Err(e);
                 }
-                let ctx = self.snapshot_ctx();
-                let mut scratch = UndoLog::with_stamp(ctx.stamp());
-                // Contain panics (injected or genuine) so a crashing
-                // statement surfaces as an error with its partial work
-                // undone instead of poisoning the catalog lock.
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &*plan {
-                        CompiledPlan::Dml(p) => crate::plan::run_dml_plan(
-                            &catalog,
-                            None,
-                            p,
-                            params,
-                            &named,
-                            &mut scratch,
-                        ),
-                        _ => unreachable!("SELECT plans handled above"),
-                    }))
-                    .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
-                match result {
-                    Ok(n) => {
-                        if let Err(e) = self.wal_log_statement(&catalog, &scratch) {
-                            // The write never became durable; statement
-                            // atomicity demands its in-memory effects go too.
-                            scratch.rollback(&mut catalog);
-                            self.db.note_rollback();
-                            Self::invalidate_plan_slot(cached);
-                            return Err(e);
-                        }
-                        if let Some(txn) = self.txn.borrow_mut().as_mut() {
-                            txn.absorb(scratch);
-                        } else {
-                            self.db.commit_stamp(&ctx.stamp);
-                        }
-                        Ok(StatementResult::Affected(n))
-                    }
-                    Err(e) => {
-                        // Statement atomicity: wipe this statement's effects.
-                        scratch.rollback(&mut catalog);
-                        self.db.note_rollback();
-                        if Self::fault_aborted(&e) {
-                            Self::invalidate_plan_slot(cached);
-                        }
-                        Err(e)
-                    }
-                }
+                self.exclusive_write(&mut catalog, Some(cached), |catalog, snap, undo| {
+                    crate::plan::run_dml_plan(catalog, snap, None, p, params, &named, undo)
+                })
+                .map(StatementResult::Affected)
             }
             Statement::Insert(ins) if Self::insert_is_fast(ins) => {
                 // Subquery-free `INSERT … VALUES`: runs under the shared
@@ -1992,9 +1928,10 @@ impl Connection {
                 self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
                 let named: HashMap<String, Value> = HashMap::new();
                 let catalog = self.db.inner.catalog.read();
-                self.fast_write(&catalog, &ins.table, None, |table, undo| {
+                self.fast_write(&catalog, &ins.table, None, |snap, table, undo| {
                     crate::exec::dml::run_write(
                         &catalog,
+                        snap,
                         Some(table),
                         &cached.stmt,
                         params,
@@ -2065,9 +2002,9 @@ impl Connection {
                 // One snapshot and one write stamp for the whole
                 // transaction: repeatable reads, and a single COMMIT-time
                 // store publishes every row it wrote.
-                let (ts, stamp) = self.db.register_snapshot();
-                *txn = Some(UndoLog::with_stamp(Arc::clone(&stamp)));
-                *self.txn_stamp.borrow_mut() = Some((stamp, ts));
+                let snap = self.db.register_snapshot();
+                *txn = Some(UndoLog::new(Arc::clone(&snap.stamp)));
+                *self.txn_snap.borrow_mut() = Some(snap);
                 Ok(StatementResult::TxnControl)
             }
             Statement::Commit => {
@@ -2089,25 +2026,27 @@ impl Connection {
                 }
                 drop(txn);
                 self.clear_prepared();
-                let finished = self.txn_stamp.borrow_mut().take();
-                let appended = (|| -> SqlResult<()> {
-                    if let Some(wal) = self.db.inner.wal.as_ref() {
-                        if let Some(id) = self.wal_txn.take() {
-                            let catalog = self.db.inner.catalog.read();
-                            wal.append(
-                                &[WalRecord::Commit {
-                                    txn: id,
-                                    epoch: catalog.epoch(),
-                                    sequences: catalog.sequence_states(),
-                                }],
-                                AppendMode::Full,
-                            )?;
-                            wal.note_txn_closed();
-                        }
-                    }
-                    Ok(())
-                })();
-                if let Some((stamp, ts)) = finished {
+                let finished = self.txn_snap.borrow_mut().take();
+                // The shared catalog lock spans the Commit append *and*
+                // the stamp: a checkpoint (exclusive lock, reading under
+                // the committed snapshot) must never find a transaction
+                // closed on the log but not yet stamped, or its image
+                // would drop acknowledged rows from the log it replaces.
+                let catalog = self.db.inner.catalog.read();
+                let appended = match (self.db.inner.wal.as_ref(), self.wal_txn.take()) {
+                    (Some(wal), Some(id)) => wal
+                        .append(
+                            &[WalRecord::Commit {
+                                txn: id,
+                                epoch: catalog.epoch(),
+                                sequences: catalog.sequence_states(),
+                            }],
+                            AppendMode::Full,
+                        )
+                        .map(|()| wal.note_txn_closed()),
+                    _ => Ok(()),
+                };
+                if let Some(snap) = finished {
                     if appended.is_ok() {
                         // The commit point: stamping at WAL-ack makes
                         // every version this transaction wrote visible
@@ -2116,11 +2055,12 @@ impl Connection {
                         // failed append leaves the versions unstamped —
                         // invisible forever, the same outcome recovery
                         // would produce.
-                        self.db.commit_stamp(&stamp);
+                        self.db.commit_stamp(&snap.stamp);
                     }
-                    self.db.release_snapshot(ts);
+                    self.db.release_snapshot(snap.ts);
                 }
-                appended.map(|_| StatementResult::TxnControl)
+                drop(catalog);
+                appended.map(|()| StatementResult::TxnControl)
             }
             Statement::Rollback => {
                 let log = self
@@ -2134,16 +2074,16 @@ impl Connection {
                 self.db.note_rollback();
                 drop(catalog);
                 self.wal_abort();
-                if let Some((_stamp, ts)) = self.txn_stamp.borrow_mut().take() {
-                    self.db.release_snapshot(ts);
+                if let Some(snap) = self.txn_snap.borrow_mut().take() {
+                    self.db.release_snapshot(snap.ts);
                 }
                 Ok(StatementResult::TxnControl)
             }
             Statement::Select(s) => {
                 let named: HashMap<String, Value> = HashMap::new();
-                let _snap = self.snapshot_ctx();
+                let ctx = self.snapshot_ctx();
                 let catalog = self.db.inner.catalog.read();
-                let rs = crate::exec::select::run_select(&catalog, s, params, &named)?;
+                let rs = crate::exec::select::run_select(&catalog, &ctx.snap, s, params, &named)?;
                 self.db
                     .inner
                     .rows_counter
@@ -2152,71 +2092,44 @@ impl Connection {
             }
             other => {
                 let named: HashMap<String, Value> = HashMap::new();
-                let ctx = self.snapshot_ctx();
                 let mut catalog = self.db.inner.catalog.write();
-                let mut scratch = UndoLog::with_stamp(ctx.stamp());
-                // Contain panics so they surface as errors (with this
-                // statement's effects undone) instead of poisoning the lock.
-                let exec_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    crate::exec::execute(&mut catalog, other, params, &named, &mut scratch)
-                }))
-                .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
-                match exec_result {
-                    Ok(result) => {
-                        if let Err(e) = self.wal_log_statement(&catalog, &scratch) {
-                            // The write never became durable; statement
-                            // atomicity demands its in-memory effects go too.
-                            scratch.rollback(&mut catalog);
-                            self.db.note_rollback();
-                            return Err(e);
-                        }
-                        if let StatementResult::Rows(rs) = &result {
-                            self.db
-                                .inner
-                                .rows_counter
-                                .fetch_add(rs.rows.len() as u64, Ordering::Relaxed);
-                        }
-                        // Track temp tables for drop-on-close.
-                        if let Statement::CreateTable(c) = other {
-                            if c.temporary {
-                                self.temp_tables.borrow_mut().push(c.name.clone());
-                            }
-                        }
-                        if let Statement::DropTable { name, .. } = other {
-                            self.temp_tables
-                                .borrow_mut()
-                                .retain(|t| !t.eq_ignore_ascii_case(name));
-                        }
-                        if let Some(txn) = self.txn.borrow_mut().as_mut() {
-                            txn.absorb(scratch);
-                        } else {
-                            self.db.commit_stamp(&ctx.stamp);
-                        }
-                        // DDL invalidates dependent cached plans. For CALL,
-                        // the procedure body may itself run DDL; collect its
-                        // targets too (one call level deep — nested CALLs
-                        // running DDL are not a supported pattern).
-                        let mut targets = other.ddl_targets();
-                        if let Statement::Call { name, .. } = other {
-                            if let Ok(proc) = catalog.procedure(name) {
-                                for body_stmt in &proc.body {
-                                    targets.extend(body_stmt.ddl_targets());
-                                }
-                            }
-                        }
-                        drop(catalog);
-                        if !targets.is_empty() {
-                            self.db.invalidate_statements(&targets);
-                        }
-                        Ok(result)
-                    }
-                    Err(e) => {
-                        // Statement atomicity: wipe this statement's effects.
-                        scratch.rollback(&mut catalog);
-                        self.db.note_rollback();
-                        Err(e)
+                let result = self.exclusive_write(&mut catalog, None, |catalog, snap, undo| {
+                    crate::exec::execute(catalog, snap, other, params, &named, undo)
+                })?;
+                if let StatementResult::Rows(rs) = &result {
+                    self.db
+                        .inner
+                        .rows_counter
+                        .fetch_add(rs.rows.len() as u64, Ordering::Relaxed);
+                }
+                // Track temp tables for drop-on-close.
+                if let Statement::CreateTable(c) = other {
+                    if c.temporary {
+                        self.temp_tables.borrow_mut().push(c.name.clone());
                     }
                 }
+                if let Statement::DropTable { name, .. } = other {
+                    self.temp_tables
+                        .borrow_mut()
+                        .retain(|t| !t.eq_ignore_ascii_case(name));
+                }
+                // DDL invalidates dependent cached plans. For CALL, the
+                // procedure body may itself run DDL; collect its targets
+                // too (one call level deep — nested CALLs running DDL are
+                // not a supported pattern).
+                let mut targets = other.ddl_targets();
+                if let Statement::Call { name, .. } = other {
+                    if let Ok(proc) = catalog.procedure(name) {
+                        for body_stmt in &proc.body {
+                            targets.extend(body_stmt.ddl_targets());
+                        }
+                    }
+                }
+                drop(catalog);
+                if !targets.is_empty() {
+                    self.db.invalidate_statements(&targets);
+                }
+                Ok(result)
             }
         }
     }
@@ -2236,8 +2149,8 @@ impl Connection {
     pub fn rollback_if_open(&self) {
         if self.prepared.get() {
             let _ = self.txn.borrow_mut().take();
-            if let Some((_stamp, ts)) = self.txn_stamp.borrow_mut().take() {
-                self.db.release_snapshot(ts);
+            if let Some(snap) = self.txn_snap.borrow_mut().take() {
+                self.db.release_snapshot(snap.ts);
             }
             return;
         }
@@ -2248,8 +2161,8 @@ impl Connection {
             self.db.note_rollback();
             drop(catalog);
             self.wal_abort();
-            if let Some((_stamp, ts)) = self.txn_stamp.borrow_mut().take() {
-                self.db.release_snapshot(ts);
+            if let Some(snap) = self.txn_snap.borrow_mut().take() {
+                self.db.release_snapshot(snap.ts);
             }
         }
     }
@@ -3314,5 +3227,65 @@ mod tests {
         let db = Database::open_durable("f", &path).unwrap();
         assert_eq!(db.table_len("T").unwrap(), 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An insert/update/delete history (a key move included) that ends
+    /// in a loser transaction the process dies inside, so replay both
+    /// redoes and undoes every kind of row op.
+    fn crash_after_dml_history(db: &Database) {
+        let conn = db.connect();
+        conn.execute_script(
+            "CREATE TABLE h (id INT PRIMARY KEY, v INT);
+             INSERT INTO h VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60);
+             UPDATE h SET v = v + 1 WHERE id <= 3;
+             DELETE FROM h WHERE id = 2 OR id = 5;
+             UPDATE h SET id = 10 WHERE id = 1;",
+        )
+        .unwrap();
+        conn.execute_script(
+            "BEGIN;
+             INSERT INTO h VALUES (7, 70);
+             DELETE FROM h WHERE id = 3;
+             UPDATE h SET v = 0 WHERE id = 4;",
+        )
+        .unwrap();
+        // Die inside the transaction: no terminator reaches the log.
+        std::mem::forget(conn);
+    }
+
+    /// One version per live row: replay left no tombstone or superseded
+    /// version behind.
+    fn assert_single_versions(catalog: &Catalog) {
+        let t = catalog.table("h").unwrap();
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.version_count(), t.len());
+    }
+
+    #[test]
+    fn log_recovery_leaves_one_version_per_live_row() {
+        let store = MemLogStore::new();
+        crash_after_dml_history(&Database::with_wal("h", Arc::new(store.clone())));
+        assert_single_versions(&wal::replay(&store.bytes()).catalog);
+        let db = Database::recover("h", Arc::new(store)).unwrap();
+        assert_single_versions(&db.inner.catalog.read());
+    }
+
+    #[test]
+    fn paged_recovery_leaves_one_version_per_live_row() {
+        let log = MemLogStore::new();
+        let pages = crate::pager::MemPageStore::new();
+        let db =
+            Database::open_paged("hp", Arc::new(log.clone()), Arc::new(pages.clone()), 16).unwrap();
+        db.checkpoint().unwrap();
+        crash_after_dml_history(&db);
+        drop(db);
+        // The history lives in the WAL tail past the base epoch.
+        let engine = PagedEngine::open(Arc::new(pages.clone()), 16).unwrap();
+        let scanned = wal::scan(&log.bytes());
+        let base = engine.load_base(&scanned).unwrap();
+        let outcome = wal::replay_onto(base.catalog, base.catalog_epoch, &scanned, base.anchor_lsn);
+        assert_single_versions(&outcome.catalog);
+        let db = Database::open_paged("hp", Arc::new(log), Arc::new(pages), 16).unwrap();
+        assert_single_versions(&db.inner.catalog.read());
     }
 }

@@ -39,7 +39,7 @@ use crate::plan::{
     bound_usize, Access, AggPlan, Evals, InputPlan, JoinPlan, JoinSide, JoinStep, OrderKey,
     SelectPlan,
 };
-use crate::storage::{RowId, SortKey, Table};
+use crate::storage::{RowId, Snapshot, SortKey, Table};
 use crate::sync::TableReadGuard;
 use crate::types::Value;
 
@@ -118,12 +118,12 @@ fn gather_rows<'t>(
     let probe = access.probe(ctx, evals)?;
     if let Probe::Full = probe {
         catalog.note_full_scan();
-        let rows: Vec<&[Value]> = table.scan().map(|r| r.as_slice()).collect();
+        let rows: Vec<&[Value]> = table.scan(ctx.snap).map(|r| r.as_slice()).collect();
         catalog.note_full_scan_rows(rows.len() as u64);
         return Ok(rows);
     }
     let mut rows: Vec<&[Value]> = probe
-        .index_entries(catalog, table)
+        .index_entries(catalog, ctx.snap, table)
         .into_iter()
         .map(|(_, row)| row.as_slice())
         .collect();
@@ -154,7 +154,7 @@ fn gather_side<'t>(
         catalog.note_full_scan();
         let mut walked = 0u64;
         let rows: Vec<&[Value]> = table
-            .scan()
+            .scan(ctx.snap)
             .map(|r| r.as_slice())
             .inspect(|_| walked += 1)
             .filter(|r| keep(r))
@@ -165,7 +165,7 @@ fn gather_side<'t>(
     // A range walk is key-major; re-sort to rowid order so the side is
     // indistinguishable from the interpreter's scan.
     let mut entries: Vec<(RowId, &[Value])> = probe
-        .index_entries(catalog, table)
+        .index_entries(catalog, ctx.snap, table)
         .into_iter()
         .map(|(id, row)| (id, row.as_slice()))
         .filter(|(_, r)| keep(r))
@@ -315,7 +315,7 @@ fn inl_join(
         let mut matched = false;
         if !key.is_null() {
             probe.0[0] = key.clone();
-            for (_, r) in table.index_eq_entries(index, &probe) {
+            for (_, r) in table.index_eq_entries(ctx.snap, index, &probe) {
                 let r: &[Value] = r;
                 if !side.prefilter.iter().all(|c| c.passes(r)) {
                     continue;
@@ -868,6 +868,7 @@ fn finish_output(
 /// (`batch_evals`, `batched_rows`).
 pub fn run_select_batched(
     catalog: &Catalog,
+    snap: &Snapshot,
     plan: &SelectPlan,
     params: &[Value],
     named_params: &HashMap<String, Value>,
@@ -875,6 +876,7 @@ pub fn run_select_batched(
 ) -> SqlResult<QueryResult> {
     let ctx = BoundCtx {
         catalog,
+        snap,
         params,
         named_params,
         row: None,
@@ -1170,6 +1172,7 @@ fn run_agg_staged(
 /// spec-major computation order.
 pub fn run_agg_plan(
     catalog: &Catalog,
+    snap: &Snapshot,
     plan: &AggPlan,
     params: &[Value],
     named_params: &HashMap<String, Value>,
@@ -1177,6 +1180,7 @@ pub fn run_agg_plan(
 ) -> SqlResult<QueryResult> {
     let ctx = BoundCtx {
         catalog,
+        snap,
         params,
         named_params,
         row: None,
@@ -1245,7 +1249,7 @@ pub fn run_agg_plan(
                 let mut sgroups: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
                 let mut walked = 0u64;
                 let mut kept = 0u64;
-                for row in table.scan() {
+                for row in table.scan(snap) {
                     walked += 1;
                     let row: &[Value] = row;
                     if !cmps.iter().all(|m| m.passes(row)) {

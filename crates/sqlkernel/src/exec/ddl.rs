@@ -7,13 +7,14 @@ use crate::catalog::{Catalog, Procedure, Sequence, View};
 use crate::error::{SqlError, SqlResult};
 use crate::expr::{eval, EvalCtx};
 use crate::schema::{Column, TableSchema};
-use crate::storage::Table;
+use crate::storage::{Snapshot, Table};
 use crate::txn::{UndoLog, UndoOp};
 use crate::types::Value;
 
 /// `CREATE TABLE`.
 pub fn create_table(
     catalog: &mut Catalog,
+    snap: &Snapshot,
     stmt: &CreateTableStmt,
     params: &[Value],
     undo: &mut UndoLog,
@@ -34,7 +35,7 @@ pub fn create_table(
     for c in &stmt.columns {
         let default = match &c.default {
             Some(e) => {
-                let ctx = EvalCtx::constant(catalog, params);
+                let ctx = EvalCtx::constant(catalog, snap, params);
                 let v = eval(e, &ctx)?;
                 Some(v.coerce(c.ty).map_err(SqlError::Semantic)?)
             }
@@ -284,6 +285,7 @@ pub fn drop_view(
 /// run the body, and return the last result set (if any).
 pub fn call_procedure(
     catalog: &mut Catalog,
+    snap: &Snapshot,
     name: &str,
     args: &[Expr],
     params: &[Value],
@@ -304,6 +306,7 @@ pub fn call_procedure(
     {
         let ctx = EvalCtx {
             catalog,
+            snap,
             params,
             named_params,
             row: None,
@@ -315,7 +318,7 @@ pub fn call_procedure(
     }
     let mut last_rows = None;
     for stmt in &proc.body {
-        let r = super::execute(catalog, stmt, &[], &bound, undo)?;
+        let r = super::execute(catalog, snap, stmt, &[], &bound, undo)?;
         if let crate::db::StatementResult::Rows(rs) = r {
             last_rows = Some(rs);
         }

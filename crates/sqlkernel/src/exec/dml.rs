@@ -31,7 +31,7 @@ use crate::error::{SqlError, SqlResult};
 use crate::exec::select::{flatten_and, index_probe};
 use crate::exec::Probe;
 use crate::expr::{eval, eval_predicate, EvalCtx, RowSchema};
-use crate::storage::{Row, RowId, Table};
+use crate::storage::{Row, RowId, Snapshot, Table};
 use crate::txn::{UndoLog, UndoOp};
 use crate::types::Value;
 
@@ -59,6 +59,7 @@ fn two_phase<C>(
 /// Phase 1 of an `INSERT`: compute the full rows to insert.
 fn collect_insert(
     catalog: &Catalog,
+    snap: &Snapshot,
     table: &Table,
     stmt: &InsertStmt,
     params: &[Value],
@@ -88,6 +89,7 @@ fn collect_insert(
         InsertSource::Values(rows) => {
             let ctx = EvalCtx {
                 catalog,
+                snap,
                 params,
                 named_params,
                 row: None,
@@ -104,7 +106,7 @@ fn collect_insert(
             out
         }
         InsertSource::Select(sel) => {
-            super::select::run_select(catalog, sel, params, named_params)?.rows
+            super::select::run_select(catalog, snap, sel, params, named_params)?.rows
         }
     };
 
@@ -129,6 +131,7 @@ fn collect_insert(
 /// Phase 2 of an `INSERT`: apply under the exclusive guard.
 fn apply_insert(
     catalog: &Catalog,
+    snap: &Snapshot,
     table: &mut Table,
     rows: Vec<Vec<Value>>,
     undo: &mut UndoLog,
@@ -136,7 +139,7 @@ fn apply_insert(
     let table_name = table.schema.name.clone();
     let mut n = 0;
     for row in rows {
-        let id = table.insert(row)?;
+        let id = table.insert(snap, row)?;
         undo.record(UndoOp::Insert {
             table: table_name.clone(),
             row_id: id,
@@ -165,20 +168,21 @@ pub(crate) trait DmlEval {
 /// visits them — ticking the scan counters of the path taken.
 fn for_each_candidate(
     catalog: &Catalog,
+    snap: &Snapshot,
     table: &Table,
     probe: Probe,
     mut visit: impl FnMut(RowId, &Row) -> SqlResult<()>,
 ) -> SqlResult<()> {
     if let Probe::Full = probe {
         let mut walked = 0u64;
-        for (id, row) in table.iter() {
+        for (id, row) in table.iter(snap) {
             walked += 1;
             visit(id, row)?;
         }
         catalog.note_full_scan_rows(walked);
         return Ok(());
     }
-    let mut entries = probe.index_entries(catalog, table);
+    let mut entries = probe.index_entries(catalog, snap, table);
     // A range walk is key-major; re-sort to row id order.
     entries.sort_unstable_by_key(|(id, _)| *id);
     for (id, row) in entries {
@@ -190,12 +194,13 @@ fn for_each_candidate(
 /// Phase 1 of an `UPDATE`/`DELETE`: the changes, in ascending row id.
 fn collect_changes(
     catalog: &Catalog,
+    snap: &Snapshot,
     table: &Table,
     eval: &mut impl DmlEval,
 ) -> SqlResult<Vec<(RowId, RowChange)>> {
     let probe = eval.probe(table)?;
     let mut changes = Vec::new();
-    for_each_candidate(catalog, table, probe, |id, row| {
+    for_each_candidate(catalog, snap, table, probe, |id, row| {
         if let Some(change) = eval.change(row)? {
             changes.push((id, change));
         }
@@ -208,6 +213,7 @@ fn collect_changes(
 /// recording undo for atomicity.
 fn apply_changes(
     catalog: &Catalog,
+    snap: &Snapshot,
     table: &mut Table,
     changes: Vec<(RowId, RowChange)>,
     undo: &mut UndoLog,
@@ -219,12 +225,12 @@ fn apply_changes(
             RowChange::Update(new_row) => UndoOp::Update {
                 table: table_name.clone(),
                 row_id,
-                old: table.update(row_id, new_row)?,
+                old: table.update(snap, row_id, new_row)?,
             },
             RowChange::Delete => UndoOp::Delete {
                 table: table_name.clone(),
                 row_id,
-                row: table.delete(row_id)?,
+                row: table.delete(snap, row_id)?,
             },
         };
         undo.record(op);
@@ -233,10 +239,11 @@ fn apply_changes(
     Ok(n)
 }
 
-/// Execute an `UPDATE` or `DELETE` on table `name` through the shared
-/// collect/apply path; returns the number of rows changed.
+/// Execute an `UPDATE` or `DELETE` on table `name` under `snap` through
+/// the shared collect/apply path; returns the number of rows changed.
 pub(crate) fn run_dml(
     catalog: &Catalog,
+    snap: &Snapshot,
     held: Option<&mut Table>,
     name: &str,
     eval: &mut impl DmlEval,
@@ -246,8 +253,8 @@ pub(crate) fn run_dml(
         catalog,
         held,
         name,
-        |table| collect_changes(catalog, table, eval),
-        |table, changes| apply_changes(catalog, table, changes, undo),
+        |table| collect_changes(catalog, snap, table, eval),
+        |table, changes| apply_changes(catalog, snap, table, changes, undo),
     )
 }
 
@@ -256,6 +263,7 @@ pub(crate) fn run_dml(
 /// [`crate::plan::DmlPlan`].
 struct AstDml<'a> {
     catalog: &'a Catalog,
+    snap: &'a Snapshot,
     params: &'a [Value],
     named_params: &'a HashMap<String, Value>,
     where_clause: Option<&'a Expr>,
@@ -270,6 +278,7 @@ impl AstDml<'_> {
     fn ctx<'c>(&'c self, row: Option<&'c [Value]>) -> EvalCtx<'c> {
         EvalCtx {
             catalog: self.catalog,
+            snap: self.snap,
             params: self.params,
             named_params: self.named_params,
             row: row.map(|r| (&self.schema, r)),
@@ -322,13 +331,14 @@ impl DmlEval for AstDml<'_> {
     }
 }
 
-/// Execute one `INSERT`, `UPDATE` or `DELETE` through the interpreter;
-/// returns the rows affected. `held` is the caller's write guard on the
-/// statement's table, for statements checked subquery-free (and, for an
-/// `INSERT`, sourced from `VALUES`: an `INSERT ... SELECT` reads other
-/// tables).
+/// Execute one `INSERT`, `UPDATE` or `DELETE` under `snap` through the
+/// interpreter; returns the rows affected. `held` is the caller's write
+/// guard on the statement's table, for statements checked subquery-free
+/// (and, for an `INSERT`, sourced from `VALUES`: an `INSERT ... SELECT`
+/// reads other tables).
 pub fn run_write(
     catalog: &Catalog,
+    snap: &Snapshot,
     held: Option<&mut Table>,
     stmt: &Statement,
     params: &[Value],
@@ -341,8 +351,8 @@ pub fn run_write(
                 catalog,
                 held,
                 &s.table,
-                |table| collect_insert(catalog, table, s, params, named_params),
-                |table, rows| apply_insert(catalog, table, rows, undo),
+                |table| collect_insert(catalog, snap, table, s, params, named_params),
+                |table, rows| apply_insert(catalog, snap, table, rows, undo),
             )
         }
         Statement::Update(s) => (&s.table, s.where_clause.as_ref(), Some(&s.assignments[..])),
@@ -351,6 +361,7 @@ pub fn run_write(
     };
     let mut eval = AstDml {
         catalog,
+        snap,
         params,
         named_params,
         where_clause,
@@ -358,5 +369,5 @@ pub fn run_write(
         schema: RowSchema::empty(),
         positions: Vec::new(),
     };
-    run_dml(catalog, held, name, &mut eval, undo)
+    run_dml(catalog, snap, held, name, &mut eval, undo)
 }

@@ -18,7 +18,7 @@ use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::db::StatementResult;
 use crate::error::{SqlError, SqlResult};
-use crate::storage::{Row, RowId, SortKey, Table};
+use crate::storage::{Row, RowId, Snapshot, SortKey, Table};
 use crate::txn::UndoLog;
 use crate::types::Value;
 
@@ -44,13 +44,14 @@ pub(crate) enum Probe {
 
 impl Probe {
     /// The rows an index probe selects, in key order (row ids ascending
-    /// within a key), resolved through the installed snapshot — an entry
+    /// within a key), resolved through `snap` — an entry
     /// whose visible version no longer carries its key is skipped. Ticks
     /// `index_scans` or `range_scans`. Callers walk `Full` probes
     /// themselves.
     pub(crate) fn index_entries<'t>(
         self,
         catalog: &Catalog,
+        snap: &Snapshot,
         table: &'t Table,
     ) -> Vec<(RowId, &'t Arc<Row>)> {
         let index = |col: usize| table.find_index(&[col]).expect("probe implies index");
@@ -62,7 +63,7 @@ impl Probe {
                 if key.is_null() {
                     return Vec::new();
                 }
-                table.index_eq_entries(index(col), &SortKey(vec![key]))
+                table.index_eq_entries(snap, index(col), &SortKey(vec![key]))
             }
             Probe::Range {
                 col,
@@ -73,6 +74,7 @@ impl Probe {
             } => {
                 catalog.note_range_scan();
                 table.index_range_entries(
+                    snap,
                     index(col),
                     lower.as_ref().map(|(v, i)| (v, *i)),
                     upper.as_ref().map(|(v, i)| (v, *i)),
@@ -84,10 +86,12 @@ impl Probe {
     }
 }
 
-/// Execute one statement. `params` are `?` host parameters, `named_params`
-/// are `:name` bindings (lower-cased keys; used inside procedure bodies).
+/// Execute one statement under `snap`. `params` are `?` host parameters,
+/// `named_params` are `:name` bindings (lower-cased keys; used inside
+/// procedure bodies).
 pub fn execute(
     catalog: &mut Catalog,
+    snap: &Snapshot,
     stmt: &Statement,
     params: &[Value],
     named_params: &HashMap<String, Value>,
@@ -95,15 +99,15 @@ pub fn execute(
 ) -> SqlResult<StatementResult> {
     match stmt {
         Statement::Select(s) => {
-            let rs = select::run_select(catalog, s, params, named_params)?;
+            let rs = select::run_select(catalog, snap, s, params, named_params)?;
             Ok(StatementResult::Rows(rs))
         }
         Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
-            let n = dml::run_write(catalog, None, stmt, params, named_params, undo)?;
+            let n = dml::run_write(catalog, snap, None, stmt, params, named_params, undo)?;
             Ok(StatementResult::Affected(n))
         }
         Statement::CreateTable(s) => {
-            ddl::create_table(catalog, s, params, undo)?;
+            ddl::create_table(catalog, snap, s, params, undo)?;
             Ok(StatementResult::Ddl)
         }
         Statement::DropTable { name, if_exists } => {
@@ -158,7 +162,7 @@ pub fn execute(
             Ok(StatementResult::Ddl)
         }
         Statement::Call { name, args } => {
-            let rows = ddl::call_procedure(catalog, name, args, params, named_params, undo)?;
+            let rows = ddl::call_procedure(catalog, snap, name, args, params, named_params, undo)?;
             match rows {
                 Some(rs) => Ok(StatementResult::Rows(rs)),
                 None => Ok(StatementResult::Affected(0)),

@@ -17,7 +17,7 @@ use crate::db::QueryResult;
 use crate::error::{SqlError, SqlResult};
 use crate::exec::Probe;
 use crate::expr::{aggregate_key, eval, eval_predicate, is_aggregate_name, EvalCtx, RowSchema};
-use crate::storage::Row;
+use crate::storage::{Row, Snapshot};
 use crate::types::Value;
 
 /// One logical row to project: the source row plus its pre-computed
@@ -37,16 +37,18 @@ pub(crate) struct Rows {
 /// Run a `SELECT` and materialize its result.
 pub fn run_select(
     catalog: &Catalog,
+    snap: &Snapshot,
     stmt: &SelectStmt,
     params: &[Value],
     named_params: &HashMap<String, Value>,
 ) -> SqlResult<QueryResult> {
     if !stmt.unions.is_empty() {
-        return run_union(catalog, stmt, params, named_params);
+        return run_union(catalog, snap, stmt, params, named_params);
     }
 
     let ctx = EvalCtx {
         catalog,
+        snap,
         params,
         named_params,
         row: None,
@@ -130,6 +132,7 @@ pub fn run_select(
         for (row, aggs) in groups {
             let rc = EvalCtx {
                 catalog,
+                snap,
                 params,
                 named_params,
                 row: Some((&input.schema, &row)),
@@ -191,6 +194,7 @@ pub fn run_select(
     for (seq, (row, aggs)) in groups.iter().enumerate() {
         let rc = EvalCtx {
             catalog,
+            snap,
             params,
             named_params,
             row: Some((&input.schema, row)),
@@ -243,6 +247,7 @@ pub fn run_select(
 /// ordinals only) and LIMIT/OFFSET.
 fn run_union(
     catalog: &Catalog,
+    snap: &Snapshot,
     stmt: &SelectStmt,
     params: &[Value],
     named_params: &HashMap<String, Value>,
@@ -255,6 +260,7 @@ fn run_union(
 
     let ctx = EvalCtx {
         catalog,
+        snap,
         params,
         named_params,
         row: None,
@@ -270,9 +276,9 @@ fn run_union(
         None => None,
     };
 
-    let mut combined = run_select(catalog, &head, params, named_params)?;
+    let mut combined = run_select(catalog, snap, &head, params, named_params)?;
     for arm in &stmt.unions {
-        let rs = run_select(catalog, &arm.select, params, named_params)?;
+        let rs = run_select(catalog, snap, &arm.select, params, named_params)?;
         if rs.columns.len() != combined.columns.len() {
             return Err(SqlError::Semantic(format!(
                 "UNION arms have {} and {} columns",
@@ -500,7 +506,7 @@ fn try_index_scan(
         _ => None,
     };
     let rows: Vec<Arc<Row>> = probe
-        .index_entries(catalog, &table)
+        .index_entries(catalog, ctx.snap, &table)
         .into_iter()
         .map(|(_, row)| Arc::clone(row))
         .collect();
@@ -818,7 +824,7 @@ fn scan_table_ref(catalog: &Catalog, tref: &TableRef, ctx: &EvalCtx<'_>) -> SqlR
             if catalog.has_view(name) {
                 let view = catalog.view(name)?.clone();
                 let _guard = catalog.enter_view()?;
-                let rs = run_select(catalog, &view.query, ctx.params, ctx.named_params)?;
+                let rs = run_select(catalog, ctx.snap, &view.query, ctx.params, ctx.named_params)?;
                 let binding = tref.binding_name().unwrap_or(name).to_string();
                 let schema = RowSchema::new(
                     rs.columns
@@ -843,12 +849,12 @@ fn scan_table_ref(catalog: &Catalog, tref: &TableRef, ctx: &EvalCtx<'_>) -> SqlR
             );
             catalog.note_full_scan();
             // Arc clones: the scan shares stored rows, no deep copy.
-            let rows: Vec<Arc<Row>> = table.iter().map(|(_, r)| Arc::clone(r)).collect();
+            let rows: Vec<Arc<Row>> = table.iter(ctx.snap).map(|(_, r)| Arc::clone(r)).collect();
             catalog.note_full_scan_rows(rows.len() as u64);
             Ok(Rows { schema, rows })
         }
         TableSource::Subquery(sub) => {
-            let rs = run_select(ctx.catalog, sub, ctx.params, ctx.named_params)?;
+            let rs = run_select(ctx.catalog, ctx.snap, sub, ctx.params, ctx.named_params)?;
             let binding = tref
                 .alias
                 .clone()

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use crate::ast::{BinOp, Expr, SelectStmt, UnOp};
 use crate::catalog::Catalog;
 use crate::error::{SqlError, SqlResult};
+use crate::storage::Snapshot;
 use crate::types::Value;
 
 /// Names visible to column references of one row stream.
@@ -95,6 +96,8 @@ impl RowSchema {
 pub struct EvalCtx<'a> {
     /// The catalog, for subqueries and `NEXTVAL`.
     pub catalog: &'a Catalog,
+    /// The statement's snapshot, for subqueries.
+    pub snap: &'a Snapshot,
     /// `?` host parameters, positional.
     pub params: &'a [Value],
     /// `:name` parameters (stored-procedure formals).
@@ -107,10 +110,11 @@ pub struct EvalCtx<'a> {
 
 impl<'a> EvalCtx<'a> {
     /// Context with no row — constants, DDL defaults, procedure args.
-    pub fn constant(catalog: &'a Catalog, params: &'a [Value]) -> EvalCtx<'a> {
+    pub fn constant(catalog: &'a Catalog, snap: &'a Snapshot, params: &'a [Value]) -> EvalCtx<'a> {
         static EMPTY: std::sync::OnceLock<HashMap<String, Value>> = std::sync::OnceLock::new();
         EvalCtx {
             catalog,
+            snap,
             params,
             named_params: EMPTY.get_or_init(HashMap::new),
             row: None,
@@ -122,6 +126,7 @@ impl<'a> EvalCtx<'a> {
     pub fn with_row(&self, schema: &'a RowSchema, row: &'a [Value]) -> EvalCtx<'a> {
         EvalCtx {
             catalog: self.catalog,
+            snap: self.snap,
             params: self.params,
             named_params: self.named_params,
             row: Some((schema, row)),
@@ -300,7 +305,7 @@ pub fn eval_predicate(expr: &Expr, ctx: &EvalCtx<'_>) -> SqlResult<bool> {
 
 fn run_subquery(stmt: &SelectStmt, ctx: &EvalCtx<'_>) -> SqlResult<crate::db::QueryResult> {
     // Subqueries are uncorrelated: no outer row is passed down.
-    crate::exec::select::run_select(ctx.catalog, stmt, ctx.params, ctx.named_params)
+    crate::exec::select::run_select(ctx.catalog, ctx.snap, stmt, ctx.params, ctx.named_params)
 }
 
 fn subquery_column(stmt: &SelectStmt, ctx: &EvalCtx<'_>) -> SqlResult<Vec<Value>> {
@@ -705,8 +710,9 @@ mod tests {
 
     fn eval_const(src: &str) -> SqlResult<Value> {
         let catalog = Catalog::new();
+        let snap = Snapshot::committed();
         let e = parse_expression(src)?;
-        let ctx = EvalCtx::constant(&catalog, &[]);
+        let ctx = EvalCtx::constant(&catalog, &snap, &[]);
         eval(&e, &ctx)
     }
 
@@ -854,11 +860,12 @@ mod tests {
     #[test]
     fn nextval_advances_sequence() {
         let mut catalog = Catalog::new();
+        let snap = Snapshot::committed();
         catalog
             .add_sequence(crate::catalog::Sequence::new("s", 7, 1))
             .unwrap();
         let e = parse_expression("NEXTVAL('s')").unwrap();
-        let ctx = EvalCtx::constant(&catalog, &[]);
+        let ctx = EvalCtx::constant(&catalog, &snap, &[]);
         assert_eq!(eval(&e, &ctx).unwrap(), Value::Int(7));
         assert_eq!(eval(&e, &ctx).unwrap(), Value::Int(8));
     }
@@ -866,28 +873,32 @@ mod tests {
     #[test]
     fn host_params_bind_positionally() {
         let catalog = Catalog::new();
+        let snap = Snapshot::committed();
         let e = parse_expression("? + ?").unwrap();
         let params = vec![Value::Int(2), Value::Int(40)];
-        let ctx = EvalCtx::constant(&catalog, &params);
+        let ctx = EvalCtx::constant(&catalog, &snap, &params);
         assert_eq!(eval(&e, &ctx).unwrap(), Value::Int(42));
     }
 
     #[test]
     fn missing_param_is_binding_error() {
         let catalog = Catalog::new();
+        let snap = Snapshot::committed();
         let e = parse_expression("?").unwrap();
-        let ctx = EvalCtx::constant(&catalog, &[]);
+        let ctx = EvalCtx::constant(&catalog, &snap, &[]);
         assert_eq!(eval(&e, &ctx).unwrap_err().class(), "binding");
     }
 
     #[test]
     fn named_params_resolve_case_insensitively() {
         let catalog = Catalog::new();
+        let snap = Snapshot::committed();
         let e = parse_expression(":Item").unwrap();
         let mut named = HashMap::new();
         named.insert("item".to_string(), Value::text("widget"));
         let ctx = EvalCtx {
             catalog: &catalog,
+            snap: &snap,
             params: &[],
             named_params: &named,
             row: None,
@@ -917,9 +928,10 @@ mod tests {
     #[test]
     fn column_reference_against_row() {
         let catalog = Catalog::new();
+        let snap = Snapshot::committed();
         let schema = RowSchema::new(vec![(Some("t".into()), "a".into())]);
         let row = vec![Value::Int(5)];
-        let base = EvalCtx::constant(&catalog, &[]);
+        let base = EvalCtx::constant(&catalog, &snap, &[]);
         let ctx = base.with_row(&schema, &row);
         let e = parse_expression("t.a * 2").unwrap();
         assert_eq!(eval(&e, &ctx).unwrap(), Value::Int(10));
@@ -933,7 +945,8 @@ mod tests {
     #[test]
     fn predicate_null_is_false() {
         let catalog = Catalog::new();
-        let ctx = EvalCtx::constant(&catalog, &[]);
+        let snap = Snapshot::committed();
+        let ctx = EvalCtx::constant(&catalog, &snap, &[]);
         let e = parse_expression("NULL = 1").unwrap();
         assert!(!eval_predicate(&e, &ctx).unwrap());
         let e = parse_expression("1 + 1").unwrap();

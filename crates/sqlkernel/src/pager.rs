@@ -47,7 +47,7 @@ use crate::error::{SqlError, SqlResult};
 use crate::fault::{crashed_error, FaultInjector, PageFault};
 use crate::page::{pack_stream, PageBuilder, PageKind, PageView, StreamPacker, PAGE_SIZE};
 use crate::schema::TableSchema;
-use crate::storage::{Row, RowId};
+use crate::storage::{Row, RowId, Snapshot};
 use crate::sync::Mutex;
 use crate::wal::{self, Frames, IndexDef, Reader, ScannedLog, TableImage, WalOp, WalRecord};
 
@@ -989,6 +989,7 @@ impl PagedEngine {
             }
         };
         let mut cell = Vec::new();
+        let committed = Snapshot::committed();
         for name in &names {
             let table = catalog.table(name)?;
             if table.schema.temporary {
@@ -1012,11 +1013,12 @@ impl PagedEngine {
                 || alloc.next_page(),
                 &mut put,
             );
-            // The row stream: a row count, then `(row id, row)` pairs.
+            // The row stream: a row count, then `(row id, row)` pairs,
+            // every committed row and nothing else.
             cell.clear();
-            wal::put_u32(&mut cell, table.iter().count() as u32);
+            wal::put_u32(&mut cell, table.iter(&committed).count() as u32);
             packer.write(&cell)?;
-            for (id, row) in table.iter() {
+            for (id, row) in table.iter(&committed) {
                 cell.clear();
                 wal::put_u64(&mut cell, id);
                 wal::put_row(&mut cell, row);

@@ -41,7 +41,7 @@ use crate::exec::select::{
 };
 use crate::exec::Probe;
 use crate::expr::{aggregate_key, is_aggregate_name, RowSchema};
-use crate::storage::Table;
+use crate::storage::{Snapshot, Table};
 use crate::txn::UndoLog;
 use crate::types::Value;
 
@@ -1079,6 +1079,7 @@ impl DmlEval for BoundDml<'_> {
 /// without a subquery (see [`crate::exec::dml`] for the guard discipline).
 pub fn run_dml_plan(
     catalog: &Catalog,
+    snap: &Snapshot,
     held: Option<&mut Table>,
     plan: &DmlPlan,
     params: &[Value],
@@ -1089,13 +1090,14 @@ pub fn run_dml_plan(
         plan,
         ctx: BoundCtx {
             catalog,
+            snap,
             params,
             named_params,
             row: None,
         },
         evals: Evals(0),
     };
-    let n = run_dml(catalog, held, &plan.table, &mut eval, undo)?;
+    let n = run_dml(catalog, snap, held, &plan.table, &mut eval, undo)?;
     catalog.note_bound_evals(eval.evals.0);
     Ok(n)
 }

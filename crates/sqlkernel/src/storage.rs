@@ -10,32 +10,30 @@
 //! a scan hands out `Arc` clones, and mutation pushes a new version
 //! (copy-on-write at row granularity).
 //!
-//! Two read modes, switched by a thread-local [`Snapshot`]:
+//! One visibility rule: every read and write that depends on visibility
+//! takes an explicit [`Snapshot`]. A read resolves each chain newest
+//! version first; the first version that is *our own* (same stamp `Arc`)
+//! or committed at or before the snapshot timestamp wins. A write pushes
+//! a new version stamped with the snapshot's stamp; commit later stores
+//! the timestamp into the shared stamp, making every version of the
+//! transaction visible atomically. Checkpoint serialization reads under
+//! [`Snapshot::committed`], which sees every committed version and
+//! nothing else.
 //!
-//! - **Flat** (no snapshot installed): every chain holds exactly one
-//!   committed version and all methods behave like a plain single-version
-//!   store. WAL replay, checkpoint serialization, and direct `Table` use
-//!   in unit tests run in this mode and are byte-identical to the
-//!   pre-MVCC engine.
-//! - **Versioned** (snapshot installed by the connection layer): reads
-//!   resolve each chain against the snapshot — newest version first, the
-//!   first version that is *our own* (same stamp `Arc`) or committed at
-//!   or before the snapshot timestamp wins. Writes push new versions
-//!   stamped with the statement/transaction stamp; commit later stores
-//!   the timestamp into the shared stamp, making every version of the
-//!   transaction visible atomically.
+//! Redo and undo application use the physical primitives instead
+//! ([`Table::restore`], [`Table::raw_replace`], [`Table::remove`]): they
+//! replace or drop whole chains, so a replayed table holds one version
+//! per row and no tombstones.
 //!
 //! Indexes map composite key values to the set of row ids holding them;
 //! under MVCC an entry is kept for **every retained version's** key, and
 //! visibility-aware lookups re-check that the resolved version actually
-//! carries the entry key (skipped for single-version chains, so the flat
-//! path pays nothing). Unique indexes enforce at-most-one id per key
-//! against the newest version (ignoring keys containing NULL, per SQL
-//! convention). Superseded versions are trimmed inline on write and
-//! swept by [`Table::gc_versions`] using the oldest-active-snapshot
-//! watermark.
+//! carries the entry key (skipped for single-version chains, the common
+//! case). Unique indexes enforce at-most-one id per key against the
+//! newest version (ignoring keys containing NULL, per SQL convention).
+//! Superseded versions are trimmed inline on write and swept by
+//! [`Table::gc_versions`] using the oldest-active-snapshot watermark.
 
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
@@ -67,10 +65,11 @@ pub fn new_stamp() -> TxnStamp {
     Arc::new(AtomicU64::new(0))
 }
 
-/// The stamp used for rows written outside any snapshot scope (WAL
-/// replay, checkpoint reload, direct `Table` use). Committed at
-/// timestamp 1, which every snapshot timestamp is at least, so
-/// bootstrap rows are visible to all readers.
+/// The stamp of rows installed by the physical primitives (WAL replay,
+/// checkpoint reload, undo of recovery) and of writes made under
+/// [`Snapshot::committed`]. Committed at timestamp 1, which every
+/// snapshot timestamp is at least, so bootstrap rows are visible to all
+/// readers.
 fn bootstrap_stamp() -> TxnStamp {
     static BOOTSTRAP: OnceLock<TxnStamp> = OnceLock::new();
     Arc::clone(BOOTSTRAP.get_or_init(|| Arc::new(AtomicU64::new(1))))
@@ -85,38 +84,16 @@ pub struct Snapshot {
     pub stamp: TxnStamp,
 }
 
-thread_local! {
-    static ACTIVE_SNAPSHOT: RefCell<Option<Snapshot>> = const { RefCell::new(None) };
-}
-
-/// The snapshot installed on this thread, if any.
-pub fn current_snapshot() -> Option<Snapshot> {
-    ACTIVE_SNAPSHOT.with(|s| s.borrow().clone())
-}
-
-/// Is a snapshot installed on this thread?
-pub fn snapshot_active() -> bool {
-    ACTIVE_SNAPSHOT.with(|s| s.borrow().is_some())
-}
-
-/// RAII scope for a thread-local snapshot. Restores the previous
-/// snapshot (normally `None`) on drop, including during unwinding.
-#[derive(Debug)]
-pub struct SnapshotScope {
-    prev: Option<Snapshot>,
-}
-
-/// Install `snapshot` as the thread's active snapshot until the returned
-/// scope is dropped.
-pub fn enter_snapshot(snapshot: Snapshot) -> SnapshotScope {
-    let prev = ACTIVE_SNAPSHOT.with(|s| s.borrow_mut().replace(snapshot));
-    SnapshotScope { prev }
-}
-
-impl Drop for SnapshotScope {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        ACTIVE_SNAPSHOT.with(|s| *s.borrow_mut() = prev);
+impl Snapshot {
+    /// The snapshot that sees every committed version and no
+    /// uncommitted one — what checkpoint serialization reads under. Its
+    /// writes carry the bootstrap stamp, so they are committed the
+    /// moment they are made.
+    pub fn committed() -> Snapshot {
+        Snapshot {
+            ts: u64::MAX,
+            stamp: bootstrap_stamp(),
+        }
     }
 }
 
@@ -157,8 +134,8 @@ impl RowVersion {
     }
 }
 
-/// A row's version chain, oldest first. Flat mode keeps exactly one
-/// committed version per chain.
+/// A row's version chain, oldest first. Most chains hold one committed
+/// version; writes push, trims and GC sweeps drop.
 #[derive(Debug, Clone, Default)]
 struct Chain {
     versions: Vec<RowVersion>,
@@ -175,8 +152,8 @@ impl Chain {
     }
 
     /// The newest version's payload — the "physical latest" row the WAL
-    /// after-image derivation and flat mode read. `None` when the newest
-    /// version is a tombstone.
+    /// after-image derivation reads. `None` when the newest version is a
+    /// tombstone.
     fn latest(&self) -> Option<&Arc<Row>> {
         self.versions.last().and_then(|v| v.row.as_ref())
     }
@@ -237,15 +214,6 @@ pub struct Index {
 impl Index {
     fn key_of(&self, row: &Row) -> SortKey {
         SortKey(self.columns.iter().map(|&i| row[i].clone()).collect())
-    }
-
-    /// Would `old` and `new` land under different index keys? Compares
-    /// borrowed values directly so the common no-key-change case never
-    /// clones a `Value`.
-    fn key_changed(&self, old: &Row, new: &Row) -> bool {
-        self.columns
-            .iter()
-            .any(|&i| old[i].total_cmp(&new[i]) != Ordering::Equal)
     }
 
     fn key_has_null(key: &SortKey) -> bool {
@@ -406,7 +374,7 @@ fn trim_chain(indexes: &mut [Index], id: RowId, chain: &mut Chain, floor: u64) -
 pub struct Table {
     pub schema: TableSchema,
     rows: BTreeMap<RowId, Chain>,
-    /// Number of chains whose newest version is a live row (flat-mode
+    /// Number of chains whose newest version is a live row (the physical
     /// `len()`); maintained incrementally by every mutation.
     live: usize,
     next_row_id: RowId,
@@ -472,32 +440,24 @@ impl Table {
         self.live == 0
     }
 
-    /// Resolve a chain under the given snapshot (or flat-latest when
-    /// `None`), ticking the chain-walk counter for multi-version chains.
-    fn resolve_with<'t>(
-        &'t self,
-        chain: &'t Chain,
-        snap: Option<&Snapshot>,
-    ) -> Option<&'t Arc<Row>> {
-        match snap {
-            None => chain.latest(),
-            Some(s) => {
-                if chain.versions.len() > 1 {
-                    self.mvcc.chains_walked.fetch_add(1, AtomicOrd::Relaxed);
-                }
-                chain.visible(s)
-            }
+    /// Resolve a chain under `snap`, ticking the chain-walk counter for
+    /// multi-version chains.
+    fn resolve<'t>(&'t self, snap: &Snapshot, chain: &'t Chain) -> Option<&'t Arc<Row>> {
+        if chain.versions.len() > 1 {
+            self.mvcc.chains_walked.fetch_add(1, AtomicOrd::Relaxed);
         }
+        chain.visible(snap)
     }
 
-    /// Iterate rows in row-id order. Rows come out as shared `Arc`s so a
-    /// scan can retain them without deep-copying. With a thread-local
-    /// snapshot installed, only versions visible to it are yielded.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &Arc<Row>)> {
-        let snap = current_snapshot();
-        self.rows.iter().filter_map(move |(id, chain)| {
-            self.resolve_with(chain, snap.as_ref()).map(|r| (*id, r))
-        })
+    /// Iterate the rows visible to `snap` in row-id order. Rows come out
+    /// as shared `Arc`s so a scan can retain them without deep-copying.
+    pub fn iter<'t, 's>(
+        &'t self,
+        snap: &'s Snapshot,
+    ) -> impl Iterator<Item = (RowId, &'t Arc<Row>)> + use<'t, 's> {
+        self.rows
+            .iter()
+            .filter_map(move |(id, chain)| self.resolve(snap, chain).map(|r| (*id, r)))
     }
 
     /// Iterate row data in row-id order *by reference* — the batch
@@ -505,47 +465,45 @@ impl Table {
     /// never cloned: the borrow pins each row to the caller's table
     /// guard, so a whole-table scan costs zero refcount traffic and
     /// zero per-row allocation. Snapshot-filtered like [`Table::iter`].
-    pub fn scan(&self) -> impl Iterator<Item = &Arc<Row>> {
-        let snap = current_snapshot();
+    pub fn scan<'t, 's>(
+        &'t self,
+        snap: &'s Snapshot,
+    ) -> impl Iterator<Item = &'t Arc<Row>> + use<'t, 's> {
         self.rows
             .values()
-            .filter_map(move |chain| self.resolve_with(chain, snap.as_ref()))
+            .filter_map(move |chain| self.resolve(snap, chain))
     }
 
-    /// Fetch one row's newest version — the *physical* latest, ignoring
-    /// any installed snapshot. WAL after-image derivation and recovery
-    /// depend on this; snapshot readers use [`Table::get_visible`].
+    /// Fetch one row's newest version — the *physical* latest, whatever
+    /// its stamp. WAL after-image derivation depends on this; snapshot
+    /// readers use [`Table::get_visible`].
     pub fn get(&self, id: RowId) -> Option<&Arc<Row>> {
         self.rows.get(&id).and_then(|c| c.latest())
     }
 
-    /// Fetch the version of one row visible to the installed snapshot
-    /// (newest version when no snapshot is installed).
-    pub fn get_visible(&self, id: RowId) -> Option<&Arc<Row>> {
-        let snap = current_snapshot();
-        self.rows
-            .get(&id)
-            .and_then(|c| self.resolve_with(c, snap.as_ref()))
+    /// Fetch the version of one row visible to `snap`.
+    pub fn get_visible(&self, snap: &Snapshot, id: RowId) -> Option<&Arc<Row>> {
+        self.rows.get(&id).and_then(|c| self.resolve(snap, c))
     }
 
     /// Visibility-aware exact-key index lookup: resolves each candidate
-    /// id against the installed snapshot and keeps it only if the visible
-    /// version actually carries the probe key (historical entries for
-    /// other keys are skipped). Ids come out ascending, matching scan
-    /// order among equal keys.
+    /// id against `snap` and keeps it only if the visible version
+    /// actually carries the probe key (historical entries for other keys
+    /// are skipped). Ids come out ascending, matching scan order among
+    /// equal keys.
     pub fn index_eq_entries<'t>(
         &'t self,
+        snap: &Snapshot,
         idx: &'t Index,
         key: &SortKey,
     ) -> Vec<(RowId, &'t Arc<Row>)> {
-        let snap = current_snapshot();
         let mut out = Vec::new();
         for id in idx.lookup(key) {
             let Some(chain) = self.rows.get(&id) else {
                 continue;
             };
             let multi = chain.versions.len() > 1;
-            let Some(row) = self.resolve_with(chain, snap.as_ref()) else {
+            let Some(row) = self.resolve(snap, chain) else {
                 continue;
             };
             if multi && idx.key_of(row) != *key {
@@ -558,11 +516,12 @@ impl Table {
 
     /// Visibility-aware range walk over a (single-column) index: bounds
     /// and ordering exactly as [`Index::lookup_range`], but each candidate
-    /// resolves through the installed snapshot and must carry the entry
-    /// key it was found under (so a row whose key changed after the
-    /// snapshot neither vanishes nor appears twice).
+    /// resolves through `snap` and must carry the entry key it was found
+    /// under (so a row whose key changed after the snapshot neither
+    /// vanishes nor appears twice).
     pub fn index_range_entries<'t>(
         &'t self,
+        snap: &Snapshot,
         idx: &'t Index,
         lower: Option<(&Value, bool)>,
         upper: Option<(&Value, bool)>,
@@ -572,7 +531,6 @@ impl Table {
         let Some(bounds) = Index::range_bounds(lower, upper, include_null_keys) else {
             return Vec::new();
         };
-        let snap = current_snapshot();
         let mut out = Vec::new();
         let mut emit = |key: &SortKey, ids: &BTreeSet<RowId>| {
             for &id in ids {
@@ -580,7 +538,7 @@ impl Table {
                     continue;
                 };
                 let multi = chain.versions.len() > 1;
-                let Some(row) = self.resolve_with(chain, snap.as_ref()) else {
+                let Some(row) = self.resolve(snap, chain) else {
                     continue;
                 };
                 if multi && idx.key_of(row) != *key {
@@ -631,17 +589,9 @@ impl Table {
         Ok(row)
     }
 
-    /// The stamp new versions should carry right now: the installed
-    /// snapshot's stamp, or the bootstrap stamp in flat mode.
-    fn write_stamp(snap: Option<&Snapshot>) -> TxnStamp {
-        match snap {
-            Some(s) => Arc::clone(&s.stamp),
-            None => bootstrap_stamp(),
-        }
-    }
-
-    /// Insert a normalized row, enforcing unique indexes. Returns its id.
-    pub fn insert(&mut self, row: Row) -> SqlResult<RowId> {
+    /// Insert a normalized row as a version stamped with `snap`'s stamp,
+    /// enforcing unique indexes. Returns its id.
+    pub fn insert(&mut self, snap: &Snapshot, row: Row) -> SqlResult<RowId> {
         let row = self.normalize_row(row)?;
         self.check_unique(&row, None)?;
         let id = self.next_row_id;
@@ -649,14 +599,15 @@ impl Table {
         for idx in &mut self.indexes {
             idx.add_entry(&row, id);
         }
-        let stamp = Table::write_stamp(current_snapshot().as_ref());
-        self.rows.insert(id, Chain::single(stamp, Arc::new(row)));
+        self.rows
+            .insert(id, Chain::single(Arc::clone(&snap.stamp), Arc::new(row)));
         self.live += 1;
         Ok(id)
     }
 
-    /// Re-insert a row under a specific id (undo of delete; recovery).
-    /// Flat-mode physical restore: replaces the whole chain.
+    /// Re-insert a row under a specific id (redo of insert, undo of
+    /// delete, checkpoint reload). Physical: replaces the whole chain
+    /// with one bootstrap-stamped version.
     pub fn restore(&mut self, id: RowId, row: Row) {
         self.drop_chain_entries(id);
         let was_live = self.rows.get(&id).is_some_and(Chain::top_is_live);
@@ -687,38 +638,15 @@ impl Table {
         }
     }
 
-    /// Replace the row at `id`. Returns the previous (visible) row.
-    ///
-    /// Flat mode replaces the single version in place; versioned mode
-    /// pushes a new version stamped with the current snapshot's stamp and
-    /// retains the old one for concurrent readers.
-    pub fn update(&mut self, id: RowId, row: Row) -> SqlResult<Row> {
+    /// Replace the row at `id` visible to `snap`. Returns that row. The
+    /// new version is stamped with `snap`'s stamp; the old one stays for
+    /// concurrent readers until a trim or GC sweep drops it.
+    pub fn update(&mut self, snap: &Snapshot, id: RowId, row: Row) -> SqlResult<Row> {
         let row = self.normalize_row(row)?;
-        let snap = current_snapshot();
-        let Some(snap) = snap else {
-            // Flat path: byte-identical to the single-version engine.
-            let Some(old) = self.rows.get(&id).and_then(|c| c.latest()).cloned() else {
-                return Err(SqlError::NotFound(format!(
-                    "row {id} in table '{}'",
-                    self.schema.name
-                )));
-            };
-            self.check_unique(&row, Some(id))?;
-            for idx in &mut self.indexes {
-                if idx.key_changed(&old, &row) {
-                    let old_key = idx.key_of(&old);
-                    idx.remove_entry(&old_key, id);
-                    idx.add_entry(&row, id);
-                }
-            }
-            self.rows
-                .insert(id, Chain::single(bootstrap_stamp(), Arc::new(row)));
-            return Ok(unshare_row(old));
-        };
         let Some(old) = self
             .rows
             .get(&id)
-            .and_then(|c| self.resolve_with(c, Some(&snap)))
+            .and_then(|c| self.resolve(snap, c))
             .cloned()
         else {
             return Err(SqlError::NotFound(format!(
@@ -755,8 +683,8 @@ impl Table {
     }
 
     /// Replace the row at `id` without constraint checks or normalization.
-    /// Only for undo/redo application, where the restored state is
-    /// known-valid. Flat-mode physical replace (whole chain).
+    /// Only for redo/undo application, where the restored state is
+    /// known-valid. Physical: replaces the whole chain.
     pub fn raw_replace(&mut self, id: RowId, row: Row) {
         self.drop_chain_entries(id);
         let was_live = self.rows.get(&id).is_some_and(Chain::top_is_live);
@@ -771,42 +699,23 @@ impl Table {
         }
     }
 
-    /// Delete the row at `id`, returning it. Flat mode removes the chain;
-    /// versioned mode pushes a tombstone so concurrent snapshots keep
+    /// Physically remove the chain at `id` and every index entry of its
+    /// versions (redo of delete, undo of insert). Leaves no tombstone.
+    pub fn remove(&mut self, id: RowId) {
+        self.drop_chain_entries(id);
+        if self.rows.remove(&id).is_some_and(|c| c.top_is_live()) {
+            self.live -= 1;
+        }
+    }
+
+    /// Delete the row at `id` visible to `snap`, returning it. Pushes a
+    /// tombstone stamped with `snap`'s stamp so concurrent snapshots keep
     /// reading the old version.
-    pub fn delete(&mut self, id: RowId) -> SqlResult<Row> {
-        let snap = current_snapshot();
-        let Some(snap) = snap else {
-            // Flat path: physically remove the chain.
-            let chain = self.rows.remove(&id).ok_or_else(|| {
-                SqlError::NotFound(format!("row {id} in table '{}'", self.schema.name))
-            })?;
-            let was_live = chain.top_is_live();
-            for v in &chain.versions {
-                if let Some(r) = &v.row {
-                    for idx in &mut self.indexes {
-                        let key = idx.key_of(r);
-                        idx.remove_entry(&key, id);
-                    }
-                }
-            }
-            if was_live {
-                self.live -= 1;
-            }
-            let row = chain
-                .versions
-                .into_iter()
-                .next_back()
-                .and_then(|v| v.row)
-                .ok_or_else(|| {
-                    SqlError::NotFound(format!("row {id} in table '{}'", self.schema.name))
-                })?;
-            return Ok(unshare_row(row));
-        };
+    pub fn delete(&mut self, snap: &Snapshot, id: RowId) -> SqlResult<Row> {
         let Some(old) = self
             .rows
             .get(&id)
-            .and_then(|c| self.resolve_with(c, Some(&snap)))
+            .and_then(|c| self.resolve(snap, c))
             .cloned()
         else {
             return Err(SqlError::NotFound(format!(
@@ -838,11 +747,12 @@ impl Table {
         Ok(unshare_row(old))
     }
 
-    /// Remove the version of `id` stamped with `stamp` (newest such, if
-    /// the statement touched the row more than once). Core of stamped
-    /// rollback: surgically unwinds this transaction's version without
-    /// disturbing versions other transactions pushed above or below.
-    fn remove_own_version(&mut self, id: RowId, stamp: &TxnStamp) {
+    /// Undo one insert, update or delete of `id` made under `stamp`:
+    /// remove the version it pushed (the newest such, if the statement
+    /// touched the row more than once), re-exposing whatever was
+    /// underneath, without disturbing versions other transactions pushed
+    /// above or below.
+    pub fn undo_write(&mut self, id: RowId, stamp: &TxnStamp) {
         let Table {
             rows,
             indexes,
@@ -873,23 +783,6 @@ impl Table {
             (false, true) => *live += 1,
             _ => {}
         }
-    }
-
-    /// Undo this transaction's insert of `id` (stamped rollback).
-    pub fn undo_insert(&mut self, id: RowId, stamp: &TxnStamp) {
-        self.remove_own_version(id, stamp);
-    }
-
-    /// Undo this transaction's update of `id` (stamped rollback): pops
-    /// the version it pushed, re-exposing whatever was underneath.
-    pub fn undo_update(&mut self, id: RowId, stamp: &TxnStamp) {
-        self.remove_own_version(id, stamp);
-    }
-
-    /// Undo this transaction's delete of `id` (stamped rollback): pops
-    /// its tombstone.
-    pub fn undo_delete(&mut self, id: RowId, stamp: &TxnStamp) {
-        self.remove_own_version(id, stamp);
     }
 
     /// Drop versions superseded before the `floor` watermark (oldest
@@ -974,8 +867,7 @@ impl Table {
 
     /// Add a secondary index over the named columns, backfilling it with
     /// every retained version's key. Uniqueness is checked against the
-    /// newest live version of each row only — exactly the flat-mode
-    /// behavior when every chain is single-version.
+    /// newest live version of each row only, as writes check it.
     pub fn create_index(
         &mut self,
         name: impl Into<String>,
@@ -1112,40 +1004,45 @@ mod tests {
 
     #[test]
     fn insert_and_get() {
+        let s = Snapshot::committed();
         let mut t = table();
-        let id = t.insert(row(1, "a", 10)).unwrap();
+        let id = t.insert(&s, row(1, "a", 10)).unwrap();
         assert_eq!(t.get(id).unwrap()[1], Value::text("a"));
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn primary_key_enforced() {
+        let s = Snapshot::committed();
         let mut t = table();
-        t.insert(row(1, "a", 10)).unwrap();
-        let err = t.insert(row(1, "b", 20)).unwrap_err();
+        t.insert(&s, row(1, "a", 10)).unwrap();
+        let err = t.insert(&s, row(1, "b", 20)).unwrap_err();
         assert_eq!(err.class(), "constraint");
     }
 
     #[test]
     fn pk_null_rejected() {
+        let s = Snapshot::committed();
         let mut t = table();
         let err = t
-            .insert(vec![Value::Null, Value::text("x"), Value::Int(1)])
+            .insert(&s, vec![Value::Null, Value::text("x"), Value::Int(1)])
             .unwrap_err();
         assert_eq!(err.class(), "constraint");
     }
 
     #[test]
     fn arity_checked() {
+        let s = Snapshot::committed();
         let mut t = table();
-        assert!(t.insert(vec![Value::Int(1)]).is_err());
+        assert!(t.insert(&s, vec![Value::Int(1)]).is_err());
     }
 
     #[test]
     fn coercion_on_insert() {
+        let s = Snapshot::committed();
         let mut t = table();
         let id = t
-            .insert(vec![Value::text("7"), Value::Int(5), Value::Float(3.0)])
+            .insert(&s, vec![Value::text("7"), Value::Int(5), Value::Float(3.0)])
             .unwrap();
         let r = t.get(id).unwrap();
         assert_eq!(r[0], Value::Int(7));
@@ -1155,60 +1052,66 @@ mod tests {
 
     #[test]
     fn update_moves_index_entries() {
+        let s = Snapshot::committed();
         let mut t = table();
-        let id = t.insert(row(1, "a", 10)).unwrap();
-        t.update(id, row(2, "a", 10)).unwrap();
+        let id = t.insert(&s, row(1, "a", 10)).unwrap();
+        t.update(&s, id, row(2, "a", 10)).unwrap();
         // old key free again
-        t.insert(row(1, "c", 1)).unwrap();
+        t.insert(&s, row(1, "c", 1)).unwrap();
         // new key taken
-        assert!(t.insert(row(2, "d", 1)).is_err());
+        assert!(t.insert(&s, row(2, "d", 1)).is_err());
     }
 
     #[test]
     fn update_to_conflicting_pk_fails() {
+        let s = Snapshot::committed();
         let mut t = table();
-        let a = t.insert(row(1, "a", 1)).unwrap();
-        t.insert(row(2, "b", 2)).unwrap();
-        assert!(t.update(a, row(2, "a", 1)).is_err());
+        let a = t.insert(&s, row(1, "a", 1)).unwrap();
+        t.insert(&s, row(2, "b", 2)).unwrap();
+        assert!(t.update(&s, a, row(2, "a", 1)).is_err());
         // a unchanged
         assert_eq!(t.get(a).unwrap()[0], Value::Int(1));
     }
 
     #[test]
     fn update_same_key_allowed() {
+        let s = Snapshot::committed();
         let mut t = table();
-        let a = t.insert(row(1, "a", 1)).unwrap();
-        t.update(a, row(1, "a2", 2)).unwrap();
+        let a = t.insert(&s, row(1, "a", 1)).unwrap();
+        t.update(&s, a, row(1, "a2", 2)).unwrap();
         assert_eq!(t.get(a).unwrap()[1], Value::text("a2"));
     }
 
     #[test]
     fn delete_frees_key_and_restore_brings_back() {
+        let s = Snapshot::committed();
         let mut t = table();
-        let id = t.insert(row(1, "a", 1)).unwrap();
-        let old = t.delete(id).unwrap();
+        let id = t.insert(&s, row(1, "a", 1)).unwrap();
+        let old = t.delete(&s, id).unwrap();
         assert_eq!(t.len(), 0);
         t.restore(id, old);
         assert_eq!(t.get(id).unwrap()[0], Value::Int(1));
-        assert!(t.insert(row(1, "again", 9)).is_err());
+        assert!(t.insert(&s, row(1, "again", 9)).is_err());
     }
 
     #[test]
     fn restore_bumps_next_row_id() {
+        let s = Snapshot::committed();
         let mut t = table();
-        let id = t.insert(row(1, "a", 1)).unwrap();
-        let old = t.delete(id).unwrap();
+        let id = t.insert(&s, row(1, "a", 1)).unwrap();
+        let old = t.delete(&s, id).unwrap();
         t.restore(id, old);
-        let id2 = t.insert(row(2, "b", 2)).unwrap();
+        let id2 = t.insert(&s, row(2, "b", 2)).unwrap();
         assert_ne!(id, id2);
     }
 
     #[test]
     fn secondary_index_lookup() {
+        let s = Snapshot::committed();
         let mut t = table();
-        t.insert(row(1, "a", 10)).unwrap();
-        t.insert(row(2, "a", 20)).unwrap();
-        t.insert(row(3, "b", 30)).unwrap();
+        t.insert(&s, row(1, "a", 10)).unwrap();
+        t.insert(&s, row(2, "a", 20)).unwrap();
+        t.insert(&s, row(3, "b", 30)).unwrap();
         t.create_index("t_name", &["name".into()], false).unwrap();
         let idx = t.find_index(&[1]).unwrap();
         let hits: Vec<RowId> = idx.lookup(&SortKey(vec![Value::text("a")])).collect();
@@ -1218,9 +1121,10 @@ mod tests {
 
     #[test]
     fn unique_index_creation_fails_on_duplicates() {
+        let s = Snapshot::committed();
         let mut t = table();
-        t.insert(row(1, "a", 10)).unwrap();
-        t.insert(row(2, "a", 20)).unwrap();
+        t.insert(&s, row(1, "a", 10)).unwrap();
+        t.insert(&s, row(2, "a", 20)).unwrap();
         let err = t
             .create_index("u_name", &["name".into()], true)
             .unwrap_err();
@@ -1229,6 +1133,7 @@ mod tests {
 
     #[test]
     fn unique_index_ignores_null_keys() {
+        let s = Snapshot::committed();
         let schema = TableSchema::new(
             "t",
             vec![Column::new("a", DataType::Int), {
@@ -1240,10 +1145,10 @@ mod tests {
         )
         .unwrap();
         let mut t = Table::new(schema);
-        t.insert(vec![Value::Int(1), Value::Null]).unwrap();
-        t.insert(vec![Value::Int(2), Value::Null]).unwrap(); // two NULLs fine
-        t.insert(vec![Value::Int(3), Value::Int(9)]).unwrap();
-        assert!(t.insert(vec![Value::Int(4), Value::Int(9)]).is_err());
+        t.insert(&s, vec![Value::Int(1), Value::Null]).unwrap();
+        t.insert(&s, vec![Value::Int(2), Value::Null]).unwrap(); // two NULLs fine
+        t.insert(&s, vec![Value::Int(3), Value::Int(9)]).unwrap();
+        assert!(t.insert(&s, vec![Value::Int(4), Value::Int(9)]).is_err());
     }
 
     #[test]
@@ -1259,6 +1164,7 @@ mod tests {
 
     #[test]
     fn defaults_fill_nulls() {
+        let s = Snapshot::committed();
         let schema = TableSchema::new(
             "t",
             vec![Column::new("a", DataType::Int), {
@@ -1270,7 +1176,7 @@ mod tests {
         )
         .unwrap();
         let mut t = Table::new(schema);
-        let id = t.insert(vec![Value::Int(1), Value::Null]).unwrap();
+        let id = t.insert(&s, vec![Value::Int(1), Value::Null]).unwrap();
         assert_eq!(t.get(id).unwrap()[1], Value::Int(42));
     }
 
@@ -1286,80 +1192,83 @@ mod tests {
 
     #[test]
     fn unique_composite_index_ignores_null_keys() {
+        let s = Snapshot::committed();
         // SQL unique semantics: a key containing NULL never conflicts,
         // even with an identical NULL-containing key.
         let mut t = table();
         t.create_index("u", &["name".into(), "qty".into()], true)
             .unwrap();
-        t.insert(vec![Value::Int(1), Value::Null, Value::Int(5)])
+        t.insert(&s, vec![Value::Int(1), Value::Null, Value::Int(5)])
             .unwrap();
-        t.insert(vec![Value::Int(2), Value::Null, Value::Int(5)])
+        t.insert(&s, vec![Value::Int(2), Value::Null, Value::Int(5)])
             .unwrap();
-        t.insert(vec![Value::Int(3), Value::text("a"), Value::Null])
+        t.insert(&s, vec![Value::Int(3), Value::text("a"), Value::Null])
             .unwrap();
-        t.insert(vec![Value::Int(4), Value::text("a"), Value::Null])
+        t.insert(&s, vec![Value::Int(4), Value::text("a"), Value::Null])
             .unwrap();
         assert_eq!(t.len(), 4);
         // Fully non-NULL duplicates are still rejected.
-        t.insert(row(5, "b", 7)).unwrap();
-        let err = t.insert(row(6, "b", 7)).unwrap_err();
+        t.insert(&s, row(5, "b", 7)).unwrap();
+        let err = t.insert(&s, row(6, "b", 7)).unwrap_err();
         assert_eq!(err.class(), "constraint");
     }
 
     #[test]
     fn update_moves_null_composite_keys_correctly() {
+        let s = Snapshot::committed();
         let mut t = table();
         t.create_index("u", &["name".into(), "qty".into()], true)
             .unwrap();
         let id = t
-            .insert(vec![Value::Int(1), Value::Null, Value::Int(5)])
+            .insert(&s, vec![Value::Int(1), Value::Null, Value::Int(5)])
             .unwrap();
 
         // NULL → value: the row must move to the concrete key and start
         // participating in uniqueness.
-        t.update(id, row(1, "a", 5)).unwrap();
+        t.update(&s, id, row(1, "a", 5)).unwrap();
         let idx = t.find_index(&[1, 2]).unwrap();
         let hits: Vec<_> = idx
             .lookup(&SortKey(vec![Value::text("a"), Value::Int(5)]))
             .collect();
         assert_eq!(hits, vec![id]);
-        let err = t.insert(row(2, "a", 5)).unwrap_err();
+        let err = t.insert(&s, row(2, "a", 5)).unwrap_err();
         assert_eq!(err.class(), "constraint");
 
         // value → NULL: leaves the concrete key free again.
-        t.update(id, vec![Value::Int(1), Value::Null, Value::Int(5)])
+        t.update(&s, id, vec![Value::Int(1), Value::Null, Value::Int(5)])
             .unwrap();
-        t.insert(row(2, "a", 5)).unwrap();
+        t.insert(&s, row(2, "a", 5)).unwrap();
 
-        // NULL-key update where the key is unchanged (the borrowed
-        // comparison short-circuits; NULL == NULL under total order).
-        t.update(id, vec![Value::Int(1), Value::Null, Value::Int(5)])
+        // NULL-key update where the key is unchanged (NULL == NULL under
+        // total order, so the entry stays put).
+        t.update(&s, id, vec![Value::Int(1), Value::Null, Value::Int(5)])
             .unwrap();
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn delete_removes_null_composite_keys() {
+        let s = Snapshot::committed();
         let mut t = table();
         t.create_index("u", &["name".into(), "qty".into()], true)
             .unwrap();
         let a = t
-            .insert(vec![Value::Int(1), Value::Null, Value::Int(5)])
+            .insert(&s, vec![Value::Int(1), Value::Null, Value::Int(5)])
             .unwrap();
         let b = t
-            .insert(vec![Value::Int(2), Value::Null, Value::Int(5)])
+            .insert(&s, vec![Value::Int(2), Value::Null, Value::Int(5)])
             .unwrap();
-        t.delete(a).unwrap();
+        t.delete(&s, a).unwrap();
         let idx = t.find_index(&[1, 2]).unwrap();
         let hits: Vec<_> = idx
             .lookup(&SortKey(vec![Value::Null, Value::Int(5)]))
             .collect();
         assert_eq!(hits, vec![b]);
-        t.delete(b).unwrap();
+        t.delete(&s, b).unwrap();
         assert_eq!(t.find_index(&[1, 2]).unwrap().key_count(), 0);
     }
 
-    // ---- MVCC version-chain semantics (snapshot installed) ----
+    // ---- MVCC version-chain semantics ----
 
     fn snap(ts: u64) -> (Snapshot, TxnStamp) {
         let stamp = new_stamp();
@@ -1373,59 +1282,55 @@ mod tests {
     }
 
     #[test]
+    fn committed_snapshot_skips_unstamped_versions() {
+        let mut t = table();
+        let committed = Snapshot::committed();
+        let id = t.insert(&committed, row(1, "a", 10)).unwrap();
+        // An open writer pushes an unstamped version and a new row.
+        let (w, _) = snap(5);
+        t.update(&w, id, row(1, "a", 20)).unwrap();
+        t.insert(&w, row(2, "b", 30)).unwrap();
+        // The physical latest is the unstamped version...
+        assert_eq!(t.get(id).unwrap()[2], Value::Int(20));
+        // ...but the committed snapshot reads the committed one only.
+        assert_eq!(t.get_visible(&committed, id).unwrap()[2], Value::Int(10));
+        let rows: Vec<_> = t.iter(&committed).map(|(_, r)| r[2].clone()).collect();
+        assert_eq!(rows, vec![Value::Int(10)]);
+    }
+
+    #[test]
     fn versioned_update_preserves_old_version_for_older_snapshot() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 10)).unwrap(); // bootstrap ts=1
+        let id = t.insert(&Snapshot::committed(), row(1, "a", 10)).unwrap(); // ts=1
 
         // Writer at snapshot ts=5 updates; not yet committed.
-        let (wsnap, wstamp) = snap(5);
-        {
-            let _scope = enter_snapshot(wsnap);
-            t.update(id, row(1, "a", 20)).unwrap();
-            // Writer sees its own uncommitted version.
-            assert_eq!(t.get_visible(id).unwrap()[2], Value::Int(20));
-        }
+        let (w, wstamp) = snap(5);
+        t.update(&w, id, row(1, "a", 20)).unwrap();
+        // Writer sees its own uncommitted version.
+        assert_eq!(t.get_visible(&w, id).unwrap()[2], Value::Int(20));
         assert_eq!(t.version_count(), 2);
 
         // A reader snapshot (any ts) does not see the uncommitted write.
-        let (rsnap, _) = snap(9);
-        {
-            let _scope = enter_snapshot(rsnap);
-            assert_eq!(t.get_visible(id).unwrap()[2], Value::Int(10));
-        }
+        let (r, _) = snap(9);
+        assert_eq!(t.get_visible(&r, id).unwrap()[2], Value::Int(10));
 
         // Commit at ts=6: readers at ts>=6 see it, older snapshots don't.
         wstamp.store(6, AtomicOrd::Release);
-        let (new_r, _) = snap(9);
-        {
-            let _scope = enter_snapshot(new_r);
-            assert_eq!(t.get_visible(id).unwrap()[2], Value::Int(20));
-        }
-        let (old_r, _) = snap(5);
-        {
-            let _scope = enter_snapshot(old_r);
-            assert_eq!(t.get_visible(id).unwrap()[2], Value::Int(10));
-        }
+        assert_eq!(t.get_visible(&snap(9).0, id).unwrap()[2], Value::Int(20));
+        assert_eq!(t.get_visible(&snap(5).0, id).unwrap()[2], Value::Int(10));
     }
 
     #[test]
     fn versioned_delete_is_tombstone_until_gc() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 10)).unwrap();
-        let (wsnap, wstamp) = snap(5);
-        {
-            let _scope = enter_snapshot(wsnap);
-            t.delete(id).unwrap();
-            assert!(t.get_visible(id).is_none()); // own delete visible
-        }
-        // Old snapshot still sees the row.
+        let id = t.insert(&Snapshot::committed(), row(1, "a", 10)).unwrap();
+        let (w, wstamp) = snap(5);
+        t.delete(&w, id).unwrap();
+        assert!(t.get_visible(&w, id).is_none()); // own delete visible
+                                                  // Old snapshot still sees the row.
         let (r, _) = snap(5);
-        {
-            let _scope = enter_snapshot(r);
-            assert_eq!(t.get_visible(id).unwrap()[0], Value::Int(1));
-            let all: Vec<_> = t.iter().collect();
-            assert_eq!(all.len(), 1);
-        }
+        assert_eq!(t.get_visible(&r, id).unwrap()[0], Value::Int(1));
+        assert_eq!(t.iter(&r).count(), 1);
         assert_eq!(t.len(), 0); // physically dead (newest is tombstone)
         wstamp.store(6, AtomicOrd::Release);
         // After commit + GC past the tombstone, the chain is gone.
@@ -1436,90 +1341,74 @@ mod tests {
     #[test]
     fn stamped_undo_restores_exact_state() {
         let mut t = table();
-        let a = t.insert(row(1, "a", 10)).unwrap();
-        let (wsnap, wstamp) = snap(5);
-        let b;
-        {
-            let _scope = enter_snapshot(wsnap);
-            b = t.insert(row(2, "b", 20)).unwrap();
-            t.update(a, row(1, "a", 99)).unwrap();
-            t.delete(a).unwrap();
-        }
+        let a = t.insert(&Snapshot::committed(), row(1, "a", 10)).unwrap();
+        let (w, wstamp) = snap(5);
+        let b = t.insert(&w, row(2, "b", 20)).unwrap();
+        t.update(&w, a, row(1, "a", 99)).unwrap();
+        t.delete(&w, a).unwrap();
         // Roll all three back (reverse order, as the undo log would).
-        t.undo_delete(a, &wstamp);
-        t.undo_update(a, &wstamp);
-        t.undo_insert(b, &wstamp);
+        t.undo_write(a, &wstamp);
+        t.undo_write(a, &wstamp);
+        t.undo_write(b, &wstamp);
         assert_eq!(t.len(), 1);
         assert_eq!(t.version_count(), 1);
         assert_eq!(t.get(a).unwrap()[2], Value::Int(10));
         // Index state restored: key 2 free again, key 1 still taken.
-        t.insert(row(2, "b2", 1)).unwrap();
-        assert!(t.insert(row(1, "dup", 1)).is_err());
+        t.insert(&w, row(2, "b2", 1)).unwrap();
+        assert!(t.insert(&w, row(1, "dup", 1)).is_err());
     }
 
     #[test]
     fn index_entries_follow_visibility() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 10)).unwrap();
-        t.insert(row(2, "b", 20)).unwrap();
+        let committed = Snapshot::committed();
+        let id = t.insert(&committed, row(1, "a", 10)).unwrap();
+        t.insert(&committed, row(2, "b", 20)).unwrap();
         t.create_index("t_name", &["name".into()], false).unwrap();
 
-        let (wsnap, wstamp) = snap(5);
-        {
-            let _scope = enter_snapshot(wsnap);
-            t.update(id, row(1, "z", 11)).unwrap();
-        }
+        let (w, wstamp) = snap(5);
+        t.update(&w, id, row(1, "z", 11)).unwrap();
         wstamp.store(6, AtomicOrd::Release);
 
         // Old snapshot: sees the row under its old key, not the new one.
         let (old_r, _) = snap(5);
-        {
-            let _scope = enter_snapshot(old_r);
-            let idx = t.find_index(&[1]).unwrap();
-            let a_hits = t.index_eq_entries(idx, &SortKey(vec![Value::text("a")]));
-            assert_eq!(a_hits.len(), 1);
-            assert_eq!(a_hits[0].1[2], Value::Int(10));
-            assert!(t
-                .index_eq_entries(idx, &SortKey(vec![Value::text("z")]))
-                .is_empty());
-            // Range walk emits each visible row exactly once.
-            let all = t.index_range_entries(idx, None, None, false, true);
-            assert_eq!(all.len(), 2);
-        }
+        let idx = t.find_index(&[1]).unwrap();
+        let a_hits = t.index_eq_entries(&old_r, idx, &SortKey(vec![Value::text("a")]));
+        assert_eq!(a_hits.len(), 1);
+        assert_eq!(a_hits[0].1[2], Value::Int(10));
+        assert!(t
+            .index_eq_entries(&old_r, idx, &SortKey(vec![Value::text("z")]))
+            .is_empty());
+        // Range walk emits each visible row exactly once.
+        let all = t.index_range_entries(&old_r, idx, None, None, false, true);
+        assert_eq!(all.len(), 2);
+
         // New snapshot: new key only.
         let (new_r, _) = snap(6);
-        {
-            let _scope = enter_snapshot(new_r);
-            let idx = t.find_index(&[1]).unwrap();
-            assert!(t
-                .index_eq_entries(idx, &SortKey(vec![Value::text("a")]))
-                .is_empty());
-            assert_eq!(
-                t.index_eq_entries(idx, &SortKey(vec![Value::text("z")]))
-                    .len(),
-                1
-            );
-            let all = t.index_range_entries(idx, None, None, false, true);
-            assert_eq!(all.len(), 2);
-        }
+        assert!(t
+            .index_eq_entries(&new_r, idx, &SortKey(vec![Value::text("a")]))
+            .is_empty());
+        assert_eq!(
+            t.index_eq_entries(&new_r, idx, &SortKey(vec![Value::text("z")]))
+                .len(),
+            1
+        );
+        let all = t.index_range_entries(&new_r, idx, None, None, false, true);
+        assert_eq!(all.len(), 2);
     }
 
     #[test]
     fn stale_index_entries_do_not_block_unique_inserts() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 10)).unwrap();
-        let (wsnap, wstamp) = snap(5);
-        {
-            let _scope = enter_snapshot(wsnap);
-            // Move pk 1 -> 7; the historical pk-1 entry must not block a
-            // fresh insert of pk 1, and pk 7 must now clash.
-            t.update(id, row(7, "a", 10)).unwrap();
-        }
+        let id = t.insert(&Snapshot::committed(), row(1, "a", 10)).unwrap();
+        let (w, wstamp) = snap(5);
+        // Move pk 1 -> 7; the historical pk-1 entry must not block a
+        // fresh insert of pk 1, and pk 7 must now clash.
+        t.update(&w, id, row(7, "a", 10)).unwrap();
         wstamp.store(6, AtomicOrd::Release);
         let (w2, _) = snap(6);
-        let _scope = enter_snapshot(w2);
-        t.insert(row(1, "fresh", 1)).unwrap();
-        assert!(t.insert(row(7, "dup", 1)).is_err());
+        t.insert(&w2, row(1, "fresh", 1)).unwrap();
+        assert!(t.insert(&w2, row(7, "dup", 1)).is_err());
     }
 
     #[test]
@@ -1530,11 +1419,10 @@ mod tests {
         let shared = Arc::new(MvccShared::default());
         shared.floor.store(1, AtomicOrd::Release);
         t.attach_mvcc(Arc::clone(&shared));
-        let id = t.insert(row(1, "a", 0)).unwrap();
+        let id = t.insert(&Snapshot::committed(), row(1, "a", 0)).unwrap();
         for (i, commit_ts) in [(1i64, 10u64), (2, 20), (3, 30)] {
-            let (wsnap, wstamp) = snap(commit_ts - 1);
-            let _scope = enter_snapshot(wsnap);
-            t.update(id, row(1, "a", i)).unwrap();
+            let (w, wstamp) = snap(commit_ts - 1);
+            t.update(&w, id, row(1, "a", i)).unwrap();
             wstamp.store(commit_ts, AtomicOrd::Release);
         }
         assert_eq!(t.version_count(), 4);
@@ -1544,11 +1432,7 @@ mod tests {
         t.gc_versions(15);
         assert_eq!(t.version_count(), 3);
         // Snapshot at 15 still reads qty=1 (the ts=10 version).
-        let (r, _) = snap(15);
-        {
-            let _scope = enter_snapshot(r);
-            assert_eq!(t.get_visible(id).unwrap()[2], Value::Int(1));
-        }
+        assert_eq!(t.get_visible(&snap(15).0, id).unwrap()[2], Value::Int(1));
         // No active snapshots: everything but the newest drops.
         t.gc_versions(u64::MAX);
         assert_eq!(t.version_count(), 1);
@@ -1558,16 +1442,27 @@ mod tests {
     #[test]
     fn inline_trim_bounds_chain_growth() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 0)).unwrap();
+        let id = t.insert(&Snapshot::committed(), row(1, "a", 0)).unwrap();
         // Repeated committed autocommit updates with no active snapshots
         // (floor = MAX): chains must not grow without bound.
         for i in 1..100i64 {
-            let (wsnap, wstamp) = snap(u64::MAX - 1);
-            // floor stays MAX in this direct-table test
-            let _scope = enter_snapshot(wsnap);
-            t.update(id, row(1, "a", i)).unwrap();
+            let (w, wstamp) = snap(u64::MAX - 1);
+            t.update(&w, id, row(1, "a", i)).unwrap();
             wstamp.store(i as u64 + 1, AtomicOrd::Release);
         }
         assert!(t.version_count() <= 3, "chain grew: {}", t.version_count());
+    }
+
+    #[test]
+    fn physical_remove_leaves_no_tombstone() {
+        let mut t = table();
+        let committed = Snapshot::committed();
+        let a = t.insert(&committed, row(1, "a", 1)).unwrap();
+        t.insert(&committed, row(2, "b", 2)).unwrap();
+        t.remove(a);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.version_count(), 1);
+        // Its key is free again.
+        t.insert(&committed, row(1, "again", 3)).unwrap();
     }
 }

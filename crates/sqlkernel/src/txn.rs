@@ -10,12 +10,12 @@
 //! Concurrency note: statements run under MVCC snapshots (see
 //! `storage.rs`): an open transaction's writes are versions stamped with
 //! its [`TxnStamp`] and stay invisible to other connections until COMMIT
-//! publishes the commit timestamp. A *stamped* log therefore rolls row
-//! ops back surgically — `undo_insert`/`undo_update`/`undo_delete`
-//! remove exactly the version this transaction pushed, leaving versions
-//! other transactions stacked above or below untouched. A stampless log
-//! (WAL recovery, direct `Table` tests) falls back to flat physical
-//! undo, byte-identical to the single-version engine.
+//! publishes the commit timestamp. Every log carries that stamp, so it
+//! rolls row ops back surgically — `Table::undo_write` removes exactly
+//! the version this transaction pushed, leaving versions other
+//! transactions stacked above or below untouched.
+//! (WAL recovery never builds an `UndoLog`: it undoes losers from the
+//! log's own before-images.)
 
 use crate::catalog::{Catalog, Procedure, Sequence, View};
 use crate::storage::{Index, Row, RowId, Table, TxnStamp};
@@ -68,32 +68,21 @@ pub enum UndoOp {
 }
 
 /// An ordered list of compensation entries.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct UndoLog {
     ops: Vec<UndoOp>,
-    /// The version stamp this log's row writes carry. When set, rollback
-    /// removes exactly the stamped versions; when `None` (recovery,
-    /// direct-table tests), rollback applies flat physical compensation.
-    stamp: Option<TxnStamp>,
+    /// The version stamp this log's row writes carry; rollback removes
+    /// exactly the versions stamped with it.
+    stamp: TxnStamp,
 }
 
 impl UndoLog {
-    /// Empty log.
-    pub fn new() -> UndoLog {
-        UndoLog::default()
-    }
-
     /// Empty log whose row writes are stamped with `stamp`.
-    pub fn with_stamp(stamp: TxnStamp) -> UndoLog {
+    pub fn new(stamp: TxnStamp) -> UndoLog {
         UndoLog {
             ops: Vec::new(),
-            stamp: Some(stamp),
+            stamp,
         }
-    }
-
-    /// This log's version stamp, if any.
-    pub fn stamp(&self) -> Option<&TxnStamp> {
-        self.stamp.as_ref()
     }
 
     /// Record one entry.
@@ -127,23 +116,12 @@ impl UndoLog {
     /// re-enter the catalog's table map while its guard is held. Non-row
     /// entries cannot occur on that path (DDL never takes it).
     pub fn rollback_on_table(self, table: &mut Table) {
-        let stamp = self.stamp;
+        let stamp = &self.stamp;
         for op in self.ops.into_iter().rev() {
             match op {
-                UndoOp::Insert { row_id, .. } => match &stamp {
-                    Some(s) => table.undo_insert(row_id, s),
-                    None => {
-                        let _ = table.delete(row_id);
-                    }
-                },
-                UndoOp::Delete { row_id, row, .. } => match &stamp {
-                    Some(s) => table.undo_delete(row_id, s),
-                    None => table.restore(row_id, row),
-                },
-                UndoOp::Update { row_id, old, .. } => match &stamp {
-                    Some(s) => table.undo_update(row_id, s),
-                    None => table.raw_replace(row_id, old),
-                },
+                UndoOp::Insert { row_id, .. }
+                | UndoOp::Delete { row_id, .. }
+                | UndoOp::Update { row_id, .. } => table.undo_write(row_id, stamp),
                 _ => debug_assert!(false, "fast-path undo log holds only row ops"),
             }
         }
@@ -156,33 +134,14 @@ impl UndoLog {
     /// the intermediate states exactly. Failures (which would indicate
     /// corruption) are ignored rather than panicking.
     pub fn rollback(self, catalog: &mut Catalog) {
-        let stamp = self.stamp;
+        let stamp = &self.stamp;
         for op in self.ops.into_iter().rev() {
             match op {
-                UndoOp::Insert { table, row_id } => {
+                UndoOp::Insert { table, row_id }
+                | UndoOp::Delete { table, row_id, .. }
+                | UndoOp::Update { table, row_id, .. } => {
                     if let Ok(mut t) = catalog.table_mut(&table) {
-                        match &stamp {
-                            Some(s) => t.undo_insert(row_id, s),
-                            None => {
-                                let _ = t.delete(row_id);
-                            }
-                        }
-                    }
-                }
-                UndoOp::Delete { table, row_id, row } => {
-                    if let Ok(mut t) = catalog.table_mut(&table) {
-                        match &stamp {
-                            Some(s) => t.undo_delete(row_id, s),
-                            None => t.restore(row_id, row),
-                        }
-                    }
-                }
-                UndoOp::Update { table, row_id, old } => {
-                    if let Ok(mut t) = catalog.table_mut(&table) {
-                        match &stamp {
-                            Some(s) => t.undo_update(row_id, s),
-                            None => t.raw_replace(row_id, old),
-                        }
+                        t.undo_write(row_id, stamp);
                     }
                 }
                 UndoOp::CreateTable { name } => {
@@ -241,8 +200,11 @@ impl UndoLog {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::schema::{Column, TableSchema};
+    use crate::storage::{new_stamp, Snapshot};
     use crate::types::{DataType, Value};
 
     fn catalog_with_table() -> Catalog {
@@ -264,14 +226,30 @@ mod tests {
         c
     }
 
+    /// An open transaction: a snapshot with a fresh (uncommitted) stamp
+    /// and an empty undo log carrying the same stamp.
+    fn txn() -> (Snapshot, UndoLog) {
+        let stamp = new_stamp();
+        let log = UndoLog::new(Arc::clone(&stamp));
+        (Snapshot { ts: 1, stamp }, log)
+    }
+
+    /// Insert one committed row (the state a transaction starts from).
+    fn committed_row(c: &mut Catalog, v: &str) -> RowId {
+        c.table_mut("t")
+            .unwrap()
+            .insert(&Snapshot::committed(), vec![Value::Int(1), Value::text(v)])
+            .unwrap()
+    }
+
     #[test]
     fn rollback_insert() {
         let mut c = catalog_with_table();
-        let mut log = UndoLog::new();
+        let (snap, mut log) = txn();
         let id = c
             .table_mut("t")
             .unwrap()
-            .insert(vec![Value::Int(1), Value::text("a")])
+            .insert(&snap, vec![Value::Int(1), Value::text("a")])
             .unwrap();
         log.record(UndoOp::Insert {
             table: "t".into(),
@@ -279,18 +257,15 @@ mod tests {
         });
         log.rollback(&mut c);
         assert_eq!(c.table("t").unwrap().len(), 0);
+        assert_eq!(c.table("t").unwrap().version_count(), 0);
     }
 
     #[test]
     fn rollback_delete_restores_row() {
         let mut c = catalog_with_table();
-        let id = c
-            .table_mut("t")
-            .unwrap()
-            .insert(vec![Value::Int(1), Value::text("a")])
-            .unwrap();
-        let mut log = UndoLog::new();
-        let row = c.table_mut("t").unwrap().delete(id).unwrap();
+        let id = committed_row(&mut c, "a");
+        let (snap, mut log) = txn();
+        let row = c.table_mut("t").unwrap().delete(&snap, id).unwrap();
         log.record(UndoOp::Delete {
             table: "t".into(),
             row_id: id,
@@ -299,21 +274,18 @@ mod tests {
         log.rollback(&mut c);
         let t = c.table("t").unwrap();
         assert_eq!(t.get(id).unwrap()[1], Value::text("a"));
+        assert_eq!(t.version_count(), 1);
     }
 
     #[test]
     fn rollback_update_restores_old_image() {
         let mut c = catalog_with_table();
-        let id = c
-            .table_mut("t")
-            .unwrap()
-            .insert(vec![Value::Int(1), Value::text("old")])
-            .unwrap();
-        let mut log = UndoLog::new();
+        let id = committed_row(&mut c, "old");
+        let (snap, mut log) = txn();
         let old = c
             .table_mut("t")
             .unwrap()
-            .update(id, vec![Value::Int(1), Value::text("new")])
+            .update(&snap, id, vec![Value::Int(1), Value::text("new")])
             .unwrap();
         log.record(UndoOp::Update {
             table: "t".into(),
@@ -331,20 +303,24 @@ mod tests {
     fn rollback_reverses_in_order() {
         // insert then update then delete of the same row rolls back cleanly.
         let mut c = catalog_with_table();
-        let mut log = UndoLog::new();
+        let (snap, mut log) = txn();
         let mut t = c.table_mut("t").unwrap();
-        let id = t.insert(vec![Value::Int(9), Value::text("x")]).unwrap();
+        let id = t
+            .insert(&snap, vec![Value::Int(9), Value::text("x")])
+            .unwrap();
         log.record(UndoOp::Insert {
             table: "t".into(),
             row_id: id,
         });
-        let old = t.update(id, vec![Value::Int(9), Value::text("y")]).unwrap();
+        let old = t
+            .update(&snap, id, vec![Value::Int(9), Value::text("y")])
+            .unwrap();
         log.record(UndoOp::Update {
             table: "t".into(),
             row_id: id,
             old,
         });
-        let row = t.delete(id).unwrap();
+        let row = t.delete(&snap, id).unwrap();
         log.record(UndoOp::Delete {
             table: "t".into(),
             row_id: id,
@@ -353,12 +329,36 @@ mod tests {
         drop(t);
         log.rollback(&mut c);
         assert_eq!(c.table("t").unwrap().len(), 0);
+        assert_eq!(c.table("t").unwrap().version_count(), 0);
+    }
+
+    #[test]
+    fn rollback_on_table_leaves_other_writers_versions() {
+        // The held-guard rollback removes only its own stamp's versions.
+        let mut c = catalog_with_table();
+        let id = committed_row(&mut c, "base");
+        let (other, _other_log) = txn();
+        let (snap, mut log) = txn();
+        let mut t = c.table_mut("t").unwrap();
+        let mine = t
+            .insert(&snap, vec![Value::Int(2), Value::text("mine")])
+            .unwrap();
+        log.record(UndoOp::Insert {
+            table: "t".into(),
+            row_id: mine,
+        });
+        t.update(&other, id, vec![Value::Int(1), Value::text("theirs")])
+            .unwrap();
+        log.rollback_on_table(&mut t);
+        assert!(t.get(mine).is_none());
+        assert_eq!(t.get(id).unwrap()[1], Value::text("theirs"));
+        assert_eq!(t.version_count(), 2);
     }
 
     #[test]
     fn rollback_ddl() {
         let mut c = Catalog::new();
-        let mut log = UndoLog::new();
+        let (_, mut log) = txn();
         let schema = TableSchema::new("n", vec![Column::new("a", DataType::Int)], false).unwrap();
         c.add_table(Table::new(schema)).unwrap();
         log.record(UndoOp::CreateTable { name: "n".into() });
@@ -372,11 +372,8 @@ mod tests {
     #[test]
     fn rollback_drop_table_restores_contents() {
         let mut c = catalog_with_table();
-        c.table_mut("t")
-            .unwrap()
-            .insert(vec![Value::Int(5), Value::text("keep")])
-            .unwrap();
-        let mut log = UndoLog::new();
+        committed_row(&mut c, "keep");
+        let (_, mut log) = txn();
         let table = c.remove_table("t").unwrap();
         log.record(UndoOp::DropTable { table });
         log.rollback(&mut c);
@@ -385,9 +382,9 @@ mod tests {
 
     #[test]
     fn absorb_concatenates() {
-        let mut a = UndoLog::new();
+        let (_, mut a) = txn();
         a.record(UndoOp::CreateTable { name: "x".into() });
-        let mut b = UndoLog::new();
+        let (_, mut b) = txn();
         b.record(UndoOp::CreateTable { name: "y".into() });
         a.absorb(b);
         assert_eq!(a.len(), 2);

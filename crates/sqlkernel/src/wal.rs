@@ -59,7 +59,7 @@ use crate::catalog::{Catalog, Sequence};
 use crate::error::{SqlError, SqlResult};
 use crate::fault::crashed_error;
 use crate::schema::{Column, TableSchema};
-use crate::storage::{Row, RowId, Table};
+use crate::storage::{Row, RowId, Snapshot, Table};
 use crate::sync::Mutex;
 use crate::txn::UndoOp;
 use crate::types::{DataType, Value};
@@ -968,16 +968,16 @@ pub(crate) fn image_of(catalog: &Catalog, table: &Table) -> TableImage {
         schema: table.schema.clone(),
         next_row_id: table.next_row_id(),
         rows: table
-            .iter()
+            .iter(&Snapshot::committed())
             .map(|(id, row)| (id, (**row).clone()))
             .collect(),
         indexes: index_defs_of(catalog, table),
     }
 }
 
-/// Build a checkpoint snapshot of the catalog (temporary tables excluded —
-/// they die with their connection, so they must not be resurrected by
-/// recovery).
+/// Build a checkpoint snapshot of the catalog: every committed row, read
+/// under [`Snapshot::committed`] (temporary tables excluded — they die
+/// with their connection, so they must not be resurrected by recovery).
 pub fn snapshot_catalog(catalog: &Catalog) -> CheckpointSnapshot {
     let mut tables = Vec::new();
     for name in catalog.table_names() {
@@ -996,11 +996,13 @@ pub fn snapshot_catalog(catalog: &Catalog) -> CheckpointSnapshot {
 
 /// Derive redo records from a successful statement's scratch undo log.
 /// Must run while the statement's catalog lock is still held, so the
-/// after-images read here are exactly what the statement produced.
+/// after-images read here are exactly what the statement produced. A
+/// dropped table's image holds the rows visible to `snap`, the
+/// statement's snapshot.
 ///
 /// Views and stored procedures are skipped (not crash-durable), as is
 /// anything touching a temporary table.
-pub fn ops_from_undo(catalog: &Catalog, undo_ops: &[UndoOp]) -> Vec<WalOp> {
+pub fn ops_from_undo(catalog: &Catalog, snap: &Snapshot, undo_ops: &[UndoOp]) -> Vec<WalOp> {
     let mut out = Vec::with_capacity(undo_ops.len());
     for op in undo_ops {
         match op {
@@ -1060,7 +1062,7 @@ pub fn ops_from_undo(catalog: &Catalog, undo_ops: &[UndoOp]) -> Vec<WalOp> {
                         schema: table.schema.clone(),
                         next_row_id: table.next_row_id(),
                         rows: table
-                            .iter()
+                            .iter(snap)
                             .map(|(id, row)| (id, (**row).clone()))
                             .collect(),
                         indexes: table
@@ -1266,7 +1268,7 @@ pub(crate) fn apply_redo(catalog: &mut Catalog, op: &WalOp) {
         }
         WalOp::Delete { table, row_id, .. } => {
             if let Ok(mut t) = catalog.table_mut(table) {
-                let _ = t.delete(*row_id);
+                t.remove(*row_id);
             }
         }
         WalOp::CreateTable { schema } => {
@@ -1310,7 +1312,7 @@ fn apply_undo(catalog: &mut Catalog, op: &WalOp) {
     match op {
         WalOp::Insert { table, row_id, .. } => {
             if let Ok(mut t) = catalog.table_mut(table) {
-                let _ = t.delete(*row_id);
+                t.remove(*row_id);
             }
         }
         WalOp::Update {
@@ -2283,8 +2285,11 @@ mod tests {
         )
         .unwrap();
         let mut t = Table::new(schema);
-        t.insert(vec![Value::Int(1), Value::Float(1.5)]).unwrap();
-        t.insert(vec![Value::Int(2), Value::Null]).unwrap();
+        let committed = Snapshot::committed();
+        t.insert(&committed, vec![Value::Int(1), Value::Float(1.5)])
+            .unwrap();
+        t.insert(&committed, vec![Value::Int(2), Value::Null])
+            .unwrap();
         t.create_index("o_x", &["x".into()], false).unwrap();
         catalog.add_table(t).unwrap();
         catalog.register_index("o_x", "o").unwrap();

@@ -11,13 +11,16 @@
 //! chaos step rotates schedules without editing the test.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
+use std::time::Duration;
 
 use flowsql::bis::DataSourceRegistry;
 use flowsql::patterns::chaos::{crash_storm, db_fingerprint, scripted_storm};
 use flowsql::soa::SoaEnvironment;
-use flowsql::sqlkernel::{Database, MemLogStore, Value};
+use flowsql::sqlkernel::{
+    Database, LogStore, MemLogStore, MemPageStore, PageStore, SqlResult, Value,
+};
 use flowsql::wf::WfHost;
 
 // ---------------------------------------------------------------------------
@@ -194,6 +197,201 @@ fn concurrent_increments_serialize() {
         w.join().unwrap();
     }
     assert_eq!(read_v(&db, 1), 10 + THREADS * PER_THREAD);
+}
+
+/// Statements the connection hands straight to the interpreter — a
+/// script, and the body of a stored procedure — run under the open
+/// transaction's snapshot: they see its earlier writes and their own,
+/// while other connections see none of it until COMMIT.
+#[test]
+fn interpreted_statements_see_their_transactions_writes() {
+    let db = counter_db("mvcc_own_writes");
+    let conn = db.connect();
+    conn.execute(
+        "CREATE PROCEDURE bump(k) AS BEGIN \
+           UPDATE t SET v = v + 1 WHERE id = :k; \
+           SELECT v FROM t WHERE id = :k; \
+         END",
+        &[],
+    )
+    .unwrap();
+    conn.execute("BEGIN", &[]).unwrap();
+    conn.execute("INSERT INTO t VALUES (3, 30)", &[]).unwrap();
+
+    let script = conn
+        .execute_script("UPDATE t SET v = v + 5 WHERE id = 3; SELECT v FROM t WHERE id = 3")
+        .unwrap();
+    assert_eq!(
+        script[0].affected(),
+        Some(1),
+        "script missed the txn's insert"
+    );
+    let rows = script.into_iter().nth(1).unwrap().rows().unwrap();
+    assert_eq!(rows.rows, vec![vec![Value::Int(35)]]);
+
+    let called = conn.execute("CALL bump(3)", &[]).unwrap().rows().unwrap();
+    assert_eq!(called.rows, vec![vec![Value::Int(36)]]);
+    assert_eq!(
+        conn.query("SELECT v FROM t WHERE id = 3", &[])
+            .unwrap()
+            .rows,
+        vec![vec![Value::Int(36)]]
+    );
+
+    // Nothing leaked to other connections before COMMIT.
+    assert!(db
+        .connect()
+        .query("SELECT v FROM t WHERE id = 3", &[])
+        .unwrap()
+        .is_empty());
+    conn.execute("COMMIT", &[]).unwrap();
+    assert_eq!(read_v(&db, 3), 36);
+}
+
+/// A log store that, once armed, parks the next `append` until the test
+/// releases it — a WAL write that takes as long as the test likes.
+#[derive(Debug)]
+struct ParkingLog {
+    inner: MemLogStore,
+    armed: AtomicBool,
+    gate: Barrier,
+}
+
+impl LogStore for ParkingLog {
+    fn append(&self, bytes: &[u8]) -> SqlResult<()> {
+        if self.armed.swap(false, Ordering::AcqRel) {
+            self.gate.wait(); // parked
+            self.gate.wait(); // released
+        }
+        self.inner.append(bytes)
+    }
+    fn read_all(&self) -> SqlResult<Vec<u8>> {
+        self.inner.read_all()
+    }
+    fn reset(&self, bytes: &[u8]) -> SqlResult<()> {
+        self.inner.reset(bytes)
+    }
+    fn size(&self) -> SqlResult<u64> {
+        self.inner.size()
+    }
+}
+
+/// A writer parked inside its WAL append holds no guard a reader needs:
+/// a SELECT on the same table from another connection completes and
+/// sees the pre-statement value, and the new value appears only once
+/// the append returns and the statement commits.
+#[test]
+fn readers_proceed_while_a_writer_waits_on_its_log_append() {
+    let log = Arc::new(ParkingLog {
+        inner: MemLogStore::new(),
+        armed: AtomicBool::new(false),
+        gate: Barrier::new(2),
+    });
+    let db = Database::with_wal("mvcc_append_window", log.clone());
+    db.connect()
+        .execute_script(
+            "CREATE TABLE t (id INT PRIMARY KEY, v INT);
+             INSERT INTO t VALUES (1, 10);",
+        )
+        .unwrap();
+
+    log.armed.store(true, Ordering::Release);
+    let writer = {
+        let db = db.clone();
+        thread::spawn(move || {
+            db.connect()
+                .execute("UPDATE t SET v = 99 WHERE id = 1", &[])
+                .unwrap()
+        })
+    };
+    log.gate.wait(); // the writer is now inside its append
+
+    let (tx, rx) = mpsc::channel();
+    let reader = {
+        let db = db.clone();
+        thread::spawn(move || tx.send(read_v(&db, 1)).unwrap())
+    };
+    let seen = rx.recv_timeout(Duration::from_secs(10));
+    log.gate.wait(); // release the writer, whatever the reader did
+    reader.join().unwrap();
+    assert_eq!(writer.join().unwrap().affected(), Some(1));
+    assert_eq!(
+        seen,
+        Ok(10),
+        "the reader must finish during the append and see the old value"
+    );
+    assert_eq!(read_v(&db, 1), 99);
+}
+
+/// Checkpoints serialize the committed snapshot and replace the log
+/// history behind it, so one that slipped in between a COMMIT's log
+/// append and its stamp would drop an acknowledged transaction. Park a
+/// COMMIT inside its append, start a checkpoint on another thread, then
+/// release the COMMIT: the checkpoint must wait for the stamp, and a
+/// reopen from a copy of the surviving bytes must hold the transaction.
+/// Runs on both durable engines.
+#[test]
+fn checkpoint_waits_for_a_commit_in_its_log_append() {
+    fn race(log: Arc<ParkingLog>, db: Database, crash_copy: impl FnOnce() -> Database) {
+        let conn = db.connect();
+        conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)", &[])
+            .unwrap();
+        conn.execute("BEGIN", &[]).unwrap();
+        conn.execute("INSERT INTO t VALUES (1, 10)", &[]).unwrap();
+        log.armed.store(true, Ordering::Release);
+        let committer = thread::spawn(move || conn.execute("COMMIT", &[]).map(|_| ()));
+        log.gate.wait(); // the COMMIT is now inside its append
+        let checkpointer = {
+            let db = db.clone();
+            thread::spawn(move || db.checkpoint())
+        };
+        // Give the checkpoint time to queue on the catalog lock; if it
+        // has not, the test is merely weaker, never wrong.
+        thread::sleep(Duration::from_millis(50));
+        log.gate.wait(); // release the COMMIT
+        committer.join().unwrap().unwrap();
+        checkpointer.join().unwrap().unwrap();
+        let survived = crash_copy()
+            .connect()
+            .query("SELECT v FROM t WHERE id = 1", &[])
+            .unwrap()
+            .rows;
+        assert_eq!(survived, vec![vec![Value::Int(10)]], "committed row lost");
+    }
+    let parking_log = || {
+        Arc::new(ParkingLog {
+            inner: MemLogStore::new(),
+            armed: AtomicBool::new(false),
+            gate: Barrier::new(2),
+        })
+    };
+
+    let log = parking_log();
+    let db = Database::with_wal("ckpt_commit_log", log.clone());
+    race(log.clone(), db, || {
+        Database::recover(
+            "ckpt_commit_log",
+            Arc::new(MemLogStore::from_bytes(log.inner.bytes())),
+        )
+        .unwrap()
+    });
+
+    let (log, pages) = (parking_log(), MemPageStore::new());
+    let db = Database::open_paged(
+        "ckpt_commit_paged",
+        log.clone(),
+        Arc::new(pages.clone()),
+        16,
+    )
+    .unwrap();
+    race(log.clone(), db, || {
+        let copy = MemPageStore::new();
+        for no in 0..pages.page_count().unwrap() {
+            copy.write_page(no, &pages.read_page(no).unwrap()).unwrap();
+        }
+        let log = MemLogStore::from_bytes(log.inner.bytes());
+        Database::open_paged("ckpt_commit_paged", Arc::new(log), Arc::new(copy), 16).unwrap()
+    });
 }
 
 // ---------------------------------------------------------------------------

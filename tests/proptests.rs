@@ -196,7 +196,8 @@ fn sql_literal_round_trips_through_parser() {
         let lit = v.to_sql_literal();
         let expr = flowsql::sqlkernel::parser::parse_expression(&lit).unwrap();
         let catalog = flowsql::sqlkernel::catalog::Catalog::new();
-        let ctx = flowsql::sqlkernel::expr::EvalCtx::constant(&catalog, &[]);
+        let snap = flowsql::sqlkernel::storage::Snapshot::committed();
+        let ctx = flowsql::sqlkernel::expr::EvalCtx::constant(&catalog, &snap, &[]);
         let back = flowsql::sqlkernel::expr::eval(&expr, &ctx).unwrap();
         match (&v, &back) {
             (Value::Float(a), Value::Float(b)) => {
