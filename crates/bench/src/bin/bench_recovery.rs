@@ -12,6 +12,10 @@
 //! * **Checkpoint interval** — the identical workload checkpointed every
 //!   K statements: more frequent checkpoints keep the log (and therefore
 //!   recovery) small at the price of snapshot writes during the run.
+//!
+//! `BENCH_SMOKE=1` shortens the workload and skips the JSON write — used
+//! by `scripts/verify.sh` to prove the binary runs without clobbering
+//! recorded results; the recovered row count is asserted in both modes.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,6 +23,7 @@ use std::time::Instant;
 use sqlkernel::{Database, MemLogStore, Value};
 
 const OPS: usize = 20_000;
+const SMOKE_OPS: usize = 600;
 const REPS: usize = 3;
 
 fn schema(db: &Database) {
@@ -31,9 +36,9 @@ fn schema(db: &Database) {
 }
 
 /// The DML mix: insert, update the row just written, read it back.
-fn run_workload(db: &Database, checkpoint_every: usize) {
+fn run_workload(db: &Database, ops: usize, checkpoint_every: usize) {
     let conn = db.connect();
-    for i in 0..OPS {
+    for i in 0..ops {
         let id = Value::Int((i / 3) as i64);
         match i % 3 {
             0 => conn
@@ -58,32 +63,34 @@ fn best_of<F: FnMut() -> f64>(mut f: F) -> f64 {
 }
 
 fn main() {
+    let smoke = std::env::var("BENCH_SMOKE").is_ok();
+    let ops = if smoke { SMOKE_OPS } else { OPS };
     // -------------------------------------------------- WAL overhead
     let t_mem = best_of(|| {
         let db = Database::new("plain");
         schema(&db);
         let start = Instant::now();
-        run_workload(&db, 0);
+        run_workload(&db, ops, 0);
         start.elapsed().as_secs_f64()
     });
     let t_wal = best_of(|| {
-        let db = Database::with_wal("durable", Arc::new(MemLogStore::new()));
+        let db = Database::recover("durable", Arc::new(MemLogStore::new())).unwrap();
         schema(&db);
         let start = Instant::now();
-        run_workload(&db, 0);
+        run_workload(&db, ops, 0);
         start.elapsed().as_secs_f64()
     });
-    let mem_sps = OPS as f64 / t_mem;
-    let wal_sps = OPS as f64 / t_wal;
+    let mem_sps = ops as f64 / t_mem;
+    let wal_sps = ops as f64 / t_wal;
     let overhead_pct = (t_wal - t_mem) / t_mem * 100.0;
     eprintln!("plain:   {mem_sps:>10.0} stmts/s");
     eprintln!("wal on:  {wal_sps:>10.0} stmts/s  ({overhead_pct:+.2}% time)");
 
     // -------------------------------------------------- recovery replay
     let store = MemLogStore::new();
-    let db = Database::with_wal("writer", Arc::new(store.clone()));
+    let db = Database::recover("writer", Arc::new(store.clone())).unwrap();
     schema(&db);
-    run_workload(&db, 0);
+    run_workload(&db, ops, 0);
     let log_bytes = store.bytes();
     let logged = sqlkernel::wal::scan(&log_bytes).records.len();
     drop(db); // the crash: only the log survives
@@ -97,7 +104,7 @@ fn main() {
             .execute("SELECT COUNT(*) FROM journal", &[])
             .unwrap();
         let grid = rows.rows().unwrap();
-        assert_eq!(grid.rows[0][0], Value::Int(OPS.div_ceil(3) as i64));
+        assert_eq!(grid.rows[0][0], Value::Int(ops.div_ceil(3) as i64));
         elapsed
     });
     let records_per_sec = logged as f64 / t_recover;
@@ -110,10 +117,10 @@ fn main() {
     let mut interval_rows = Vec::new();
     for every in [0usize, 5_000, 1_000, 200] {
         let store = MemLogStore::new();
-        let db = Database::with_wal("ckpt", Arc::new(store.clone()));
+        let db = Database::recover("ckpt", Arc::new(store.clone())).unwrap();
         schema(&db);
         let start = Instant::now();
-        run_workload(&db, every);
+        run_workload(&db, ops, every);
         let run_secs = start.elapsed().as_secs_f64();
         let bytes = store.bytes();
         let start = Instant::now();
@@ -126,17 +133,22 @@ fn main() {
         eprintln!(
             "checkpoint every {every:>5}: run {:.0} stmts/s, log {:>8} bytes, \
              recover {:.1} ms",
-            OPS as f64 / run_secs,
+            ops as f64 / run_secs,
             bytes.len(),
             recover_secs * 1e3,
         );
         interval_rows.push(format!(
             "    {{ \"checkpoint_every\": {every}, \"run_stmts_per_sec\": {:.1}, \
              \"final_log_bytes\": {}, \"recovery_ms\": {:.3} }}",
-            OPS as f64 / run_secs,
+            ops as f64 / run_secs,
             bytes.len(),
             recover_secs * 1e3,
         ));
+    }
+
+    if smoke {
+        eprintln!("BENCH_SMOKE set: assertions passed, JSON not written");
+        return;
     }
 
     let cpus = std::thread::available_parallelism()

@@ -34,7 +34,7 @@ struct Point {
 }
 
 fn fresh_db(workers: usize) -> Database {
-    let db = Database::with_wal("throughput", Arc::new(MemLogStore::new()));
+    let db = Database::recover("throughput", Arc::new(MemLogStore::new())).unwrap();
     let conn = db.connect();
     for w in 0..workers {
         conn.execute(

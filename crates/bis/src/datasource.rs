@@ -56,19 +56,15 @@ impl DataSourceRegistry {
     /// Resolve a connection string to a database. Names missing from
     /// the local directory fall back to the process-wide shared handle
     /// registry ([`Database::lookup`]), so a database another component
-    /// opened via [`Database::open`] (or published with
-    /// [`Database::publish`]) is reachable without re-registering it
-    /// here. The fallback never creates: unknown names still fail.
+    /// published with [`Database::publish`] is reachable without
+    /// re-registering it here. The fallback never creates: unknown names
+    /// still fail.
     pub fn resolve(&self, conn_string: &str) -> FlowResult<Database> {
         let name = parse_connection_string(conn_string)?;
         if let Some(db) = self.databases.get(name) {
             return Ok(db.clone());
         }
-        // `try_lookup`: a poisoned registry (a crashed shard thread died
-        // holding the lock) surfaces as a DbError here instead of a
-        // panic, so one dead stack cannot wedge this resolver.
-        Database::try_lookup(name)
-            .map_err(FlowError::Sql)?
+        Database::lookup(name)
             .ok_or_else(|| FlowError::Variable(format!("unknown data source '{name}'")))
     }
 

@@ -512,7 +512,7 @@ mod tests {
 
         let store = MemLogStore::new();
         {
-            let db = Database::with_wal("orders_db", Arc::new(store.clone()));
+            let db = Database::recover("orders_db", Arc::new(store.clone())).unwrap();
             db.connect()
                 .execute("CREATE TABLE intake (id INT PRIMARY KEY, s TEXT)", &[])
                 .unwrap();

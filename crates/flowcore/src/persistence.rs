@@ -797,7 +797,7 @@ mod tests {
         // only the second step, and its first attempt's partial work must
         // be invisible.
         let store = MemLogStore::new();
-        let db = Database::with_wal("p", Arc::new(store.clone()));
+        let db = Database::recover("p", Arc::new(store.clone())).unwrap();
         log_table(&db);
         let svc = PersistenceService::new(&db).unwrap();
         let effects = Rc::new(Cell::new(0));

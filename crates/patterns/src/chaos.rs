@@ -488,7 +488,7 @@ mod tests {
             let store = std::sync::Arc::new(sqlkernel::MemLogStore::new());
             let db = {
                 drop(db);
-                Database::with_wal("c", store)
+                Database::recover("c", store).unwrap()
             };
             db.connect()
                 .execute("CREATE TABLE t (v INT PRIMARY KEY)", &[])

@@ -170,7 +170,7 @@ mod tests {
     fn crash_between_pages_resumes_exactly_once() {
         let store = MemLogStore::new();
         {
-            let db = Database::with_wal("soa", Arc::new(store.clone()));
+            let db = Database::recover("soa", Arc::new(store.clone())).unwrap();
             audit_table(&db);
         }
         let mut rt = RetryRuntime::new(1);

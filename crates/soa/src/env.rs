@@ -50,11 +50,7 @@ impl SoaEnvironment {
         if let Some(db) = self.databases.get(name) {
             return Ok(db.clone());
         }
-        // `try_lookup`: a poisoned registry surfaces as a DbError
-        // instead of a panic, so a crashed shard thread in another
-        // stack cannot wedge this resolver.
-        Database::try_lookup(name)
-            .map_err(FlowError::Sql)?
+        Database::lookup(name)
             .ok_or_else(|| FlowError::Variable(format!("unknown database '{name}'")))
     }
 

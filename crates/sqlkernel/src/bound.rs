@@ -1,6 +1,6 @@
 //! Bound (compiled) scalar expressions.
 //!
-//! A [`BoundExpr`] is an [`Expr`](crate::ast::Expr) whose column references
+//! A [`BoundExpr`] is an [`Expr`] whose column references
 //! have been resolved to row ordinals once, at plan time, and whose constant
 //! subtrees have been folded. Evaluating one never touches column *names*,
 //! so the per-row cost of the interpreted evaluator's case-insensitive

@@ -9,14 +9,14 @@ use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::error::{SqlError, SqlResult};
 use crate::fault::{crashed_error, CrashPoint, FaultInjector, FaultPlan, PrepareCrash};
-use crate::pager::{self, FilePageStore, PageStore, PagedEngine};
+use crate::pager::{self, PageStore, PagedEngine};
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::CompiledPlan;
 use crate::storage::{new_stamp, MvccShared, Snapshot, Table, TxnStamp};
 use crate::sync::{Mutex, RwLock};
 use crate::txn::{UndoLog, UndoOp};
 use crate::types::Value;
-use crate::wal::{self, AppendMode, FileLogStore, LogStore, Wal, WalRecord};
+use crate::wal::{self, AppendMode, LogStore, Wal, WalRecord};
 
 /// Process-wide database instance counter. Each [`Database`] gets a
 /// unique tag; compiled-plan slots are keyed by `(tag, epoch)` so a plan
@@ -230,6 +230,7 @@ pub struct DbStats {
     pub in_doubt_aborts: u64,
     /// Crash recoveries this instance was born from (0 or 1: a recovered
     /// database is a fresh instance; counters do not leak across reopen).
+    /// A log-only open over an empty log replays nothing and reports 0.
     pub recoveries: u64,
     /// MVCC read snapshots registered (per statement in autocommit, per
     /// transaction under BEGIN…COMMIT).
@@ -338,7 +339,8 @@ struct DbInner {
     /// representation; the engine is consulted only at checkpoint (dirty
     /// page flush) and open (base image + repair).
     paged: Option<Arc<PagedEngine>>,
-    /// 1 when this instance was born from [`Database::recover`].
+    /// 1 when this instance was rebuilt from a log or page store (an
+    /// empty log opens fresh and leaves it 0).
     recovery_counter: AtomicU64,
     /// Torn-tail bytes the recovery scan dropped from the log.
     torn_tail_counter: AtomicU64,
@@ -453,31 +455,17 @@ impl Database {
         Database::build(name.into(), None, None)
     }
 
-    /// Create an empty database whose writes are logged to `store`.
-    /// The store is assumed empty (or disposable): use
-    /// [`Database::recover`] to resurrect an existing log.
-    pub fn with_wal(name: impl Into<String>, store: Arc<dyn LogStore>) -> Database {
-        Database::build(name.into(), Some(Wal::new(store, 1, 1)), None)
-    }
-
-    /// Open (or create) a file-backed durable database: recovers whatever
-    /// the log at `path` holds — nothing, a clean history, or the torn
-    /// tail of a crash — and continues logging to it.
-    pub fn open_durable(
-        name: impl Into<String>,
-        path: impl Into<std::path::PathBuf>,
-    ) -> SqlResult<Database> {
-        Database::recover(name, Arc::new(FileLogStore::new(path)))
-    }
-
-    /// Rebuild a database from its log alone. The in-memory state of the
-    /// instance that wrote the log is deliberately not consulted — this
-    /// is the crash path. Replays committed transactions, rolls back
-    /// uncommitted ones, discards any torn tail, then writes a fresh
-    /// checkpoint so the log is compact going forward.
+    /// Open a database whose writes are logged to `store`, rebuilt from
+    /// the log alone. The in-memory state of the instance that wrote the
+    /// log is deliberately not consulted — this is the crash path.
+    /// Replays committed transactions, rolls back uncommitted ones,
+    /// discards any torn tail, then writes a fresh checkpoint so the log
+    /// is compact going forward. An empty log (a new `MemLogStore`, a
+    /// `FileLogStore` path that does not exist yet) opens a fresh
+    /// database and writes nothing. A standalone database has no
+    /// coordinator to consult, so any in-doubt 2PC transaction resolves
+    /// by the presumed-abort rule.
     pub fn recover(name: impl Into<String>, store: Arc<dyn LogStore>) -> SqlResult<Database> {
-        // A standalone database has no coordinator to consult, so any
-        // in-doubt 2PC transaction resolves by the presumed-abort rule.
         Database::recover_resolving(name, store, |_| Ok(false))
     }
 
@@ -495,15 +483,59 @@ impl Database {
         store: Arc<dyn LogStore>,
         decide: impl FnMut(&wal::InDoubtTxn) -> SqlResult<bool>,
     ) -> SqlResult<Database> {
+        Database::recover_with(name.into(), store, None, decide)
+    }
+
+    /// Open (or create) a database over a paged heap-file store plus a
+    /// WAL. Recovery loads the newest intact checkpoint epoch from the
+    /// page store — rebuilding any checksum-failing page from the
+    /// previous epoch + WAL redo instead of failing the whole database —
+    /// then replays the WAL tail past the epoch's anchor. `pool_pages`
+    /// bounds the buffer pool: tables larger than the pool spill to the
+    /// page store and are demand-paged back. In-doubt 2PC transactions
+    /// resolve by presumed abort, as in [`Database::recover`]. Unlike a
+    /// log-only open, this one always checkpoints, so a fresh page store
+    /// gets its first epoch here.
+    pub fn open_paged(
+        name: impl Into<String>,
+        log_store: Arc<dyn LogStore>,
+        page_store: Arc<dyn PageStore>,
+        pool_pages: usize,
+    ) -> SqlResult<Database> {
+        let engine = Arc::new(PagedEngine::open(page_store, pool_pages)?);
+        Database::recover_with(name.into(), log_store, Some(engine), |_| Ok(false))
+    }
+
+    /// The recovery body behind every durable open: scan the log once,
+    /// take the base from the page store's epoch (paged) or from the
+    /// log's last checkpoint record, replay the tail once, resolve the
+    /// in-doubt transactions, install the catalog and the recovery
+    /// counters, and checkpoint.
+    fn recover_with(
+        name: String,
+        store: Arc<dyn LogStore>,
+        paged: Option<Arc<PagedEngine>>,
+        decide: impl FnMut(&wal::InDoubtTxn) -> SqlResult<bool>,
+    ) -> SqlResult<Database> {
         let bytes = store.read_all()?;
-        let mut outcome = wal::replay(&bytes);
+        let scanned = wal::scan(&bytes);
+        let base = match &paged {
+            Some(engine) => engine.load_base(&scanned)?,
+            // Nothing to fold: open fresh. Replay would bump the catalog
+            // epoch, and every Commit record logs the epoch.
+            None if bytes.is_empty() => {
+                return Ok(Database::build(name, Some(Wal::new(store, 1, 1)), None));
+            }
+            None => wal::checkpoint_base(&scanned),
+        };
+        let mut outcome = wal::replay_scanned(base, &scanned);
         let in_doubt = std::mem::take(&mut outcome.in_doubt);
         let resolution = wal::resolve_in_doubt(&mut outcome.catalog, in_doubt, decide)?;
-        let db = Database::build(
-            name.into(),
-            Some(Wal::new(store, outcome.next_lsn, outcome.next_txn)),
-            None,
-        );
+        let wal = Wal::new(store, outcome.next_lsn, outcome.next_txn);
+        if !resolution.records.is_empty() {
+            wal.append(&resolution.records, wal::AppendMode::Full)?;
+        }
+        let db = Database::build(name, Some(wal), paged);
         {
             let mut catalog = db.inner.catalog.write();
             *catalog = outcome.catalog;
@@ -512,14 +544,6 @@ impl Database {
             // the connections maintain reach the recovered tables.
             catalog.attach_mvcc(Arc::clone(&db.inner.mvcc));
         }
-        if !resolution.records.is_empty() {
-            let wal = db
-                .inner
-                .wal
-                .as_ref()
-                .expect("recovery always attaches a wal");
-            wal.append(&resolution.records, wal::AppendMode::Full)?;
-        }
         db.inner
             .in_doubt_commit_counter
             .store(resolution.committed, Ordering::Relaxed);
@@ -530,93 +554,8 @@ impl Database {
         db.inner
             .torn_tail_counter
             .store(outcome.dropped_bytes, Ordering::Relaxed);
-        db.checkpoint()?;
-        Ok(db)
-    }
-
-    /// Open (or create) a disk-backed paged database rooted at `dir`:
-    /// WAL in `dir/wal.log`, heap pages in `dir/pages.db`. See
-    /// [`Database::open_paged`] for the recovery semantics. `pool_pages`
-    /// bounds the buffer pool — tables larger than the pool spill to
-    /// disk and are demand-paged back.
-    pub fn open_paged_durable(
-        name: impl Into<String>,
-        dir: impl AsRef<std::path::Path>,
-        pool_pages: usize,
-    ) -> SqlResult<Database> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(|e| SqlError::Transient(format!("page io: {e}")))?;
-        Database::open_paged(
-            name,
-            Arc::new(FileLogStore::new(dir.join("wal.log"))),
-            Arc::new(FilePageStore::new(dir.join("pages.db"))),
-            pool_pages,
-        )
-    }
-
-    /// Open (or create) a database over a paged heap-file store plus a
-    /// WAL. Recovery loads the newest intact checkpoint epoch from the
-    /// page store — rebuilding any checksum-failing page from the
-    /// previous epoch + WAL redo instead of failing the whole database —
-    /// then replays the WAL tail past the epoch's anchor. In-doubt 2PC
-    /// transactions resolve by presumed abort, as in
-    /// [`Database::recover`].
-    pub fn open_paged(
-        name: impl Into<String>,
-        log_store: Arc<dyn LogStore>,
-        page_store: Arc<dyn PageStore>,
-        pool_pages: usize,
-    ) -> SqlResult<Database> {
-        Database::open_paged_resolving(name, log_store, page_store, pool_pages, |_| Ok(false))
-    }
-
-    /// [`Database::open_paged`] with a caller-supplied in-doubt decision,
-    /// mirroring [`Database::recover_resolving`].
-    pub fn open_paged_resolving(
-        name: impl Into<String>,
-        log_store: Arc<dyn LogStore>,
-        page_store: Arc<dyn PageStore>,
-        pool_pages: usize,
-        decide: impl FnMut(&wal::InDoubtTxn) -> SqlResult<bool>,
-    ) -> SqlResult<Database> {
-        let engine = Arc::new(PagedEngine::open(page_store, pool_pages)?);
-        let bytes = log_store.read_all()?;
-        let scanned = wal::scan(&bytes);
-        let base = engine.load_base(&scanned)?;
-        let mut outcome =
-            wal::replay_onto(base.catalog, base.catalog_epoch, &scanned, base.anchor_lsn);
-        let in_doubt = std::mem::take(&mut outcome.in_doubt);
-        let resolution = wal::resolve_in_doubt(&mut outcome.catalog, in_doubt, decide)?;
-        let db = Database::build(
-            name.into(),
-            Some(Wal::new(log_store, outcome.next_lsn, outcome.next_txn)),
-            Some(engine),
-        );
-        {
-            let mut catalog = db.inner.catalog.write();
-            *catalog = outcome.catalog;
-            catalog.attach_mvcc(Arc::clone(&db.inner.mvcc));
-        }
-        if !resolution.records.is_empty() {
-            let wal = db
-                .inner
-                .wal
-                .as_ref()
-                .expect("paged open always attaches a wal");
-            wal.append(&resolution.records, wal::AppendMode::Full)?;
-        }
-        db.inner
-            .in_doubt_commit_counter
-            .store(resolution.committed, Ordering::Relaxed);
-        db.inner
-            .in_doubt_abort_counter
-            .store(resolution.aborted, Ordering::Relaxed);
-        db.inner.recovery_counter.store(1, Ordering::Relaxed);
-        db.inner
-            .torn_tail_counter
-            .store(outcome.dropped_bytes, Ordering::Relaxed);
-        // Fold the tail (and any repair) into a fresh epoch immediately,
-        // so the store is compact and repaired extents are rewritten.
+        // Fold the tail (and any page repair) into a fresh checkpoint, so
+        // the store is compact and repaired extents are rewritten.
         db.checkpoint()?;
         Ok(db)
     }
@@ -1076,24 +1015,8 @@ impl Database {
         dsn.strip_prefix("sqlkernel://").unwrap_or(dsn)
     }
 
-    /// Open the shared in-memory database named by `dsn`, creating it on
-    /// first use. Every `open` of the same name returns a handle to the
-    /// same engine, so independent components (the product stacks) share
-    /// one database instead of maintaining ad-hoc registries.
-    pub fn open(dsn: &str) -> Database {
-        let name = Database::dsn_name(dsn);
-        let mut reg = shared_registry().lock();
-        if let Some(db) = reg.get(name) {
-            return db.clone();
-        }
-        let db = Database::new(name);
-        reg.insert(name.to_string(), db.clone());
-        db
-    }
-
     /// Fetch the shared database named by `dsn` if some component has
-    /// already opened or published it. Never creates — callers that want
-    /// creation-on-miss use [`Database::open`].
+    /// published it. Never creates.
     pub fn lookup(dsn: &str) -> Option<Database> {
         shared_registry()
             .lock()
@@ -1101,37 +1024,9 @@ impl Database {
             .cloned()
     }
 
-    /// [`Database::lookup`], but registry failure (a panic while the
-    /// registry lock was held — e.g. a crashed shard thread) surfaces as
-    /// a [`DbError`](crate::DbError) instead of propagating, so one dead
-    /// stack cannot wedge the others' resolvers. `Ok(None)` still means
-    /// "no such database".
-    pub fn try_lookup(dsn: &str) -> SqlResult<Option<Database>> {
-        let name = Database::dsn_name(dsn).to_string();
-        std::panic::catch_unwind(move || shared_registry().lock().get(name.as_str()).cloned())
-            .map_err(|_| {
-                SqlError::Connection(
-                    "database registry unavailable (lock poisoned by a crashed thread)".into(),
-                )
-            })
-    }
-
-    /// [`Database::open`], but registry failure surfaces as a
-    /// [`DbError`](crate::DbError) instead of propagating (see
-    /// [`Database::try_lookup`]).
-    pub fn try_open(dsn: &str) -> SqlResult<Database> {
-        let dsn = dsn.to_string();
-        std::panic::catch_unwind(move || Database::open(&dsn)).map_err(|_| {
-            SqlError::Connection(
-                "database registry unavailable (lock poisoned by a crashed thread)".into(),
-            )
-        })
-    }
-
     /// Publish this handle under its name so other components can reach
-    /// it via [`Database::open`]/[`Database::lookup`] — e.g. a durable
-    /// database created with [`Database::open_durable`]. Replaces any
-    /// previous entry under the same name.
+    /// it via [`Database::lookup`]. Replaces any previous entry under the
+    /// same name.
     pub fn publish(&self) {
         shared_registry()
             .lock()
@@ -1145,7 +1040,9 @@ impl Database {
     }
 }
 
-/// Process-wide registry backing [`Database::open`]: name → shared handle.
+/// Process-wide registry behind [`Database::lookup`]: name → shared
+/// handle. The mutex is poison-transparent (see [`crate::sync`]), so a
+/// thread that panics while holding it leaves the registry usable.
 fn shared_registry() -> &'static Mutex<HashMap<String, Database>> {
     static REGISTRY: std::sync::OnceLock<Mutex<HashMap<String, Database>>> =
         std::sync::OnceLock::new();
@@ -3025,7 +2922,7 @@ mod tests {
 
     fn durable_setup() -> (Database, MemLogStore) {
         let store = MemLogStore::new();
-        let db = Database::with_wal("d", Arc::new(store.clone()));
+        let db = Database::recover("d", Arc::new(store.clone())).unwrap();
         let conn = db.connect();
         conn.execute_script(
             "CREATE TABLE Orders (OrderId INT PRIMARY KEY, ItemId TEXT, Quantity INT);
@@ -3211,22 +3108,72 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("db.wal");
+        let open = || Database::recover("f", Arc::new(wal::FileLogStore::new(&path))).unwrap();
         {
-            let db = Database::open_durable("f", &path).unwrap();
+            let db = open();
             let conn = db.connect();
             conn.execute("CREATE TABLE T (a INT PRIMARY KEY)", &[])
                 .unwrap();
             conn.execute("INSERT INTO T VALUES (1), (2)", &[]).unwrap();
         }
         {
-            let db = Database::open_durable("f", &path).unwrap();
+            let db = open();
             assert_eq!(db.table_len("T").unwrap(), 2);
             let conn = db.connect();
             conn.execute("INSERT INTO T VALUES (3)", &[]).unwrap();
         }
-        let db = Database::open_durable("f", &path).unwrap();
+        let db = open();
         assert_eq!(db.table_len("T").unwrap(), 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An empty log opens fresh: nothing is written at open, no recovery
+    /// is counted, and the log then reads as if the database had been
+    /// logging from birth — txn 1 at LSN 1, and every Commit carrying the
+    /// epoch an in-memory run of the same statements reaches.
+    #[test]
+    fn recover_over_an_empty_log_opens_fresh() {
+        let store = MemLogStore::new();
+        let db = Database::recover("e", Arc::new(store.clone())).unwrap();
+        assert!(store.bytes().is_empty());
+        assert_eq!(db.stats().recoveries, 0);
+        let plain = Database::new("e");
+        for sql in [
+            "CREATE TABLE T (a INT PRIMARY KEY, b INT)",
+            "INSERT INTO T VALUES (1, 10), (2, 20)",
+        ] {
+            db.connect().execute(sql, &[]).unwrap();
+            plain.connect().execute(sql, &[]).unwrap();
+            let records = wal::scan(&store.bytes()).records;
+            let Some((_, WalRecord::Commit { epoch, .. })) = records.last() else {
+                panic!("autocommit must end in a Commit record: {records:?}");
+            };
+            assert_eq!(*epoch, plain.inner.catalog.read().epoch());
+        }
+        let records = wal::scan(&store.bytes()).records;
+        assert!(
+            matches!(records.first(), Some((1, WalRecord::Begin { txn: 1 }))),
+            "{:?}",
+            records.first()
+        );
+    }
+
+    /// The registry mutex is poison-transparent: a thread that dies
+    /// holding it does not take `lookup`/`publish` down with it.
+    #[test]
+    fn registry_survives_a_panic_while_locked() {
+        let crashed = std::thread::spawn(|| {
+            let _guard = shared_registry().lock();
+            panic!("dies holding the registry lock");
+        })
+        .join();
+        assert!(crashed.is_err());
+        let db = Database::new("registry_after_panic");
+        db.publish();
+        let found = Database::lookup("sqlkernel://registry_after_panic").unwrap();
+        assert!(found.same_as(&db));
+        assert!(Database::unpublish("registry_after_panic").is_some());
+        assert!(Database::lookup("registry_after_panic").is_none());
     }
 
     /// An insert/update/delete history (a key move included) that ends
@@ -3264,7 +3211,7 @@ mod tests {
     #[test]
     fn log_recovery_leaves_one_version_per_live_row() {
         let store = MemLogStore::new();
-        crash_after_dml_history(&Database::with_wal("h", Arc::new(store.clone())));
+        crash_after_dml_history(&Database::recover("h", Arc::new(store.clone())).unwrap());
         assert_single_versions(&wal::replay(&store.bytes()).catalog);
         let db = Database::recover("h", Arc::new(store)).unwrap();
         assert_single_versions(&db.inner.catalog.read());
@@ -3283,7 +3230,7 @@ mod tests {
         let engine = PagedEngine::open(Arc::new(pages.clone()), 16).unwrap();
         let scanned = wal::scan(&log.bytes());
         let base = engine.load_base(&scanned).unwrap();
-        let outcome = wal::replay_onto(base.catalog, base.catalog_epoch, &scanned, base.anchor_lsn);
+        let outcome = wal::replay_scanned(base, &scanned);
         assert_single_versions(&outcome.catalog);
         let db = Database::open_paged("hp", Arc::new(log), Arc::new(pages), 16).unwrap();
         assert_single_versions(&db.inner.catalog.read());

@@ -1166,7 +1166,7 @@ fn run_agg_staged(
 /// over completed virtual rows, then the shared projection tail.
 ///
 /// Column-arg aggregates accumulate inline during the grouping pass
-/// ([`Acc`]); that is unobservable because inline updates are
+/// (`Acc`); that is unobservable because inline updates are
 /// infallible — the sole aggregate error is deferred and raised in
 /// finalization order, which *is* the interpreter's group-major,
 /// spec-major computation order.

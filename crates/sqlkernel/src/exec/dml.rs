@@ -9,7 +9,7 @@
 //! `UPDATE` and `DELETE` share one collect/apply path for every executor:
 //! the compiled plan ([`crate::plan::DmlPlan`]), the interpreter and
 //! `Connection::execute_batch` differ only in how they evaluate
-//! expressions ([`DmlEval`]). The path finds candidate rows through the
+//! expressions (`DmlEval`). The path finds candidate rows through the
 //! same access path a `SELECT` would take — point lookup, range walk or
 //! full scan — re-checks the full WHERE on each candidate, and visits
 //! candidates in ascending row id, so undo entries and WAL frames come out

@@ -49,7 +49,9 @@ use crate::page::{pack_stream, PageBuilder, PageKind, PageView, StreamPacker, PA
 use crate::schema::TableSchema;
 use crate::storage::{Row, RowId, Snapshot};
 use crate::sync::Mutex;
-use crate::wal::{self, Frames, IndexDef, Reader, ScannedLog, TableImage, WalOp, WalRecord};
+use crate::wal::{
+    self, BaseLoad, Frames, IndexDef, Reader, ScannedLog, TableImage, WalOp, WalRecord,
+};
 
 // ---------------------------------------------------------------- stores
 
@@ -640,18 +642,6 @@ pub struct PagedEngine {
     pool: BufferPool,
     state: Mutex<EngineState>,
     pages_repaired: AtomicU64,
-}
-
-/// What [`PagedEngine::load_base`] recovered from the page store: the
-/// catalog image at the newest intact anchor, ready for
-/// [`wal::replay_onto`] to roll the WAL tail forward over.
-#[derive(Debug)]
-pub struct BaseLoad {
-    pub catalog: Catalog,
-    /// Catalog epoch at the anchor (floor for the replayed epoch).
-    pub catalog_epoch: u64,
-    /// WAL position the images are consistent with; replay starts here.
-    pub anchor_lsn: u64,
 }
 
 impl PagedEngine {

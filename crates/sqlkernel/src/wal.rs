@@ -174,7 +174,8 @@ fn io_err(e: std::io::Error) -> SqlError {
     SqlError::Transient(format!("wal io: {e}"))
 }
 
-/// File-backed log store used by [`crate::Database::open_durable`].
+/// File-backed log store. A path that does not exist yet reads as an
+/// empty log, so [`crate::Database::recover`] over it opens fresh.
 /// Appends go through `O_APPEND`; reset writes a sibling temp file and
 /// renames it over the log, so a crash mid-reset leaves either the old
 /// or the new log intact, never a mix.
@@ -1427,54 +1428,58 @@ pub struct RecoveryOutcome {
     pub dropped_bytes: u64,
 }
 
+/// The catalog a replay starts from and the log position it is
+/// consistent with: the snapshot in the log's last `Checkpoint` record,
+/// or the page store's newest epoch ([`crate::PagedEngine::load_base`]).
+#[derive(Debug)]
+pub struct BaseLoad {
+    pub catalog: Catalog,
+    /// Catalog epoch at the anchor (floor for the replayed epoch).
+    pub catalog_epoch: u64,
+    /// WAL position the base is consistent with; replay starts past it.
+    pub anchor_lsn: u64,
+}
+
+/// The base of a log-only recovery: the snapshot in the log's last
+/// valid `Checkpoint` record, or an empty catalog when there is none.
+pub(crate) fn checkpoint_base(scanned: &ScannedLog) -> BaseLoad {
+    let checkpoint = scanned.records.iter().rev().find_map(|(lsn, r)| match r {
+        WalRecord::Checkpoint(snap) => Some((*lsn, snap)),
+        _ => None,
+    });
+    match checkpoint {
+        // Records at or before the checkpoint's LSN are folded into the
+        // snapshot; the byte order of a log is its LSN order.
+        Some((lsn, snap)) => BaseLoad {
+            catalog: catalog_from_snapshot(snap),
+            catalog_epoch: snap.epoch,
+            anchor_lsn: lsn,
+        },
+        None => BaseLoad {
+            catalog: Catalog::new(),
+            catalog_epoch: 0,
+            anchor_lsn: 0,
+        },
+    }
+}
+
 /// Replay a raw log: load the last valid checkpoint, redo every op after
 /// it in LSN order, then undo — in reverse LSN order — the ops of
 /// transactions that neither committed nor aborted.
 pub fn replay(bytes: &[u8]) -> RecoveryOutcome {
     let scanned = scan(bytes);
-    let checkpoint_at = scanned
-        .records
-        .iter()
-        .rposition(|(_, r)| matches!(r, WalRecord::Checkpoint(_)));
-    let (catalog, max_epoch, anchor_lsn) = match checkpoint_at {
-        Some(i) => {
-            let WalRecord::Checkpoint(snap) = &scanned.records[i].1 else {
-                unreachable!("rposition matched a checkpoint");
-            };
-            // Records at or before the checkpoint's LSN are folded into
-            // the snapshot; the byte order of a log is its LSN order, so
-            // the LSN gate below is exactly the old index gate.
-            (
-                catalog_from_snapshot(snap),
-                snap.epoch,
-                scanned.records[i].0,
-            )
-        }
-        None => (Catalog::new(), 0, 0),
-    };
-    replay_scanned(catalog, max_epoch, &scanned, anchor_lsn)
+    replay_scanned(checkpoint_base(&scanned), &scanned)
 }
 
-/// Replay a scanned log on top of an externally loaded base catalog —
-/// the paged engine's recovery path, where the base comes from the page
-/// store's last checkpoint epoch rather than an in-log snapshot. Only
-/// records with `lsn > anchor_lsn` are redone; everything at or before
-/// the anchor is already folded into `base`.
-pub fn replay_onto(
-    base: Catalog,
-    base_epoch: u64,
-    scanned: &ScannedLog,
-    anchor_lsn: u64,
-) -> RecoveryOutcome {
-    replay_scanned(base, base_epoch, scanned, anchor_lsn)
-}
-
-fn replay_scanned(
-    mut catalog: Catalog,
-    mut max_epoch: u64,
-    scanned: &ScannedLog,
-    anchor_lsn: u64,
-) -> RecoveryOutcome {
+/// [`replay`] over an already scanned log from an explicit base: only
+/// ops past `base.anchor_lsn` are redone, everything at or before it is
+/// already folded into `base.catalog`.
+pub(crate) fn replay_scanned(base: BaseLoad, scanned: &ScannedLog) -> RecoveryOutcome {
+    let BaseLoad {
+        mut catalog,
+        catalog_epoch: mut max_epoch,
+        anchor_lsn,
+    } = base;
     let mut open: HashMap<u64, Vec<(u64, WalOp)>> = HashMap::new();
     // gid, epoch, and the prepare-time sequence states, keyed by txn id.
     type PreparedState = (u64, u64, Vec<(String, i64, i64)>);

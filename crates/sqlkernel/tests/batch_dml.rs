@@ -133,7 +133,7 @@ fn batch_insert_applies_every_parameter_set() {
 #[test]
 fn batch_is_one_wal_append_not_n() {
     let store = MemLogStore::new();
-    let db = Database::with_wal("eb_wal", Arc::new(store.clone()));
+    let db = Database::recover("eb_wal", Arc::new(store.clone())).unwrap();
     let conn = db.connect();
     conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)", &[])
         .unwrap();
@@ -409,7 +409,7 @@ fn memo_is_invalidated_by_ddl() {
 fn window_zero_is_byte_identical_to_ungrouped_logging() {
     let run = |window: u64| {
         let store = MemLogStore::new();
-        let db = Database::with_wal("gc0", Arc::new(store.clone()));
+        let db = Database::recover("gc0", Arc::new(store.clone())).unwrap();
         db.set_group_commit_window(window);
         let conn = db.connect();
         conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)", &[])
@@ -436,7 +436,7 @@ fn window_zero_is_byte_identical_to_ungrouped_logging() {
 #[test]
 fn group_commit_coalesces_concurrent_commits_into_fewer_appends() {
     let store = MemLogStore::new();
-    let db = Database::with_wal("gc", Arc::new(store.clone()));
+    let db = Database::recover("gc", Arc::new(store.clone())).unwrap();
     {
         let conn = db.connect();
         conn.execute_script(
@@ -498,7 +498,7 @@ fn group_commit_result_matches_sequential_fingerprint() {
     // must produce identical table contents.
     fn run(name: &str, threads: usize, window: u64) -> Vec<(String, Vec<Vec<Value>>)> {
         let store = MemLogStore::new();
-        let db = Database::with_wal(name, Arc::new(store));
+        let db = Database::recover(name, Arc::new(store)).unwrap();
         {
             let conn = db.connect();
             conn.execute_script(

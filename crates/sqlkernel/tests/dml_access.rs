@@ -158,7 +158,7 @@ fn pk_batch_update_never_scans_and_matches_single_statements() {
 /// checkpoint record, and an aborted statement.
 fn busy_log() -> Vec<u8> {
     let store = MemLogStore::new();
-    let db = Database::with_wal("busy_log", Arc::new(store.clone()));
+    let db = Database::recover("busy_log", Arc::new(store.clone())).unwrap();
     let conn = db.connect();
     conn.execute_script(
         "CREATE TABLE a (id INT PRIMARY KEY, v TEXT);
@@ -377,7 +377,7 @@ fn index_driven_dml_logs_the_frames_a_full_scan_logs() {
     // carries identical row ops in identical order.
     let run = |ddl: &str| {
         let store = MemLogStore::new();
-        let db = Database::with_wal("frames", Arc::new(store.clone()));
+        let db = Database::recover("frames", Arc::new(store.clone())).unwrap();
         let conn = db.connect();
         conn.execute_script(ddl).unwrap();
         // Keys inserted out of order, so key order != row-id order.

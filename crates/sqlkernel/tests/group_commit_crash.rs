@@ -32,7 +32,7 @@ fn seeds() -> Vec<u64> {
 /// the log bytes alone and return (acknowledged, recovered) row sets.
 fn run_with_crash(seed: u64, crash: Fault) -> (RowSet, RowSet) {
     let store = MemLogStore::new();
-    let db = Database::with_wal("gc_crash", Arc::new(store.clone()));
+    let db = Database::recover("gc_crash", Arc::new(store.clone())).unwrap();
     let conn = db.connect();
     for t in 0..THREADS {
         conn.execute(&format!("CREATE TABLE t{t} (id INT PRIMARY KEY)"), &[])

@@ -8,7 +8,7 @@ use sqlkernel::{Database, FaultPlan, MemLogStore, PrepareCrash, SqlError, Value}
 
 fn durable(name: &str) -> (Database, Arc<MemLogStore>) {
     let store = Arc::new(MemLogStore::new());
-    let db = Database::with_wal(name, Arc::clone(&store) as Arc<dyn sqlkernel::LogStore>);
+    let db = Database::recover(name, Arc::clone(&store) as Arc<dyn sqlkernel::LogStore>).unwrap();
     db.connect()
         .execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)", &[])
         .unwrap();
@@ -205,7 +205,8 @@ fn unacked_prepare_still_surfaces_as_in_doubt() {
 #[test]
 fn committed_in_doubt_transaction_restores_sequences() {
     let store = Arc::new(MemLogStore::new());
-    let db = Database::with_wal("seq2pc", Arc::clone(&store) as Arc<dyn sqlkernel::LogStore>);
+    let db =
+        Database::recover("seq2pc", Arc::clone(&store) as Arc<dyn sqlkernel::LogStore>).unwrap();
     db.connect()
         .execute_script(
             "CREATE TABLE t (id INT PRIMARY KEY, v TEXT);

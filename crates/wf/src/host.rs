@@ -110,21 +110,17 @@ impl WfHost {
     pub fn resolve_for_sql_activity(&self, conn_string: &str) -> FlowResult<Database> {
         let (provider, name) = parse_connection_string(conn_string)?;
         let Some((registered, db)) = self.databases.get(name) else {
-            // Shared-handle fallback: a database another component opened
-            // via `Database::open` / published. The provider whitelist
-            // still applies to the provider the string claims, and
-            // `lookup` never creates, so unknown names still fail.
+            // Shared-handle fallback: a database another component
+            // published. The provider whitelist still applies to the
+            // provider the string claims, and `lookup` never creates, so
+            // unknown names still fail.
             if !provider.supported_by_sql_database_activity() {
                 return Err(FlowError::Service(format!(
                     "SQL database activity supports SqlServer and Oracle only; '{name}' is {}",
                     provider.name()
                 )));
             }
-            // `try_lookup`: a poisoned registry surfaces as a DbError
-            // instead of a panic, so a crashed shard thread in another
-            // stack cannot wedge this resolver.
-            return Database::try_lookup(name)
-                .map_err(FlowError::Sql)?
+            return Database::lookup(name)
                 .ok_or_else(|| FlowError::Variable(format!("unknown database '{name}'")));
         };
         if *registered != provider {

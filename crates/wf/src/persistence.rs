@@ -203,7 +203,7 @@ mod tests {
     fn crashed_workflow_resumes_from_persisted_state() {
         let store = MemLogStore::new();
         {
-            let db = Database::with_wal("state", Arc::new(store.clone()));
+            let db = Database::recover("state", Arc::new(store.clone())).unwrap();
             steps_table(&db);
         }
         let mut rt = RetryRuntime::new(1);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate: release build, the whole workspace test suite,
-# lints, formatting, and the chaos suite under three fixed fault-storm
-# seeds. Run from anywhere; operates on the repo root.
+# lints, formatting, rustdoc links, and the chaos suite under three fixed
+# fault-storm seeds. Run from anywhere; operates on the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +16,9 @@ cargo test --workspace -q
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
+# Rustdoc: broken or private intra-doc links fail the build, so docs
+# cannot keep naming functions that no longer exist.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Chaos: the differential exactly-once suite under rotating storm seeds
 # (each run adds CHAOS_SEED to the three built-in schedules), plus the
@@ -66,5 +69,9 @@ BENCH_SMOKE=1 ./target/release/bench_storage >/dev/null
 # engaged (hash join, index nested loop, pushed predicates) and that
 # compiled join results are byte-identical to the interpreter's.
 BENCH_SMOKE=1 ./target/release/bench_joins >/dev/null
+# bench_recovery's smoke drives the durable open/replay path: it logs a
+# short workload, recovers from the log alone and asserts in-process
+# that every row came back.
+BENCH_SMOKE=1 ./target/release/bench_recovery >/dev/null
 
 echo "verify: OK"

@@ -193,7 +193,7 @@ fn bis_run(db: &Database) -> Result<(), flowsql::flowcore::FlowError> {
 
 fn bis_baseline() -> String {
     let store = MemLogStore::new();
-    let db = Database::with_wal("crash_db", Arc::new(store.clone()));
+    let db = Database::recover("crash_db", Arc::new(store.clone())).unwrap();
     bis_schema(&db);
     bis_run(&db).unwrap();
     durable_fingerprint(&db)
@@ -205,7 +205,7 @@ fn bis_deployment_resumes_identically_under_crash_storms() {
     for seed in schedule_seeds() {
         let schedule = crash_storm(seed, HORIZON, 3);
         let store = MemLogStore::new();
-        bis_schema(&Database::with_wal("crash_db", Arc::new(store.clone())));
+        bis_schema(&Database::recover("crash_db", Arc::new(store.clone())).unwrap());
         run_to_completion(&store, &schedule, bis_run);
         assert_recovers_to(&store, &baseline, "intake-1");
     }
@@ -217,7 +217,7 @@ fn bis_deployment_survives_combined_transient_and_crash_storm() {
     for seed in schedule_seeds() {
         let schedule = combined_storm(seed, HORIZON, 2, 10);
         let store = MemLogStore::new();
-        bis_schema(&Database::with_wal("crash_db", Arc::new(store.clone())));
+        bis_schema(&Database::recover("crash_db", Arc::new(store.clone())).unwrap());
         run_to_completion(&store, &schedule, bis_run);
         assert_recovers_to(&store, &baseline, "intake-1");
     }
@@ -233,7 +233,7 @@ fn bis_deployment_with_group_commit_recovers_identically_under_crash_storms() {
     for seed in schedule_seeds() {
         let schedule = crash_storm(seed, HORIZON, 3);
         let store = MemLogStore::new();
-        bis_schema(&Database::with_wal("crash_db", Arc::new(store.clone())));
+        bis_schema(&Database::recover("crash_db", Arc::new(store.clone())).unwrap());
         run_to_completion(&store, &schedule, |db| {
             db.set_group_commit_window(2);
             bis_run(db)
@@ -248,7 +248,7 @@ fn bis_deployment_with_group_commit_survives_combined_storm() {
     for seed in schedule_seeds() {
         let schedule = combined_storm(seed, HORIZON, 2, 10);
         let store = MemLogStore::new();
-        bis_schema(&Database::with_wal("crash_db", Arc::new(store.clone())));
+        bis_schema(&Database::recover("crash_db", Arc::new(store.clone())).unwrap());
         run_to_completion(&store, &schedule, |db| {
             db.set_group_commit_window(3);
             bis_run(db)
@@ -300,7 +300,7 @@ fn wf_run(db: &Database) -> Result<(), flowsql::flowcore::FlowError> {
 fn wf_persistence_service_resumes_identically_under_crash_storms() {
     let baseline = {
         let store = MemLogStore::new();
-        let db = Database::with_wal("crash_db", Arc::new(store.clone()));
+        let db = Database::recover("crash_db", Arc::new(store.clone())).unwrap();
         wf_schema(&db);
         wf_run(&db).unwrap();
         durable_fingerprint(&db)
@@ -311,7 +311,7 @@ fn wf_persistence_service_resumes_identically_under_crash_storms() {
         let mut schedule = crash_storm(seed, HORIZON, 3);
         schedule.checkpoint_crashes.push(0);
         let store = MemLogStore::new();
-        wf_schema(&Database::with_wal("crash_db", Arc::new(store.clone())));
+        wf_schema(&Database::recover("crash_db", Arc::new(store.clone())).unwrap());
         run_to_completion(&store, &schedule, wf_run);
         assert_recovers_to(&store, &baseline, "appr-7");
     }
@@ -363,7 +363,7 @@ fn soa_run(db: &Database) -> Result<(), flowsql::flowcore::FlowError> {
 fn soa_page_dehydration_resumes_identically_under_crash_storms() {
     let baseline = {
         let store = MemLogStore::new();
-        let db = Database::with_wal("crash_db", Arc::new(store.clone()));
+        let db = Database::recover("crash_db", Arc::new(store.clone())).unwrap();
         soa_schema(&db);
         soa_run(&db).unwrap();
         durable_fingerprint(&db)
@@ -371,7 +371,7 @@ fn soa_page_dehydration_resumes_identically_under_crash_storms() {
     for seed in schedule_seeds() {
         let schedule = crash_storm(seed, HORIZON, 3);
         let store = MemLogStore::new();
-        soa_schema(&Database::with_wal("crash_db", Arc::new(store.clone())));
+        soa_schema(&Database::recover("crash_db", Arc::new(store.clone())).unwrap());
         run_to_completion(&store, &schedule, soa_run);
         assert_recovers_to(&store, &baseline, "page-run-1");
     }
@@ -390,7 +390,7 @@ fn no_completed_step_reexecutes_across_double_crash() {
     for seed in schedule_seeds() {
         let schedule = crash_storm(seed.wrapping_mul(31), HORIZON, 2);
         let store = MemLogStore::new();
-        bis_schema(&Database::with_wal("crash_db", Arc::new(store.clone())));
+        bis_schema(&Database::recover("crash_db", Arc::new(store.clone())).unwrap());
         run_to_completion(&store, &schedule, bis_run);
         let db = Database::recover("crash_db", Arc::new(store.clone())).unwrap();
         let conn = db.connect();
@@ -411,7 +411,7 @@ fn no_completed_step_reexecutes_across_double_crash() {
 #[test]
 fn checkpoint_crash_preserves_committed_state() {
     let store = MemLogStore::new();
-    let db = Database::with_wal("crash_db", Arc::new(store.clone()));
+    let db = Database::recover("crash_db", Arc::new(store.clone())).unwrap();
     bis_schema(&db);
     bis_run(&db).unwrap();
     let before = durable_fingerprint(&db);
@@ -436,7 +436,7 @@ fn torn_log_tail_is_dropped_and_counted() {
     use flowsql::sqlkernel::LogStore;
 
     let store = MemLogStore::new();
-    let db = Database::with_wal("crash_db", Arc::new(store.clone()));
+    let db = Database::recover("crash_db", Arc::new(store.clone())).unwrap();
     bis_schema(&db);
     bis_run(&db).unwrap();
     let before = durable_fingerprint(&db);
@@ -479,7 +479,7 @@ fn batched_reads_match_interpreter_after_crash_storm() {
     let baseline = bis_baseline();
     let schedule = crash_storm(1337, HORIZON, 3);
     let store = MemLogStore::new();
-    bis_schema(&Database::with_wal("crash_db", Arc::new(store.clone())));
+    bis_schema(&Database::recover("crash_db", Arc::new(store.clone())).unwrap());
     run_to_completion(&store, &schedule, bis_run);
     assert_recovers_to(&store, &baseline, "intake-1");
 

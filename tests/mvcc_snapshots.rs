@@ -287,7 +287,7 @@ fn readers_proceed_while_a_writer_waits_on_its_log_append() {
         armed: AtomicBool::new(false),
         gate: Barrier::new(2),
     });
-    let db = Database::with_wal("mvcc_append_window", log.clone());
+    let db = Database::recover("mvcc_append_window", log.clone()).unwrap();
     db.connect()
         .execute_script(
             "CREATE TABLE t (id INT PRIMARY KEY, v INT);
@@ -367,7 +367,7 @@ fn checkpoint_waits_for_a_commit_in_its_log_append() {
     };
 
     let log = parking_log();
-    let db = Database::with_wal("ckpt_commit_log", log.clone());
+    let db = Database::recover("ckpt_commit_log", log.clone()).unwrap();
     race(log.clone(), db, || {
         Database::recover(
             "ckpt_commit_log",
@@ -483,13 +483,14 @@ fn index_scans_track_moved_keys() {
 }
 
 // ---------------------------------------------------------------------------
-// Shared handles: the stacks reach one engine through Database::open.
+// Shared handles: the stacks reach one engine through the handle registry.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn stacks_share_one_engine_through_the_handle_registry() {
-    // Some component opens (and thereby publishes) the database...
-    let db = Database::open("sqlkernel://shared_orders_pr7");
+    // Some component creates and publishes the database...
+    let db = Database::new("shared_orders_pr7");
+    db.publish();
     db.connect()
         .execute_script(
             "CREATE TABLE Orders (OrderId INT PRIMARY KEY, Qty INT);
@@ -596,7 +597,7 @@ fn ledger_schema(db: &Database) {
 
 fn ledger_baseline() -> String {
     let store = MemLogStore::new();
-    let db = Database::with_wal("crash_db", Arc::new(store.clone()));
+    let db = Database::recover("crash_db", Arc::new(store.clone())).unwrap();
     ledger_schema(&db);
     let conn = db.connect();
     for unit in WORKLOAD {
@@ -615,7 +616,7 @@ fn crash_storms_recover_the_committed_chain() {
         for seed in crash_seeds() {
             let schedule = crash_storm(seed, 120, 3);
             let store = MemLogStore::new();
-            ledger_schema(&Database::with_wal("crash_db", Arc::new(store.clone())));
+            ledger_schema(&Database::recover("crash_db", Arc::new(store.clone())).unwrap());
 
             let mut next = 0usize; // first workload unit not yet acked
             'lifetimes: for life in 0..=schedule.crashes() + 1 {
@@ -657,7 +658,7 @@ fn chaos_storms_with_concurrent_readers_match_fault_free() {
         const HORIZON: u64 = 200;
         const PERCENT: u64 = 25;
         let store = MemLogStore::new();
-        let db = Database::with_wal("crash_db", Arc::new(store.clone()));
+        let db = Database::recover("crash_db", Arc::new(store.clone())).unwrap();
         ledger_schema(&db);
         db.set_fault_plan(Some(scripted_storm(seed, HORIZON, PERCENT)));
 

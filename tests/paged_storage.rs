@@ -22,7 +22,8 @@ use flowsql::flowcore::value::{VarValue, Variables};
 use flowsql::flowcore::FlowError;
 use flowsql::patterns::chaos::{crash_storm, db_fingerprint_excluding, rows_fingerprint};
 use flowsql::sqlkernel::{
-    Database, FaultPlan, MemLogStore, MemPageStore, PageFault, Value, PAGE_SIZE,
+    Database, FaultPlan, FileLogStore, FilePageStore, MemLogStore, MemPageStore, PageFault, Value,
+    PAGE_SIZE,
 };
 use flowsql::wf::SqlWorkflowPersistenceService;
 
@@ -157,7 +158,7 @@ fn durable_fingerprint(db: &Database) -> String {
 
 /// The crash-free all-in-memory run every paged storm must reproduce.
 fn memory_baseline() -> String {
-    let db = Database::with_wal("paged_db", Arc::new(MemLogStore::new()));
+    let db = Database::recover("paged_db", Arc::new(MemLogStore::new())).unwrap();
     ledger_schema(&db);
     ledger_run(&db).unwrap();
     durable_fingerprint(&db)
@@ -429,7 +430,7 @@ fn injected_io_errors_are_transient_and_absorbed_by_retry() {
 // Disk-backed stores
 // ---------------------------------------------------------------------------
 
-/// The file-backed pair under `open_paged_durable` round-trips across a
+/// The file-backed pair under `open_paged` round-trips across a
 /// real process-style reopen: everything rebuilt from `wal.log` +
 /// `pages.db` alone.
 #[test]
@@ -440,13 +441,23 @@ fn durable_paged_database_roundtrips_on_disk() {
         line!()
     ));
     let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let open = || {
+        Database::open_paged(
+            "paged_db",
+            Arc::new(FileLogStore::new(dir.join("wal.log"))),
+            Arc::new(FilePageStore::new(dir.join("pages.db"))),
+            POOL_PAGES,
+        )
+        .unwrap()
+    };
     {
-        let db = Database::open_paged_durable("paged_db", &dir, POOL_PAGES).unwrap();
+        let db = open();
         ledger_schema(&db);
         ledger_run(&db).unwrap();
         db.checkpoint().unwrap();
     }
-    let db = Database::open_paged_durable("paged_db", &dir, POOL_PAGES).unwrap();
+    let db = open();
     let rs = db
         .connect()
         .query("SELECT COUNT(*) FROM Ledger", &[])

@@ -123,7 +123,7 @@ fn bis_process(i: usize) -> DurableProcess {
 
 fn bis_run(workers: usize, sched_seed: u64, storm: Option<u64>) -> String {
     let store = MemLogStore::new();
-    let db = Database::with_wal("par_bis", Arc::new(store));
+    let db = Database::recover("par_bis", Arc::new(store)).unwrap();
     bis_schema(&db);
     if let Some(seed) = storm {
         db.set_fault_plan(Some(scripted_storm(seed, STORM_HORIZON, 8)));
@@ -204,7 +204,7 @@ fn wf_process(i: usize) -> DurableProcess {
 
 fn wf_run(workers: usize, sched_seed: u64, storm: Option<u64>) -> String {
     let store = MemLogStore::new();
-    let db = Database::with_wal("par_wf", Arc::new(store));
+    let db = Database::recover("par_wf", Arc::new(store)).unwrap();
     wf_schema(&db);
     if let Some(seed) = storm {
         db.set_fault_plan(Some(scripted_storm(seed, STORM_HORIZON, 8)));
@@ -280,7 +280,7 @@ fn soa_params(i: usize) -> Vec<(String, Value)> {
 
 fn soa_run(workers: usize, sched_seed: u64, storm: Option<u64>) -> String {
     let store = MemLogStore::new();
-    let db = Database::with_wal("par_soa", Arc::new(store));
+    let db = Database::recover("par_soa", Arc::new(store)).unwrap();
     soa_schema(&db);
     if let Some(seed) = storm {
         db.set_fault_plan(Some(scripted_storm(seed, STORM_HORIZON, 8)));
@@ -332,7 +332,7 @@ fn parallel_instances_with_group_commit_match_sequential() {
     // through the WAL group sequencer — durable state must not notice.
     let sequential = bis_run(1, 0, None);
     let store = MemLogStore::new();
-    let db = Database::with_wal("par_bis", Arc::new(store.clone()));
+    let db = Database::recover("par_bis", Arc::new(store.clone())).unwrap();
     bis_schema(&db);
     db.set_group_commit_window(3);
     let deployment = BisDeployment::new(DataSourceRegistry::new().with(db.clone()))
