@@ -1,52 +1,37 @@
-//! Regenerates `docs/outputs/BENCH_storage.json` — the cost profile of
-//! the disk-backed paged storage engine.
+//! Regenerates `docs/outputs/BENCH_storage.json` — what checkpoints of
+//! the disk-backed paged storage engine cost, and the recovery time
+//! they buy.
 //!
-//! Two questions, one section each:
+//! A ledger of ~140-byte rows is loaded with a checkpoint every K insert
+//! batches. Each checkpoint truncates the WAL head, so frequent
+//! checkpoints buy near-instant recovery at the price of page writeback
+//! during the run; `checkpoint_every = 0` (never) pays the whole replay
+//! at recovery.
 //!
-//! * **Working-set sweep** — the same ledger table sized at 0.5×, 1×,
-//!   and 4× the buffer pool is checkpointed to pages and recovered from
-//!   them. The pool counters (hits, misses, evictions) show the pool
-//!   degrading gracefully from fits-in-memory to paging-hard, and the
-//!   writeback/recovery times bound what that paging costs.
-//! * **Checkpoint interval** — a multiplied row count (10× the sweep's
-//!   base) is loaded with a checkpoint every K statements. Each
-//!   checkpoint truncates the WAL head, so frequent checkpoints buy
-//!   near-instant recovery at the price of page writeback during the
-//!   run; `checkpoint_every = 0` (never) pays the whole replay at
-//!   recovery.
-//!
-//! Both sections run on in-memory page/log stores so the numbers profile
-//! the engine (checksums, slotted codec, pool, repair machinery), not
-//! the host's disk. `BENCH_SMOKE=1` shrinks the row counts and skips the
-//! JSON write — used by `scripts/verify.sh` to prove the binary runs
-//! without clobbering recorded results; the correctness assertions run
-//! in both modes.
+//! The run uses in-memory page/log stores so the numbers profile the
+//! engine (checksums, slotted codec, epoch writeback), not the host's
+//! disk. `BENCH_SMOKE=1` shrinks the row count and skips the JSON write —
+//! used by `scripts/verify.sh` to prove the binary runs without
+//! clobbering recorded results; the row-count assertions run in both
+//! modes.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use sqlkernel::{Database, MemLogStore, MemPageStore, Value};
 
-/// Buffer-pool frames for the sweep.
-const POOL_PAGES: usize = 32;
+/// Ledger rows loaded per run (about 320 pages' worth).
+const ROWS: usize = 8960;
 
 /// Rows per page: ~140 bytes each against a ~4052-byte payload.
 const ROWS_PER_PAGE: usize = 28;
-
-const REPS: usize = 3;
 
 fn pad(id: usize) -> String {
     format!("{id:04}").repeat(30)
 }
 
-fn open(log: &MemLogStore, pages: &MemPageStore, pool: usize) -> Database {
-    Database::open_paged(
-        "bench",
-        Arc::new(log.clone()),
-        Arc::new(pages.clone()),
-        pool,
-    )
-    .unwrap()
+fn open(log: &MemLogStore, pages: &MemPageStore) -> Database {
+    Database::open_paged("bench", Arc::new(log.clone()), Arc::new(pages.clone()), 0).unwrap()
 }
 
 /// Insert `rows` ledger rows in multi-row batches, checkpointing every
@@ -87,10 +72,6 @@ fn count_rows(db: &Database) -> i64 {
     }
 }
 
-fn best_of<F: FnMut() -> f64>(mut f: F) -> f64 {
-    (0..REPS).map(|_| f()).fold(f64::MAX, f64::min)
-}
-
 fn main() {
     let smoke = std::env::var("BENCH_SMOKE").is_ok();
     let scale = if smoke { 4 } else { 1 };
@@ -98,91 +79,32 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    // -------------------------------------------------- working-set sweep
-    let mut sweep_rows = Vec::new();
-    for (label, ratio_num, ratio_den) in [("0.5x", 1usize, 2usize), ("1x", 1, 1), ("4x", 4, 1)] {
-        let rows = POOL_PAGES * ROWS_PER_PAGE * ratio_num / ratio_den / scale;
-        let log = MemLogStore::new();
-        let pages = MemPageStore::new();
-        let db = open(&log, &pages, POOL_PAGES);
-        load_rows(&db, rows, 0);
-        let t_writeback = {
-            // First checkpoint writes the whole table through the pool.
-            let start = Instant::now();
-            db.checkpoint().unwrap();
-            start.elapsed().as_secs_f64()
-        };
-        drop(db);
-        let mut stats = None;
-        let t_recover = best_of(|| {
-            let start = Instant::now();
-            let db = open(&log, &pages, POOL_PAGES);
-            let elapsed = start.elapsed().as_secs_f64();
-            assert_eq!(count_rows(&db) as usize, rows, "sweep {label} lost rows");
-            stats = Some(db.stats());
-            elapsed
-        });
-        let stats = stats.unwrap();
-        if ratio_num > ratio_den {
-            assert!(
-                stats.pool_evictions > 0,
-                "sweep {label}: a working set past the pool must evict"
-            );
-        }
-        eprintln!(
-            "sweep {label:>4}: {rows:>5} rows, store {:>7} bytes, writeback {:>7.2} ms, \
-             recover {:>7.2} ms, pool {}h/{}m/{}e",
-            pages.len(),
-            t_writeback * 1e3,
-            t_recover * 1e3,
-            stats.pool_hits,
-            stats.pool_misses,
-            stats.pool_evictions,
-        );
-        sweep_rows.push(format!(
-            "    {{ \"working_set\": \"{label}\", \"rows\": {rows}, \"store_bytes\": {}, \
-             \"writeback_ms\": {:.3}, \"recovery_ms\": {:.3}, \"pool_hits\": {}, \
-             \"pool_misses\": {}, \"pool_evictions\": {} }}",
-            pages.len(),
-            t_writeback * 1e3,
-            t_recover * 1e3,
-            stats.pool_hits,
-            stats.pool_misses,
-            stats.pool_evictions,
-        ));
-    }
-
-    // -------------------------------------------------- checkpoint interval
-    let big_rows = POOL_PAGES * ROWS_PER_PAGE * 10 / scale;
+    let rows = ROWS / scale;
     let mut interval_rows = Vec::new();
     for every in [0usize, 16, 4, 1] {
         let log = MemLogStore::new();
         let pages = MemPageStore::new();
-        let db = open(&log, &pages, POOL_PAGES);
+        let db = open(&log, &pages);
         let start = Instant::now();
-        load_rows(&db, big_rows, every);
+        load_rows(&db, rows, every);
         let run_secs = start.elapsed().as_secs_f64();
         drop(db);
         let wal_bytes = log.bytes().len();
         let start = Instant::now();
-        let db = open(&log, &pages, POOL_PAGES);
+        let db = open(&log, &pages);
         let recover_secs = start.elapsed().as_secs_f64();
-        assert_eq!(
-            count_rows(&db) as usize,
-            big_rows,
-            "interval {every} lost rows"
-        );
+        assert_eq!(count_rows(&db) as usize, rows, "interval {every} lost rows");
         eprintln!(
             "checkpoint every {every:>2} batches: load {:>7.1} rows/s, wal tail {:>8} bytes, \
              recover {:>7.2} ms",
-            big_rows as f64 / run_secs,
+            rows as f64 / run_secs,
             wal_bytes,
             recover_secs * 1e3,
         );
         interval_rows.push(format!(
             "    {{ \"checkpoint_every_batches\": {every}, \"load_rows_per_sec\": {:.1}, \
              \"wal_tail_bytes\": {wal_bytes}, \"recovery_ms\": {:.3} }}",
-            big_rows as f64 / run_secs,
+            rows as f64 / run_secs,
             recover_secs * 1e3,
         ));
     }
@@ -193,16 +115,13 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"paged_storage\",\n  \"pool_pages\": {POOL_PAGES},\n  \
-         \"rows_per_page_approx\": {ROWS_PER_PAGE},\n  \"reps\": {REPS},\n  \
-         \"host_cpus\": {cpus},\n  \
+        "{{\n  \"bench\": \"paged_storage\",\n  \"rows\": {ROWS},\n  \
+         \"rows_per_page_approx\": {ROWS_PER_PAGE},\n  \"host_cpus\": {cpus},\n  \
          \"note\": \"in-memory page/log stores: numbers profile the paged engine \
-         (checksummed slotted codec, clock pool, epoch writeback), not disk; \
+         (checksummed slotted codec, epoch writeback), not disk; \
          checkpoint_every_batches = 0 means never, so the whole WAL replays at \
          recovery, while smaller intervals truncate the log as they go\",\n  \
-         \"working_set_sweep\": [\n{sweep}\n  ],\n  \
          \"checkpoint_intervals\": [\n{intervals}\n  ]\n}}\n",
-        sweep = sweep_rows.join(",\n"),
         intervals = interval_rows.join(",\n"),
     );
 

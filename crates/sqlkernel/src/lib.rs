@@ -35,7 +35,6 @@
 
 pub mod ast;
 pub mod bound;
-pub mod bufferpool;
 pub mod catalog;
 pub mod db;
 pub mod error;
@@ -56,7 +55,6 @@ pub mod txn;
 pub mod types;
 pub mod wal;
 
-pub use bufferpool::BufferPool;
 pub use db::{Connection, Database, DbStats, Prepared, QueryResult, StatementResult};
 pub use error::{SqlError, SqlResult};
 pub use fault::{

@@ -15,11 +15,11 @@
 //! slot is `(offset: u16, len: u16)`; cells are appended from the end of
 //! the page downward, slots from the header upward — the classic slotted
 //! page. The header also carries the *page LSN*: the WAL position the
-//! page's contents are consistent with. The buffer pool refuses to write
-//! back any dirty page whose LSN exceeds the WAL flush point
-//! (write-ahead ordering), and recovery uses the mismatch between a
-//! checksum-failing page and an intact previous-epoch image to repair
-//! torn or bit-flipped pages from the log.
+//! page's contents are consistent with: a checkpoint stamps its anchor,
+//! which the log already covers durably (write-ahead ordering; see
+//! `pager.rs`). Recovery uses the mismatch between a checksum-failing
+//! page and an intact previous-epoch image to repair torn or
+//! bit-flipped pages from the log.
 //!
 //! Pages do not interpret their cells. The pager stores each table as a
 //! byte stream (row count + encoded rows) chunked into cells: a row that

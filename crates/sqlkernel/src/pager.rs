@@ -5,10 +5,14 @@
 //!
 //! ```text
 //! PagedEngine        epochs, directory, checkpoint, torn-page repair
-//!   └─ BufferPool    clock eviction, pinning, steal/no-force writeback
-//!        └─ Pager    seeded disk faults (PageFault) applied per I/O
-//!             └─ PageStore   MemPageStore / FilePageStore
+//!   └─ Pager         seeded disk faults (PageFault) applied per I/O
+//!        └─ PageStore   MemPageStore / FilePageStore
 //! ```
+//!
+//! The page store is a checkpoint format, not a cache: tables live
+//! wholly in memory, a checkpoint writes each page of its epoch once,
+//! and an open reads each live page once. Every one of those I/Os goes
+//! through the [`Pager`], so scripted [`PageFault`]s reach all of them.
 //!
 //! ## On-disk layout (ping-pong metadata)
 //!
@@ -30,18 +34,20 @@
 //!
 //! ## WAL ordering
 //!
-//! Checkpoints are quiesced (no open or prepared transactions), so the
-//! anchor LSN is a clean point: every transaction on or before it is
-//! terminated. Dirty pages are stamped with the anchor LSN and the
-//! buffer pool refuses to write any page whose LSN is past the WAL's
-//! flush point — write-ahead, enforced rather than assumed.
+//! A page may reach the store only once the WAL is durable through the
+//! LSN its image reflects. Checkpoints meet that by construction:
+//! [`crate::Database::checkpoint`] takes the anchor as the WAL's last
+//! LSN under the exclusive catalog lock, with no active or prepared
+//! transaction, after appends that already synced. Every page of the
+//! epoch is stamped with that anchor, so every image it carries is
+//! already covered by the durable log, and every transaction on or
+//! before the anchor is terminated.
 
 use std::collections::HashSet;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::bufferpool::BufferPool;
 use crate::catalog::{Catalog, Sequence};
 use crate::error::{SqlError, SqlResult};
 use crate::fault::{crashed_error, FaultInjector, PageFault};
@@ -250,7 +256,7 @@ impl PageStore for FilePageStore {
 
 // ----------------------------------------------------------------- pager
 
-/// The fault-application layer between the buffer pool and a
+/// The fault-application layer between the paged engine and a
 /// [`PageStore`]. Every read and write consults the installed
 /// [`FaultInjector`] (if any) and applies whichever scripted
 /// [`PageFault`] is due at this I/O index — the page-level analogue of
@@ -634,12 +640,12 @@ struct EngineState {
     repaired: HashSet<String>,
 }
 
-/// The paged storage engine: owns the buffer pool and the epoch state,
-/// loads the base catalog at open (repairing corrupt pages), and writes
+/// The paged storage engine: owns the pager and the epoch state, loads
+/// the base catalog at open (repairing corrupt pages), and writes
 /// incremental checkpoints.
 #[derive(Debug)]
 pub struct PagedEngine {
-    pool: BufferPool,
+    pager: Pager,
     state: Mutex<EngineState>,
     pages_repaired: AtomicU64,
 }
@@ -650,16 +656,20 @@ impl PagedEngine {
     /// corrupt *directory* in the newest epoch rolls the whole store
     /// back one epoch (the WAL tail re-derives everything since); both
     /// slots corrupt on a non-empty store is fatal.
-    pub fn open(store: Arc<dyn PageStore>, pool_pages: usize) -> SqlResult<PagedEngine> {
+    ///
+    /// The `usize` argument is ignored: pages are read straight through
+    /// the pager and nothing is cached, so there is no pool to size. It
+    /// stays in the signature for existing callers.
+    pub fn open(store: Arc<dyn PageStore>, _: usize) -> SqlResult<PagedEngine> {
         let fresh = store.page_count()? == 0;
         let engine = PagedEngine {
-            pool: BufferPool::new(Pager::new(store), pool_pages),
+            pager: Pager::new(store),
             state: Mutex::new(EngineState::default()),
             pages_repaired: AtomicU64::new(0),
         };
         let mut metas = Vec::new();
         for slot in 0..2u64 {
-            if let Ok(bytes) = engine.pool.get(slot) {
+            if let Ok(bytes) = engine.pager.read_page(slot) {
                 if let Ok(meta) = decode_meta_page(&bytes, slot) {
                     metas.push(meta);
                 }
@@ -718,14 +728,10 @@ impl PagedEngine {
         Ok(engine)
     }
 
-    /// The buffer pool (stats and flush-LSN live there).
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    /// Install (or clear) the fault injector on the underlying pager.
-    pub fn set_injector(&self, injector: Option<Arc<FaultInjector>>) {
-        self.pool.pager().set_injector(injector);
+    /// The pager every page read and write goes through (its counters
+    /// and fault injector live there).
+    pub fn pager(&self) -> &Pager {
+        &self.pager
     }
 
     /// Pages detected corrupt and rebuilt (directory rollbacks included).
@@ -762,7 +768,7 @@ impl PagedEngine {
     }
 
     fn page_ok(&self, kind: PageKind, page_no: u64) -> bool {
-        self.pool.get(page_no).is_ok_and(|bytes| {
+        self.pager.read_page(page_no).is_ok_and(|bytes| {
             PageView::parse(&bytes).is_ok_and(|v| v.kind() == kind && v.page_no() == page_no)
         })
     }
@@ -771,7 +777,7 @@ impl PagedEngine {
     fn read_stream(&self, kind: PageKind, pages: &[u64], stream_len: u64) -> SqlResult<Vec<u8>> {
         let mut out = Vec::with_capacity(stream_len as usize);
         for &no in pages {
-            let bytes = self.pool.get(no)?;
+            let bytes = self.pager.read_page(no)?;
             let view = PageView::parse(&bytes)?;
             if view.kind() != kind {
                 return Err(corrupt(format!(
@@ -934,14 +940,18 @@ impl PagedEngine {
 
     /// Write a checkpoint epoch: data pages for dirty tables (clean ones
     /// keep their extents), directory, then the metadata flip — each
-    /// stage synced before the next. `partial` models a crash after the
-    /// data-page stage: some new-epoch pages land, no flip, no state
-    /// change; the abandoned pages are unreferenced garbage the next
-    /// successful checkpoint may reuse.
+    /// stage synced before the next. Each page goes to the pager as soon
+    /// as it is sealed, so no table image or stream is ever held whole.
+    /// `partial` models a crash after the data-page stage: some new-epoch
+    /// pages land, no flip, no state change; the abandoned pages are
+    /// unreferenced garbage the next successful checkpoint may reuse.
     ///
-    /// `anchor_lsn` must be the WAL's last LSN under checkpoint
-    /// quiescence, already durable (appends sync) — it becomes both the
-    /// page LSN of every written page and the pool's flush gate.
+    /// `anchor_lsn` becomes the page LSN of every page written. Write-ahead
+    /// ordering rests on the caller, [`crate::Database::checkpoint`]: it
+    /// takes the anchor as the WAL's last LSN under the exclusive catalog
+    /// lock, with no active or prepared transaction, after appends that
+    /// already synced. So the log is durable through every image written
+    /// here before the first page is.
     pub fn checkpoint(
         &self,
         catalog: &Catalog,
@@ -959,23 +969,19 @@ impl PagedEngine {
             }
         }
         let mut alloc = PageAlloc { forbidden, next: 2 };
-        // The WAL through `anchor_lsn` is durable; open the gate first so
-        // steal evictions during the put loop pass the write-ahead check.
-        self.pool.set_flush_lsn(anchor_lsn);
 
         let mut names = catalog.table_names();
         names.sort(); // deterministic page layout
         let mut new_dir = Vec::with_capacity(names.len());
-        // Data pages go to the pool as they fill (it writes back what
-        // it evicts), so no table's image or stream is ever held whole.
-        // A dying checkpoint collects them instead and lands half.
+        // Data pages are written as they fill. A dying checkpoint
+        // collects them instead and lands half.
         let mut pending: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut put = |no: u64, page: Vec<u8>| {
             if partial {
                 pending.push((no, page));
                 Ok(())
             } else {
-                self.pool.put(no, page, anchor_lsn)
+                self.pager.write_page(no, &page)
             }
         };
         let mut cell = Vec::new();
@@ -1027,13 +1033,13 @@ impl PagedEngine {
         if partial {
             // Death mid-checkpoint: roughly half the new data pages
             // reach the store, nothing is flipped, nothing mutates.
-            let cut = pending.len().div_ceil(2).min(pending.len());
+            let cut = pending.len().div_ceil(2);
             for (no, bytes) in pending.into_iter().take(cut) {
-                self.pool.put(no, bytes, anchor_lsn)?;
+                self.pager.write_page(no, &bytes)?;
             }
-            return self.pool.flush_all();
+            return self.pager.sync();
         }
-        self.pool.flush_all()?; // data pages durable
+        self.pager.sync()?; // data pages durable
 
         let dir_stream = encode_dir(&new_dir);
         let dir_pages = pack_stream(
@@ -1052,17 +1058,17 @@ impl PagedEngine {
             dir_pages: dir_pages.iter().map(|(no, _)| *no).collect(),
         };
         for (no, bytes) in dir_pages {
-            self.pool.put(no, bytes, anchor_lsn)?;
+            self.pager.write_page(no, &bytes)?;
         }
-        self.pool.flush_all()?; // directory durable
+        self.pager.sync()?; // directory durable
 
         // The flip: one page into the slot the current epoch does not
         // occupy. Torn here → this slot fails its checksum at open and
         // the old epoch still rules.
         let slot = new_epoch % 2;
         let meta_bytes = encode_meta_page(&meta, slot)?;
-        self.pool.put(slot, meta_bytes, anchor_lsn)?;
-        self.pool.flush_all()?;
+        self.pager.write_page(slot, &meta_bytes)?;
+        self.pager.sync()?;
 
         st.prev = st.cur.take();
         st.cur = Some(Epoch { meta, dir: new_dir });
@@ -1195,6 +1201,84 @@ mod tests {
         let page = pager.read_page(0).unwrap();
         assert!(PageView::parse(&page).is_ok(), "slow, not wrong");
         assert_eq!(inj.ticks(), 40);
+    }
+
+    /// A catalog built by SQL: the replayed log of a durable database.
+    fn catalog_from_sql(script: &str) -> (Catalog, u64) {
+        let log = crate::MemLogStore::new();
+        let db = crate::Database::recover("io", Arc::new(log.clone())).unwrap();
+        db.connect().execute_script(script).unwrap();
+        let scanned = wal::scan(&log.bytes());
+        let anchor = scanned.records.last().map_or(0, |(lsn, _)| *lsn);
+        let base = BaseLoad {
+            catalog: Catalog::new(),
+            catalog_epoch: 0,
+            anchor_lsn: 0,
+        };
+        (wal::replay_scanned(base, &scanned).catalog, anchor)
+    }
+
+    /// Pages of the current epoch: `tables`' data pages, the directory
+    /// and the metadata page.
+    fn epoch_pages(engine: &PagedEngine, tables: &[&str]) -> u64 {
+        let st = engine.state.lock();
+        let cur = st.cur.as_ref().unwrap();
+        let data: usize = cur
+            .dir
+            .iter()
+            .filter(|e| tables.contains(&e.schema.name.as_str()))
+            .map(|e| e.pages.len())
+            .sum();
+        (data + cur.meta.dir_pages.len() + 1) as u64
+    }
+
+    #[test]
+    fn checkpoint_writes_and_open_reads_each_live_page_once() {
+        let mut script = String::from(
+            "CREATE TABLE wide (id INT PRIMARY KEY, pad TEXT); \
+             CREATE TABLE small (id INT PRIMARY KEY); \
+             INSERT INTO small VALUES (1);",
+        );
+        for id in 0..100 {
+            script.push_str(&format!("INSERT INTO wide VALUES ({id}, '{id:0120}');"));
+        }
+        let (catalog, anchor) = catalog_from_sql(&script);
+        let store = MemPageStore::new();
+        let engine = PagedEngine::open(Arc::new(store.clone()), 0).unwrap();
+        let dirty = |names: &[&str]| names.iter().map(|n| n.to_string()).collect();
+        assert_eq!(engine.pager().reads(), 2, "a fresh store: both slots");
+
+        // Epoch 1 writes every table; epoch 2 rewrites only `small`, and
+        // `wide` keeps its extent.
+        engine
+            .checkpoint(&catalog, anchor, &dirty(&["wide", "small"]), false)
+            .unwrap();
+        assert_eq!(
+            engine.pager().writes(),
+            epoch_pages(&engine, &["wide", "small"])
+        );
+        assert!(epoch_pages(&engine, &["wide"]) > 3, "wide spans pages");
+        let before = engine.pager().writes();
+        engine
+            .checkpoint(&catalog, anchor, &dirty(&["small"]), false)
+            .unwrap();
+        assert_eq!(
+            engine.pager().writes() - before,
+            epoch_pages(&engine, &["small"])
+        );
+        assert_eq!(engine.pager().reads(), 2, "a checkpoint reads nothing");
+
+        // A clean open reads both metadata slots, both epochs'
+        // directories and the current data pages, each once.
+        let reopened = PagedEngine::open(Arc::new(store), 0).unwrap();
+        reopened.load_base(&wal::scan(&[])).unwrap();
+        let st = reopened.state.lock();
+        let (cur, prev) = (st.cur.as_ref().unwrap(), st.prev.as_ref().unwrap());
+        let data: usize = cur.dir.iter().map(|e| e.pages.len()).sum();
+        let live = 2 + cur.meta.dir_pages.len() + prev.meta.dir_pages.len() + data;
+        assert_eq!(reopened.pager().reads(), live as u64);
+        assert_eq!(reopened.pager().writes(), 0);
+        assert_eq!(reopened.pages_repaired(), 0);
     }
 
     #[test]
