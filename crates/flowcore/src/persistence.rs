@@ -14,13 +14,16 @@
 //!
 //! [`PersistenceService::run`] executes a [`DurableProcess`] one
 //! [`DurableStep`] at a time. Each step runs inside ONE explicit SQL
-//! transaction together with the checkpoint that advances the program
-//! counter:
+//! transaction together with all of the instance's bookkeeping: the
+//! program counter, the status, the variables and the breaker state.
 //!
 //! ```text
 //! BEGIN;
 //!   <step body: arbitrary SQL against user tables>;
-//!   UPDATE FLOW_INSTANCES SET Pc = pc+1, Vars = <encoded> WHERE InstanceKey = ?;
+//!   UPDATE FLOW_INSTANCES SET Pc = pc+1, Status = <running | completed>,
+//!          Vars = <encoded>, Breakers = <encoded> WHERE InstanceKey = ?;
+//!   -- a fresh instance's first step inserts the row instead:
+//!   -- INSERT INTO FLOW_INSTANCES VALUES (?, <process>, 1, <status>, <vars>, <breakers>);
 //! COMMIT;
 //! ```
 //!
@@ -28,7 +31,15 @@
 //! recovery undoes it wholesale, so on resume the program counter still
 //! points at the interrupted step and it re-runs — its user-table effects
 //! and its checkpoint commit or vanish *together*. A completed (committed)
-//! step is never re-executed.
+//! step is never re-executed. The last step writes `completed` in the
+//! same statement, so an `n`-step instance costs `n` commits. Only two
+//! writes happen outside a step transaction: the completion of a run
+//! that executes no step (an empty process, or a row already past its
+//! last step), and the best-effort breaker park when a step fails.
+//!
+//! A fresh instance has no row until its first step commits. A call that
+//! resumes a key whose first step never committed and never parked (the
+//! process died first) therefore starts from its own `initial`.
 //!
 //! # Encoding
 //!
@@ -216,32 +227,11 @@ impl PersistenceService {
             "SELECT Pc FROM FLOW_INSTANCES WHERE InstanceKey = ?",
             &[Value::text(instance_key)],
         )?;
-        if existing.rows.is_empty() {
-            conn.execute(
-                "INSERT INTO FLOW_INSTANCES VALUES (?, ?, ?, ?, ?, ?)",
-                &[
-                    Value::text(instance_key),
-                    Value::text(process),
-                    Value::Int(pc as i64),
-                    Value::text(status),
-                    Value::text(vars_txt),
-                    Value::text(breakers_txt),
-                ],
-            )?;
-        } else {
-            conn.execute(
-                "UPDATE FLOW_INSTANCES SET Process = ?, Pc = ?, Status = ?, Vars = ?, Breakers = ? \
-                 WHERE InstanceKey = ?",
-                &[
-                    Value::text(process),
-                    Value::Int(pc as i64),
-                    Value::text(status),
-                    Value::text(vars_txt),
-                    Value::text(breakers_txt),
-                    Value::text(instance_key),
-                ],
-            )?;
-        }
+        write_instance(
+            &conn,
+            !existing.rows.is_empty(),
+            instance_row(instance_key, process, pc, status, &vars_txt, &breakers_txt),
+        )?;
         Ok(())
     }
 
@@ -273,13 +263,14 @@ impl PersistenceService {
 
     /// Run (or resume) `process` under `instance_key`.
     ///
-    /// A fresh key inserts a `running` row at pc 0 with `initial`; a known
-    /// key resumes from the parked program counter, variables, and breaker
-    /// state (ignoring `initial`). Each step executes inside one explicit
-    /// transaction with its pc/vars checkpoint (see module docs), wrapped
-    /// in `rt`'s retry/breaker envelope keyed `"<process>:<step>"`. An
-    /// already-completed instance returns immediately with
-    /// `already_completed = true`.
+    /// A known key resumes from the parked program counter, variables and
+    /// breaker state (ignoring `initial`). A fresh key starts from
+    /// `initial` at pc 0 and has no row until its first step commits:
+    /// that step's transaction inserts it. Each step executes inside one
+    /// explicit transaction with the instance row's update (see module
+    /// docs), wrapped in `rt`'s retry/breaker envelope keyed
+    /// `"<process>:<step>"`. An already-completed instance returns
+    /// immediately with `already_completed = true`.
     pub fn run(
         &self,
         process: &DurableProcess,
@@ -301,6 +292,7 @@ impl PersistenceService {
             .map_err(FlowError::from)
         });
         let rs = rs?;
+        let mut row_exists = !rs.rows.is_empty();
         let (pc, mut vars_txt) = match rs.rows.first() {
             Some(row) => {
                 let owner = as_text(&row[0])?;
@@ -326,50 +318,40 @@ impl PersistenceService {
                 }
                 (pc, vars_txt)
             }
-            None => {
-                let vars_txt = encode_variables(initial)?;
-                let breakers_txt = encode_breakers(rt);
-                let (r, _) = rt.run(&hydrate_key, Some(&self.db), || {
-                    conn.execute(
-                        "INSERT INTO FLOW_INSTANCES VALUES (?, ?, 0, ?, ?, ?)",
-                        &[
-                            Value::text(instance_key),
-                            Value::text(&process.name),
-                            Value::text(STATUS_RUNNING),
-                            Value::text(&vars_txt),
-                            Value::text(&breakers_txt),
-                        ],
-                    )
-                    .map(|_| ())
-                    .map_err(FlowError::from)
-                });
-                r?;
-                (0, vars_txt)
-            }
+            None => (0, encode_variables(initial)?),
         };
         let resumed_from = pc;
+        let row = |pc, status, vars_txt: &str, breakers_txt: &str| {
+            instance_row(
+                instance_key,
+                &process.name,
+                pc,
+                status,
+                vars_txt,
+                breakers_txt,
+            )
+        };
 
         let mut steps_executed = 0usize;
         for (i, step) in process.steps.iter().enumerate().skip(pc) {
             let retry_key = format!("{}:{}", process.name, step.name);
-            let next_pc = (i + 1) as i64;
-            // Each retry attempt decodes a fresh copy of the parked
-            // variables, so a half-mutated attempt never leaks into the
-            // next one — attempts are deterministic replays.
-            let snapshot = vars_txt.clone();
-            let (result, _report) = rt.run(&retry_key, Some(&self.db), || {
-                let mut v = decode_variables(&snapshot)?;
+            let status = if i + 1 == process.steps.len() {
+                STATUS_COMPLETED
+            } else {
+                STATUS_RUNNING
+            };
+            let (result, _report) = rt.run_with(&retry_key, Some(&self.db), |rt| {
+                // Each attempt decodes a fresh copy of the parked
+                // variables, so a half-mutated attempt never leaks into
+                // the next one — attempts are deterministic replays.
+                let mut v = decode_variables(&vars_txt)?;
                 conn.execute("BEGIN", &[])?;
                 let r = (step.body)(&conn, &mut v).and_then(|()| {
                     let encoded = encode_variables(&v)?;
-                    conn.execute(
-                        "UPDATE FLOW_INSTANCES SET Pc = ?, Vars = ? WHERE InstanceKey = ?",
-                        &[
-                            Value::Int(next_pc),
-                            Value::text(&encoded),
-                            Value::text(instance_key),
-                        ],
-                    )?;
+                    // The breakers as they stand once this attempt
+                    // succeeds, so the row needs no second write.
+                    let breakers = encode_breakers_closing(rt, Some(&retry_key));
+                    write_instance(&conn, row_exists, row(i + 1, status, &encoded, &breakers))?;
                     conn.execute("COMMIT", &[])?;
                     Ok(encoded)
                 });
@@ -381,50 +363,86 @@ impl PersistenceService {
             match result {
                 Ok(encoded) => {
                     vars_txt = encoded;
+                    row_exists = true;
                     steps_executed += 1;
-                    // Park breaker state after the step. Deliberately a
-                    // separate auto-commit write: a crash between the step
-                    // commit and this update loses at most a little breaker
-                    // history, never a step.
-                    let breakers_txt = encode_breakers(rt);
-                    let (r, _) = rt.run(&retry_key, Some(&self.db), || {
-                        conn.execute(
-                            "UPDATE FLOW_INSTANCES SET Breakers = ? WHERE InstanceKey = ?",
-                            &[Value::text(&breakers_txt), Value::text(instance_key)],
-                        )
-                        .map(|_| ())
-                        .map_err(FlowError::from)
-                    });
-                    r?;
                 }
                 Err(e) => {
-                    // Best effort: park the breaker trips so a later
-                    // resume fails fast where this run did. If the
-                    // database just "crashed" this fails too — fine.
-                    let _ = conn.execute(
-                        "UPDATE FLOW_INSTANCES SET Breakers = ? WHERE InstanceKey = ?",
-                        &[Value::text(encode_breakers(rt)), Value::text(instance_key)],
+                    // Best effort: park the breaker trips with the state
+                    // the last commit left, so a later resume fails fast
+                    // where this run did. A fresh instance whose first
+                    // step failed has no row yet and gets its `running`
+                    // row here, at pc 0 with the initial variables. If
+                    // the database just "crashed" this fails too — fine.
+                    let breakers = encode_breakers(rt);
+                    let _ = write_instance(
+                        &conn,
+                        row_exists,
+                        row(i, STATUS_RUNNING, &vars_txt, &breakers),
                     );
                     return Err(e);
                 }
             }
         }
 
-        let (r, _) = rt.run(&hydrate_key, Some(&self.db), || {
-            conn.execute(
-                "UPDATE FLOW_INSTANCES SET Status = ? WHERE InstanceKey = ?",
-                &[Value::text(STATUS_COMPLETED), Value::text(instance_key)],
-            )
-            .map(|_| ())
-            .map_err(FlowError::from)
-        });
-        r?;
+        if steps_executed == 0 {
+            // No step transaction ran to write the completion: an empty
+            // process, or a resumed row already past its last step.
+            let breakers = encode_breakers(rt);
+            let (r, _) = rt.run(&hydrate_key, Some(&self.db), || {
+                write_instance(
+                    &conn,
+                    row_exists,
+                    row(pc, STATUS_COMPLETED, &vars_txt, &breakers),
+                )
+                .map(|_| ())
+                .map_err(FlowError::from)
+            });
+            r?;
+        }
         Ok(DurableRun {
             variables: decode_variables(&vars_txt)?,
             resumed_from,
             steps_executed,
             already_completed: false,
         })
+    }
+}
+
+/// One `FLOW_INSTANCES` row in column order.
+fn instance_row(
+    instance_key: &str,
+    process: &str,
+    pc: usize,
+    status: &str,
+    vars_txt: &str,
+    breakers_txt: &str,
+) -> [Value; 6] {
+    [
+        Value::text(instance_key),
+        Value::text(process),
+        Value::Int(pc as i64),
+        Value::text(status),
+        Value::text(vars_txt),
+        Value::text(breakers_txt),
+    ]
+}
+
+/// Write a whole [`instance_row`]: an `UPDATE` of every column when the
+/// row exists, an `INSERT` otherwise.
+fn write_instance(
+    conn: &Connection,
+    exists: bool,
+    mut row: [Value; 6],
+) -> sqlkernel::SqlResult<sqlkernel::StatementResult> {
+    if exists {
+        row.rotate_left(1);
+        conn.execute(
+            "UPDATE FLOW_INSTANCES SET Process = ?, Pc = ?, Status = ?, Vars = ?, Breakers = ? \
+             WHERE InstanceKey = ?",
+            &row,
+        )
+    } else {
+        conn.execute("INSERT INTO FLOW_INSTANCES VALUES (?, ?, ?, ?, ?, ?)", &row)
     }
 }
 
@@ -580,8 +598,20 @@ fn state_from_name(s: &str) -> FlowResult<BreakerState> {
 
 /// Encode the runtime's virtual clock and breaker snapshot.
 pub fn encode_breakers(rt: &RetryRuntime) -> String {
+    encode_breakers_closing(rt, None)
+}
+
+/// [`encode_breakers`], with the `closed` key's breaker as a success
+/// leaves it: closed at zero failures. Inside a [`RetryRuntime::run_with`]
+/// attempt under that key, this is the encoding the runtime will have
+/// once the attempt returns `Ok`.
+fn encode_breakers_closing(rt: &RetryRuntime, closed: Option<&str>) -> String {
     let mut lines = vec![format!("clock {}", rt.now())];
-    for (key, state, failures, opened_at) in rt.export_breakers() {
+    for (key, mut state, mut failures, opened_at) in rt.export_breakers() {
+        if closed == Some(key.as_str()) {
+            state = BreakerState::Closed;
+            failures = 0;
+        }
         lines.push(format!(
             "{} {} {failures} {opened_at}",
             esc(&key),
@@ -854,6 +884,134 @@ mod tests {
             "the interrupted step re-executed after recovery"
         );
         let _ = svc; // first durable handle kept alive until here
+    }
+
+    #[test]
+    fn completed_row_parks_the_runtime_as_the_run_leaves_it() {
+        // The last step fails transiently once, so its breaker holds one
+        // failure while the retried attempt commits; the row must carry
+        // the breaker as that success closes it, and the final clock.
+        let db = Database::new("p");
+        let svc = PersistenceService::new(&db).unwrap();
+        let flaked = Cell::new(false);
+        let proc_ = DurableProcess::new("demo")
+            .step("first", |_, _| Ok(()))
+            .step("second", move |_, _| {
+                if flaked.replace(true) {
+                    Ok(())
+                } else {
+                    Err(FlowError::Sql(sqlkernel::SqlError::Transient("r".into())))
+                }
+            });
+        let mut rt = RetryRuntime::new(1);
+        svc.run(&proc_, "i-1", &Variables::new(), &mut rt).unwrap();
+        assert_eq!(rt.total_retries(), 1);
+        let h = svc.rehydrate("i-1").unwrap().unwrap();
+        assert_eq!(h.status, STATUS_COMPLETED);
+        assert_eq!(
+            (h.clock, h.breakers),
+            decode_breakers(&encode_breakers(&rt)).unwrap()
+        );
+    }
+
+    #[test]
+    fn crash_after_first_commit_recovers_its_breaker_park() {
+        // Crash at each statement index in turn, each on a fresh log. The
+        // first index whose recovered row has pc 1 is the first statement
+        // after step 1's COMMIT: the row must already carry step 1's
+        // breaker and the clock as step 1 left it.
+        let effects = Rc::new(Cell::new(0));
+        let proc_ = counting_process(&effects);
+        for idx in 0..24 {
+            let store = MemLogStore::new();
+            let db = Database::recover("p", Arc::new(store.clone())).unwrap();
+            log_table(&db);
+            let svc = PersistenceService::new(&db).unwrap();
+            db.set_fault_plan(Some(sqlkernel::FaultPlan::new(7).fault_at(
+                idx,
+                sqlkernel::Fault::Crash(sqlkernel::CrashPoint::BeforeLog),
+            )));
+            let mut rt = RetryRuntime::new(1);
+            let r = svc.run(&proc_, "i-9", &Variables::new(), &mut rt);
+            assert!(r.is_err(), "every run below pc 1 ends in the crash");
+            let db2 = Database::recover("p", Arc::new(store)).unwrap();
+            let svc2 = PersistenceService::new(&db2).unwrap();
+            let Some(h) = svc2.rehydrate("i-9").unwrap() else {
+                continue;
+            };
+            if h.pc == 0 {
+                continue;
+            }
+            assert_eq!(h.pc, 1);
+            assert_eq!(h.status, STATUS_RUNNING);
+            // The hydrate query and step 1 each tick the clock once.
+            assert_eq!(h.clock, 2);
+            assert!(
+                h.breakers
+                    .contains(&("demo:first".into(), BreakerState::Closed, 0, 0)),
+                "step 1's breaker is parked with its commit: {:?}",
+                h.breakers
+            );
+            return;
+        }
+        panic!("no probe index crashed after step 1 committed");
+    }
+
+    #[test]
+    fn empty_process_leaves_one_completed_row() {
+        let db = Database::new("p");
+        let svc = PersistenceService::new(&db).unwrap();
+        let empty = DurableProcess::new("empty");
+        let mut rt = RetryRuntime::new(1);
+        let run = svc.run(&empty, "e-1", &Variables::new(), &mut rt).unwrap();
+        assert_eq!(run.steps_executed, 0);
+        assert!(!run.already_completed);
+        assert_eq!(
+            svc.instance_status("e-1").unwrap(),
+            Some((0, STATUS_COMPLETED.into()))
+        );
+        let rs = db
+            .connect()
+            .query("SELECT COUNT(*) FROM FLOW_INSTANCES", &[])
+            .unwrap();
+        assert_eq!(rs.rows[0][0], Value::Int(1));
+    }
+
+    #[test]
+    fn fresh_instance_failing_step_one_parks_its_breaker_trip() {
+        // The run that fails in step 1 never commits a step, so the error
+        // path must create the row that carries the open breaker; a later
+        // resume then fails fast without invoking the body.
+        let breaker = crate::retry::BreakerConfig {
+            failure_threshold: 1,
+            cooldown_ticks: 50,
+        };
+        let db = Database::new("p");
+        let svc = PersistenceService::new(&db).unwrap();
+        let calls = Rc::new(Cell::new(0));
+        let c = Rc::clone(&calls);
+        let proc_ = DurableProcess::new("demo").step("first", move |_, _| {
+            c.set(c.get() + 1);
+            Err(FlowError::Service("down".into()))
+        });
+        let mut initial = Variables::new();
+        initial.set("order", VarValue::Scalar(Value::Int(42)));
+        let mut rt = RetryRuntime::new(1).with_breaker(breaker.clone());
+        assert!(svc.run(&proc_, "f-1", &initial, &mut rt).is_err());
+        assert_eq!(calls.get(), 1);
+        let h = svc.rehydrate("f-1").unwrap().unwrap();
+        assert_eq!((h.pc, h.status.as_str()), (0, STATUS_RUNNING));
+        assert_eq!(
+            h.variables.require_scalar("order").unwrap(),
+            &Value::Int(42)
+        );
+
+        let mut rt2 = RetryRuntime::new(2).with_breaker(breaker);
+        let err = svc
+            .run(&proc_, "f-1", &Variables::new(), &mut rt2)
+            .unwrap_err();
+        assert!(err.to_string().contains("circuit breaker open"), "{err}");
+        assert_eq!(calls.get(), 1, "the parked breaker failed fast");
     }
 
     #[test]

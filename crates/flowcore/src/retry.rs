@@ -325,6 +325,21 @@ impl RetryRuntime {
         db: Option<&Database>,
         mut op: impl FnMut() -> FlowResult<T>,
     ) -> (FlowResult<T>, RetryReport) {
+        self.run_with(key, db, |_| op())
+    }
+
+    /// [`run`](Self::run) whose `op` also receives the runtime as the
+    /// attempt sees it: the clock already advanced for this call and
+    /// every backoff so far, and `key`'s breaker admitted but not yet
+    /// closed by the attempt's success. The persistence layer uses this
+    /// to write the breaker state inside the transaction the attempt
+    /// commits.
+    pub fn run_with<T>(
+        &mut self,
+        key: &str,
+        db: Option<&Database>,
+        mut op: impl FnMut(&RetryRuntime) -> FlowResult<T>,
+    ) -> (FlowResult<T>, RetryReport) {
         let mut report = RetryReport::default();
         self.clock += 1; // one unit of work per run call
         loop {
@@ -354,7 +369,7 @@ impl RetryRuntime {
             }
 
             report.attempts += 1;
-            match op() {
+            match op(self) {
                 Ok(v) => {
                     let breaker = self.breakers.get_mut(key).expect("inserted above");
                     if probing {
