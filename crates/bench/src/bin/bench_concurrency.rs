@@ -19,16 +19,17 @@
 //! writer, so the bar is *utilization*: with R = readers-alone rate and
 //! W = writer-alone rate, a non-blocking engine must reach
 //! r/R + w/W ≥ 0.9 under contention (blocked time would show up as
-//! cycles delivered to neither side); best-of-3 windows filters
+//! cycles delivered to neither side); the best of 3 reps filters
 //! scheduler noise. That readers never wait on a writer's log append is
 //! pinned deterministically by `tests/mvcc_snapshots.rs`.
 //!
 //! `BENCH_SMOKE=1` shrinks the windows, skips the JSON write, and skips
-//! the timing bars (correctness gates still run) — used by CI.
+//! the timing bars (correctness gates still run).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use bench::report::{self, Metric, Report};
 use sqlkernel::{Database, Value};
 
 const QUERY: &str =
@@ -36,6 +37,8 @@ const QUERY: &str =
 const DB_ROWS: usize = 2_000;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const CONTENDED_COUNTS: [usize; 3] = [1, 2, 4];
+/// Contended windows per point; the utilization bar takes the best.
+const CONTENDED_REPS: usize = 3;
 /// Transfer transactions in the identity gate.
 const IDENTITY_TRANSFERS: usize = 600;
 
@@ -131,8 +134,8 @@ fn verify_snapshot_identity(rows: usize, transfers: usize) {
     );
 }
 
-/// Readers-only window (uncontended baseline).
-fn measure(db: &Database, threads: usize, win: Duration) -> (u64, f64) {
+/// Readers-only window (uncontended baseline): queries/s.
+fn measure(db: &Database, threads: usize, win: Duration) -> f64 {
     let stop = AtomicBool::new(false);
     let start = Instant::now();
     let total: u64 = std::thread::scope(|s| {
@@ -154,8 +157,7 @@ fn measure(db: &Database, threads: usize, win: Duration) -> (u64, f64) {
         stop.store(true, Ordering::Relaxed);
         handles.into_iter().map(|h| h.join().unwrap()).sum()
     });
-    let elapsed = start.elapsed().as_secs_f64();
-    (total, total as f64 / elapsed)
+    total as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Writer-alone window: transfer commits/s with no readers running.
@@ -212,13 +214,21 @@ fn measure_contended(db: &Database, threads: usize, win: Duration) -> (f64, f64)
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok();
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let smoke = report::smoke();
     let win = window(smoke);
     let rows = if smoke { 200 } else { DB_ROWS };
     let transfers = if smoke { 60 } else { IDENTITY_TRANSFERS };
+    let mut report = Report::new(
+        "concurrency",
+        bench::ORDERS_SEED,
+        &format!(
+            "{DB_ROWS}-row seeded orders, {} ms windows, query {QUERY:?}; speedup is \
+             bounded by host_cpus. Contended points run one transfer-committing writer \
+             against N snapshot readers, {CONTENDED_REPS} reps each; the identity gate \
+             verified the contended run byte-identical to a serialized run before timing",
+            win.as_millis()
+        ),
+    );
 
     // Correctness gate first: no timing for an engine that tears reads.
     verify_snapshot_identity(rows, transfers);
@@ -229,68 +239,62 @@ fn main() {
     // Warm the statement cache so measurement covers the cached path.
     db.connect().query(QUERY, &[]).unwrap();
 
-    let mut points = Vec::new();
     let mut base_qps = 0.0f64;
     for &threads in &THREAD_COUNTS {
-        let (queries, qps) = measure(&db, threads, win);
+        let qps = measure(&db, threads, win);
         if threads == 1 {
             base_qps = qps;
         }
-        let speedup = if base_qps > 0.0 { qps / base_qps } else { 0.0 };
+        let speedup = qps / base_qps;
         eprintln!("{threads} readers: {qps:>10.0} queries/s  (×{speedup:.2} vs 1 reader)");
-        points.push(format!(
-            "    {{ \"threads\": {threads}, \"queries\": {queries}, \
-             \"queries_per_sec\": {qps:.1}, \"speedup_vs_1\": {speedup:.3} }}"
-        ));
+        report
+            .point()
+            .param("readers", threads)
+            .metric("reads", Metric::value("queries/s", qps))
+            .metric("speedup_vs_1", Metric::value("x", speedup));
     }
 
     // Writer-alone baseline (headline number; the utilization bar
     // re-measures its own adjacent baselines below).
     let writer_alone = measure_writer_alone(&db, win);
     eprintln!("writer alone: {writer_alone:.0} commits/s");
+    report
+        .point()
+        .param("writer", "alone")
+        .metric("commits", Metric::value("commits/s", writer_alone));
 
-    // Contended sweep: N snapshot readers against one writer.
-    // Best-of-3 windows per point — a 1-CPU host's scheduler can starve
-    // either side for a whole window; the claim is what the engine *can*
-    // sustain, not what one unlucky quantum delivered. Each rep measures
-    // its *own* readers-alone and writer-alone baselines in the windows
-    // directly adjacent to the contended one: on a shared host the
-    // available cycles drift minute to minute, and a ratio of windows
-    // taken far apart compares two different machines.
-    let reps = if smoke { 1 } else { 3 };
-    let mut contended_points = Vec::new();
-    let mut utilization = std::collections::HashMap::new();
+    // Contended sweep: N snapshot readers against one writer, in
+    // several reps per point — a 1-CPU host's scheduler can starve
+    // either side for a whole window, and the claim is what the engine
+    // *can* sustain, so the bar below takes the best rep. Each rep
+    // measures its *own* readers-alone and writer-alone baselines in
+    // the windows directly adjacent to the contended one: on a shared
+    // host the available cycles drift minute to minute, and a ratio of
+    // windows taken far apart compares two different machines.
+    let reps = if smoke { 1 } else { CONTENDED_REPS };
+    let mut below_bar = Vec::new();
     for &threads in &CONTENDED_COUNTS {
-        let mut best: Option<(f64, f64, f64)> = None;
+        let (mut reads, mut commits, mut util) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..reps {
-            let (_, r_base) = measure(&db, threads, win);
+            let r_base = measure(&db, threads, win);
             let w_base = measure_writer_alone(&db, win);
-            let (r2, w2) = measure_contended(&db, threads, win);
-            let u2 = r2 / r_base.max(1.0) + w2 / w_base.max(1.0);
-            if best.is_none_or(|(_, _, u)| u2 > u) {
-                best = Some((r2, w2, u2));
-            }
+            let (r, w) = measure_contended(&db, threads, win);
+            reads.push(r);
+            commits.push(w);
+            util.push(r / r_base.max(1.0) + w / w_base.max(1.0));
         }
-        let (rq, wc, util) = best.unwrap();
-        utilization.insert(threads, util);
-        eprintln!("{threads} readers + writer: {rq:>9.0} q/s ({wc:.0} commits/s, util {util:.2})");
-        contended_points.push(format!(
-            "    {{ \"threads\": {threads}, \"mvcc_queries_per_sec\": {rq:.1}, \
-             \"mvcc_commits_per_sec\": {wc:.1}, \"utilization\": {util:.3} }}"
-        ));
-    }
-
-    // Acceptance bar (skipped in smoke mode: windows are too short for
-    // stable ratios, and CI runs the correctness gate above regardless).
-    if !smoke {
-        for &threads in &CONTENDED_COUNTS {
-            let util = utilization[&threads];
-            assert!(
-                util >= 0.9,
-                "{threads} readers + writer utilization fell below 0.9: {util:.2} \
-                 (blocking is burning cycles)"
-            );
+        let best = util.iter().copied().fold(0.0, f64::max);
+        eprintln!("{threads} readers + writer: best utilization {best:.2}");
+        if best < 0.9 {
+            below_bar.push(format!("{threads} readers: {best:.2}"));
         }
+        report
+            .point()
+            .param("readers", threads)
+            .param("writer", "one")
+            .metric("reads", Metric::of("queries/s", &reads))
+            .metric("commits", Metric::of("commits/s", &commits))
+            .metric("utilization", Metric::of("ratio", &util));
     }
 
     // Force a GC pass so versions_gced reflects reclamation, then prove
@@ -301,50 +305,26 @@ fn main() {
     assert!(stats.version_chains_walked > 0, "no version chains walked");
     assert!(stats.versions_gced > 0, "GC never reclaimed a version");
 
-    let json = format!(
-        "{{\n  \"bench\": \"concurrent_readers\",\n  \"query\": {query:?},\n  \
-         \"db_rows\": {rows},\n  \"window_ms\": {window},\n  \"host_cpus\": {cpus},\n  \
-         \"note\": \"speedup is bounded by host_cpus: reads overlap, but wall-clock \
-         throughput cannot exceed host_cpus times the 1-reader rate. Contended points run one \
-         transfer-committing writer against N snapshot readers; identity gate verified \
-         the contended run byte-identical to a serialized run before timing\",\n  \
-         \"points\": [\n{points}\n  ],\n  \"contended_points\": [\n{cpoints}\n  ],\n  \
-         \"engine_stats\": {{\n    \"statements_executed\": {exec},\n    \"parses\": {parses},\n    \
-         \"stmt_cache_hits\": {hits},\n    \"stmt_cache_misses\": {misses},\n    \
-         \"plan_binds\": {binds},\n    \"bound_evals\": {bevals},\n    \
-         \"index_scans\": {idx},\n    \"range_scans\": {range},\n    \
-         \"full_scans\": {full},\n    \"full_scan_rows\": {fsrows},\n    \"topk_sorts\": {topk},\n    \"batch_evals\": {batch},\n    \"batched_rows\": {brows},\n    \"hash_aggs\": {haggs},\n    \
-         \"snapshots_taken\": {snaps},\n    \"version_chains_walked\": {chains},\n    \"versions_gced\": {gced}\n  }}\n}}\n",
-        query = QUERY,
-        rows = DB_ROWS,
-        window = win.as_millis(),
-        points = points.join(",\n"),
-        cpoints = contended_points.join(",\n"),
-        exec = stats.statements_executed,
-        parses = stats.parses,
-        hits = stats.stmt_cache_hits,
-        misses = stats.stmt_cache_misses,
-        binds = stats.plan_binds,
-        bevals = stats.bound_evals,
-        idx = stats.index_scans,
-        range = stats.range_scans,
-        full = stats.full_scans,
-        fsrows = stats.full_scan_rows,
-        topk = stats.topk_sorts,
-        batch = stats.batch_evals,
-        brows = stats.batched_rows,
-        haggs = stats.hash_aggs,
-        snaps = stats.snapshots_taken,
-        chains = stats.version_chains_walked,
-        gced = stats.versions_gced,
-    );
+    report
+        .point()
+        .param("phase", "total")
+        .stat("statements_executed", stats.statements_executed)
+        .stat("parses", stats.parses)
+        .stat("stmt_cache_hits", stats.stmt_cache_hits)
+        .stat("stmt_cache_misses", stats.stmt_cache_misses)
+        .stat("plan_binds", stats.plan_binds)
+        .stat("snapshots_taken", stats.snapshots_taken)
+        .stat("version_chains_walked", stats.version_chains_walked)
+        .stat("versions_gced", stats.versions_gced);
+    report.finish();
 
-    if smoke {
-        eprintln!("BENCH_SMOKE set; skipping JSON write");
-        return;
-    }
-    let path = "docs/outputs/BENCH_concurrency.json";
-    std::fs::write(path, &json).expect("write BENCH_concurrency.json");
-    print!("{json}");
-    eprintln!("wrote {path}");
+    // Acceptance bar, checked after the write so that a failing run
+    // leaves its numbers on record (skipped in smoke mode: windows are
+    // too short for stable ratios, and the correctness gate above runs
+    // anyway).
+    assert!(
+        smoke || below_bar.is_empty(),
+        "contended utilization fell below 0.9 (blocking is burning cycles): {}",
+        below_bar.join(", ")
+    );
 }

@@ -11,16 +11,21 @@
 //!   *recover* when statements actually fail? Every operation still
 //!   completes (the workload never loses a statement); the throughput
 //!   row records what the faults and backoff cost.
+//!
+//! `BENCH_SMOKE=1` shortens the workload and skips the JSON write; the
+//! asserts that every statement completes and that the 0%-rate plan
+//! injects nothing run in both modes.
 
 use std::time::Instant;
 
+use bench::report::{self, Metric, Report};
 use flowcore::retry::{BreakerConfig, RetryPolicy, RetryRuntime};
 use flowcore::FlowError;
 use sqlkernel::fault::FaultPlan;
 use sqlkernel::{Database, Value};
 
 const OPS: usize = 20_000;
-const REPS: usize = 3;
+const SMOKE_OPS: usize = 600;
 const SEED: u64 = 20260807;
 
 fn workload_db(name: &str) -> Database {
@@ -31,18 +36,19 @@ fn workload_db(name: &str) -> Database {
     db
 }
 
-/// Run `OPS` retry-wrapped statements (alternating INSERT and the
-/// re-read of the row just written); returns the best-of-`REPS`
-/// elapsed seconds and the retry count of the last rep.
-fn measure(rate: f64, with_plan: bool) -> (f64, u64, u64) {
-    let mut best = f64::MAX;
-    let mut retries = 0;
-    let mut faults = 0;
-    for rep in 0..REPS {
+/// Run `ops` retry-wrapped statements (alternating INSERT and the
+/// re-read of the row just written), asserting every one completes;
+/// returns statements per second per sample and the fault and retry
+/// counts of the last sample.
+fn measure(ops: usize, rate: f64, with_plan: bool) -> (Metric, u64, u64) {
+    let mut rep = 0;
+    let (mut faults, mut retries) = (0, 0);
+    let samples = report::sample(|| {
         let db = workload_db("faults");
         if with_plan {
-            db.set_fault_plan(Some(FaultPlan::new(SEED + rep as u64).transient_rate(rate)));
+            db.set_fault_plan(Some(FaultPlan::new(SEED + rep).transient_rate(rate)));
         }
+        rep += 1;
         let mut rt = RetryRuntime::new(SEED)
             .with_policy(RetryPolicy {
                 max_attempts: 50,
@@ -58,7 +64,7 @@ fn measure(rate: f64, with_plan: bool) -> (f64, u64, u64) {
         let insert = "INSERT INTO log VALUES (?, 'x')";
         let read = "SELECT v FROM log WHERE id = ?";
         let start = Instant::now();
-        for i in 0..OPS {
+        for i in 0..ops {
             let (sql, n) = if i % 2 == 0 {
                 (insert, i as i64)
             } else {
@@ -69,63 +75,60 @@ fn measure(rate: f64, with_plan: bool) -> (f64, u64, u64) {
                     .map(|_| ())
                     .map_err(FlowError::from)
             });
-            r.unwrap();
+            r.expect("the retry layer completes every statement");
         }
         let elapsed = start.elapsed().as_secs_f64();
-        best = best.min(elapsed);
         let stats = db.stats();
-        retries = stats.retries;
-        faults = stats.faults_injected;
-    }
-    (best, retries, faults)
+        (faults, retries) = (stats.faults_injected, stats.retries);
+        ops as f64 / elapsed
+    });
+    (Metric::of("stmts/s", &samples), faults, retries)
 }
 
 fn main() {
-    let (t_none, _, _) = measure(0.0, false);
-    let base_ops_per_sec = OPS as f64 / t_none;
-    eprintln!("no injector: {base_ops_per_sec:>10.0} stmts/s");
+    let ops = if report::smoke() { SMOKE_OPS } else { OPS };
+    let mut report = Report::new(
+        "faults",
+        SEED,
+        &format!(
+            "{ops} retry-wrapped statements per sample; every run completes all \
+             statements: faulted ones are retried to success, so the 1%/10% rows are \
+             recovered throughput, not loss"
+        ),
+    );
+    let (none, _, _) = measure(ops, 0.0, false);
+    let base = none.median;
+    eprintln!("no injector: {base:>10.0} stmts/s");
+    report
+        .point()
+        .param("fault_plan", "none")
+        .metric("throughput", none)
+        .metric("vs_no_plan", Metric::value("x", 1.0))
+        .stat("faults_injected", 0)
+        .stat("retries", 0);
 
-    let mut points = Vec::new();
-    let mut overhead_0 = 0.0f64;
     for rate in [0.0f64, 0.01, 0.10] {
-        let (t, retries, faults) = measure(rate, true);
-        let ops_per_sec = OPS as f64 / t;
-        let vs_base = ops_per_sec / base_ops_per_sec;
+        let (m, faults, retries) = measure(ops, rate, true);
         if rate == 0.0 {
-            overhead_0 = (t - t_none) / t_none;
+            assert_eq!(faults, 0, "a 0%-rate plan must never fire");
         }
+        let vs_base = m.median / base;
         eprintln!(
-            "{:>4.0}% faults: {ops_per_sec:>10.0} stmts/s  ({:.2}x of no-injector, \
+            "{:>4.0}% faults: {:>10.0} stmts/s  ({vs_base:.2}x of no-injector, \
              {faults} injected, {retries} retries)",
             rate * 100.0,
-            vs_base,
+            m.median,
         );
-        points.push(format!(
-            "    {{ \"fault_rate\": {rate}, \"statements\": {OPS}, \
-             \"stmts_per_sec\": {ops_per_sec:.1}, \"relative_throughput\": {vs_base:.3}, \
-             \"faults_injected\": {faults}, \"retries\": {retries} }}"
-        ));
+        report
+            .point()
+            .param(
+                "fault_plan",
+                format!("{}% transient", rate * 100.0).as_str(),
+            )
+            .metric("throughput", m)
+            .metric("vs_no_plan", Metric::value("x", vs_base))
+            .stat("faults_injected", faults)
+            .stat("retries", retries);
     }
-
-    eprintln!("0%-plan overhead vs no plan: {:.2}%", overhead_0 * 100.0);
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"bench\": \"fault_injection\",\n  \"statements_per_run\": {OPS},\n  \
-         \"reps\": {REPS},\n  \"seed\": {SEED},\n  \"host_cpus\": {cpus},\n  \
-         \"no_injector_stmts_per_sec\": {base_ops_per_sec:.1},\n  \
-         \"zero_rate_overhead_pct\": {overhead:.2},\n  \
-         \"note\": \"every run completes all statements: faulted ones are retried to \
-         success, so the 1%/10% rows are recovered throughput, not loss\",\n  \
-         \"points\": [\n{points}\n  ]\n}}\n",
-        cpus = cpus,
-        overhead = overhead_0 * 100.0,
-        points = points.join(",\n"),
-    );
-
-    let path = "docs/outputs/BENCH_faults.json";
-    std::fs::write(path, &json).expect("write BENCH_faults.json");
-    print!("{json}");
-    eprintln!("wrote {path}");
+    report.finish();
 }

@@ -25,38 +25,17 @@
 //! executors *before* timing, and the engine counters afterwards prove
 //! the compiled join machinery (not a second interpreter) was timed.
 //!
-//! `BENCH_SMOKE=1` shrinks the workload and skips the JSON write — used
-//! by `scripts/verify.sh` to prove the binary runs without clobbering
-//! recorded results.
+//! `BENCH_SMOKE=1` shrinks the workload and skips the JSON write.
 
-use std::time::Instant;
-
-use bench::rng::SplitMix64;
+use bench::report::{self, time_us, Metric, Report};
 use sqlkernel::parser::parse_statement;
-use sqlkernel::{Connection, Database, StatementResult, Value};
+use sqlkernel::{Connection, Database, SplitMix64, StatementResult, Value};
 
 const FACT_ROWS: usize = 20_000;
 const DIM_ROWS: usize = 20_000;
 const PROBE_ROWS: usize = 2_000;
 const SMOKE_SCALE: usize = 10;
-
-/// Median-of-3 timing of `iters` runs of `f`, in seconds.
-fn time_runs(iters: u64, mut f: impl FnMut()) -> f64 {
-    let mut samples = [0.0f64; 3];
-    for s in &mut samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        *s = start.elapsed().as_secs_f64();
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[1]
-}
-
-fn per_stmt_us(secs: f64, iters: u64) -> f64 {
-    secs / iters as f64 * 1e6
-}
+const SEED: u64 = 0x101_5EED;
 
 /// The join benchmark database: `fact` fans out over `dim` through
 /// `dim_id` (uniform over the dimension), `dim` carries its primary-key
@@ -76,7 +55,7 @@ fn seeded_join_db(scale_div: usize) -> Database {
          CREATE TABLE probe (id INT PRIMARY KEY, dim_id INT);",
     )
     .expect("schema is valid");
-    let mut rng = SplitMix64::seed_from_u64(0x101_5EED);
+    let mut rng = SplitMix64::new(SEED);
     let ins_fact = conn
         .prepare("INSERT INTO fact VALUES (?, ?, ?, ?)")
         .expect("valid insert");
@@ -85,9 +64,9 @@ fn seeded_join_db(scale_div: usize) -> Database {
             &ins_fact,
             &[
                 Value::Int(i as i64),
-                Value::Int(rng.gen_range(0..nd as i64)),
-                Value::Int(rng.gen_range(1i64..50)),
-                Value::Int(rng.gen_range(0i64..32)),
+                Value::Int(rng.next_below(nd as u64) as i64),
+                Value::Int(1 + rng.next_below(49) as i64),
+                Value::Int(rng.next_below(32) as i64),
             ],
         )
         .expect("insert succeeds");
@@ -100,8 +79,8 @@ fn seeded_join_db(scale_div: usize) -> Database {
             &ins_dim,
             &[
                 Value::Int(i as i64),
-                Value::Int(rng.gen_range(0i64..64)),
-                Value::Int(rng.gen_range(0i64..1000)),
+                Value::Int(rng.next_below(64) as i64),
+                Value::Int(rng.next_below(1000) as i64),
             ],
         )
         .expect("insert succeeds");
@@ -114,7 +93,7 @@ fn seeded_join_db(scale_div: usize) -> Database {
             &ins_probe,
             &[
                 Value::Int(i as i64),
-                Value::Int(rng.gen_range(0..nd as i64)),
+                Value::Int(rng.next_below(nd as u64) as i64),
             ],
         )
         .expect("insert succeeds");
@@ -122,15 +101,9 @@ fn seeded_join_db(scale_div: usize) -> Database {
     db
 }
 
-/// Time one workload interpreted vs compiled and emit its JSON point.
+/// Time one workload interpreted vs compiled and add its point.
 /// Asserts both executors return byte-identical results first.
-fn run_workload(
-    conn: &Connection,
-    name: &str,
-    query: &str,
-    iters: u64,
-    points: &mut Vec<String>,
-) -> (f64, f64) {
+fn run_workload(conn: &Connection, name: &str, query: &str, report: &mut Report) {
     let stmt = parse_statement(query).expect("benchmark query parses");
 
     // Differential sanity: same rows, same order, both ways.
@@ -144,40 +117,42 @@ fn run_workload(
         "{name}: compiled result must be byte-identical to interpreted"
     );
 
-    let interpreted = time_runs(iters, || {
+    let interpreted = time_us(|| {
         std::hint::black_box(conn.execute_ast(&stmt, &[]).unwrap());
     });
-    let compiled = time_runs(iters, || {
+    let compiled = time_us(|| {
         std::hint::black_box(conn.execute(query, &[]).unwrap());
     });
-
-    points.push(format!(
-        "    {{ \"workload\": {name:?}, \"query\": {query:?}, \"iterations\": {iters}, \
-         \"interpreted_per_stmt_us\": {i:.2}, \"compiled_per_stmt_us\": {b:.2}, \
-         \"speedup\": {s:.2} }}",
-        i = per_stmt_us(interpreted, iters),
-        b = per_stmt_us(compiled, iters),
-        s = interpreted / compiled,
-    ));
+    let speedup = interpreted.median / compiled.median;
     eprintln!(
-        "{name}: interpreted {:.1}us vs compiled {:.1}us  (x{:.2})",
-        per_stmt_us(interpreted, iters),
-        per_stmt_us(compiled, iters),
-        interpreted / compiled
+        "{name}: interpreted {:.1}us vs compiled {:.1}us  (x{speedup:.2})",
+        interpreted.median, compiled.median
     );
-    (interpreted, compiled)
+    report
+        .point()
+        .param("workload", name)
+        .metric("interpreted", interpreted)
+        .metric("compiled", compiled)
+        .metric("speedup", Metric::value("x", speedup));
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok();
-    let (scale_div, iters) = if smoke { (SMOKE_SCALE, 3) } else { (1, 20) };
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
+    let scale_div = if report::smoke() { SMOKE_SCALE } else { 1 };
+    let mut report = Report::new(
+        "joins",
+        SEED,
+        &format!(
+            "{} fact, {} dim and {} probe rows; times are wall time per statement; \
+             interpreted is the pre-parsed AST through the row-at-a-time join, compiled \
+             is the warm plan through the vectorized join executor; results are asserted \
+             byte-identical before timing",
+            FACT_ROWS / scale_div,
+            DIM_ROWS / scale_div,
+            PROBE_ROWS / scale_div
+        ),
+    );
     let db = seeded_join_db(scale_div);
     let conn = db.connect();
-    let mut points = Vec::new();
 
     // Unfiltered 20k x 20k equi-join folded into a grouped aggregate.
     run_workload(
@@ -185,21 +160,19 @@ fn main() {
         "hash_join",
         "SELECT d.code, COUNT(*) AS n, SUM(f.qty) AS q FROM fact f \
          JOIN dim d ON f.dim_id = d.id GROUP BY d.code ORDER BY d.code",
-        iters,
-        &mut points,
+        &mut report,
     );
 
     // The headline point: the same join with one pushable conjunct per
     // side. The compiler prefilters both scans before the join; the
     // interpreter joins everything and filters after.
-    let (push_i, push_c) = run_workload(
+    run_workload(
         &conn,
         "pushdown_join",
         "SELECT d.code, COUNT(*) AS n, SUM(f.qty) AS q FROM fact f \
          JOIN dim d ON f.dim_id = d.id \
          WHERE f.qty > 45 AND d.price < 100 GROUP BY d.code ORDER BY d.code",
-        iters,
-        &mut points,
+        &mut report,
     );
 
     // Small outer against the dimension's primary-key index: the
@@ -209,8 +182,7 @@ fn main() {
         "index_nl",
         "SELECT probe.id, d.price FROM probe JOIN dim d ON probe.dim_id = d.id \
          ORDER BY probe.id",
-        iters,
-        &mut points,
+        &mut report,
     );
 
     // Asymmetric 2k/20k ratio returning plain rows: the compiled
@@ -221,8 +193,7 @@ fn main() {
         "build_small",
         "SELECT probe.id, f.qty FROM probe JOIN fact f ON probe.dim_id = f.dim_id \
          WHERE f.qty > 40",
-        iters / 2 + 1,
-        &mut points,
+        &mut report,
     );
 
     // The whole point of the benchmark: prove the compiled join
@@ -243,41 +214,16 @@ fn main() {
     assert!(stats.join_build_rows > 0 && stats.join_probe_rows > 0);
     assert!(stats.hash_aggs > 0, "grouped joins must hash-aggregate");
 
-    let pushdown_speedup = push_i / push_c;
-
-    if smoke {
-        eprintln!("BENCH_SMOKE set; skipping JSON write");
-        return;
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"compiled_join_executor\",\n  \
-         \"fact_rows\": {FACT_ROWS},\n  \"dim_rows\": {DIM_ROWS},\n  \
-         \"probe_rows\": {PROBE_ROWS},\n  \"host_cpus\": {cpus},\n  \
-         \"note\": \"per_stmt_us is wall-clock per statement, median of 3 runs; \
-         interpreted is the pre-parsed AST through the row-at-a-time join, compiled is \
-         the warm plan through the vectorized join executor; results are asserted \
-         byte-identical before timing\",\n  \
-         \"points\": [\n{points}\n  ],\n  \
-         \"pushdown_join_speedup\": {pushdown_speedup:.2},\n  \
-         \"engine_stats\": {{\n    \"hash_joins\": {hj},\n    \
-         \"index_nl_joins\": {inl},\n    \"join_build_rows\": {jbr},\n    \
-         \"join_probe_rows\": {jpr},\n    \"pushed_predicates\": {pp},\n    \
-         \"hash_aggs\": {haggs},\n    \"batch_evals\": {batch},\n    \
-         \"full_scan_rows\": {fsrows}\n  }}\n}}\n",
-        points = points.join(",\n"),
-        hj = stats.hash_joins,
-        inl = stats.index_nl_joins,
-        jbr = stats.join_build_rows,
-        jpr = stats.join_probe_rows,
-        pp = stats.pushed_predicates,
-        haggs = stats.hash_aggs,
-        batch = stats.batch_evals,
-        fsrows = stats.full_scan_rows,
-    );
-
-    let path = "docs/outputs/BENCH_joins.json";
-    std::fs::write(path, &json).expect("write BENCH_joins.json");
-    print!("{json}");
-    eprintln!("wrote {path}");
+    report
+        .point()
+        .param("workload", "total")
+        .stat("hash_joins", stats.hash_joins)
+        .stat("index_nl_joins", stats.index_nl_joins)
+        .stat("join_build_rows", stats.join_build_rows)
+        .stat("join_probe_rows", stats.join_probe_rows)
+        .stat("pushed_predicates", stats.pushed_predicates)
+        .stat("hash_aggs", stats.hash_aggs)
+        .stat("batch_evals", stats.batch_evals)
+        .stat("full_scan_rows", stats.full_scan_rows);
+    report.finish();
 }

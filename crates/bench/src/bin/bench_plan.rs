@@ -13,245 +13,170 @@
 //!    alone, `ORDER BY … LIMIT k` without an index (bounded heap), and
 //!    `ORDER BY … LIMIT k` served directly in index key order.
 //!
-//! All workloads are deterministic (seeded data, fixed iteration
-//! counts); wall-clock numbers vary by host but the orderings should
-//! not.
+//! All workloads are deterministic (seeded data); wall-clock numbers
+//! vary by host but the orderings should not.
+//!
+//! `BENCH_SMOKE=1` shrinks the database and skips the JSON write; the
+//! asserts that compiled rows equal interpreted rows and that a plan was
+//! bound run in both modes.
 
-use std::time::Instant;
-
+use bench::report::{self, time_us, Metric, Report};
 use sqlkernel::parser::parse_statement;
-use sqlkernel::{Connection, Database, Value};
+use sqlkernel::{Database, DbStats, StatementResult, Value};
 
 const DB_ROWS: usize = 20_000;
+const SMOKE_ROWS: usize = 2_000;
 
-/// Engine counters summed over every database the benchmark touches.
-#[derive(Default)]
-struct Agg {
-    statements_executed: u64,
-    parses: u64,
-    plan_binds: u64,
-    bound_evals: u64,
-    index_scans: u64,
-    range_scans: u64,
-    full_scans: u64,
-    topk_sorts: u64,
-}
-
-impl Agg {
-    fn add(&mut self, db: &Database) {
-        let s = db.stats();
-        self.statements_executed += s.statements_executed;
-        self.parses += s.parses;
-        self.plan_binds += s.plan_binds;
-        self.bound_evals += s.bound_evals;
-        self.index_scans += s.index_scans;
-        self.range_scans += s.range_scans;
-        self.full_scans += s.full_scans;
-        self.topk_sorts += s.topk_sorts;
-    }
-}
-
-/// Median-of-3 timing of `iters` runs of `f`, in seconds.
-fn time_runs(iters: u64, mut f: impl FnMut()) -> f64 {
-    let mut samples = [0.0f64; 3];
-    for s in &mut samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        *s = start.elapsed().as_secs_f64();
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[1]
-}
-
-fn per_stmt_us(secs: f64, iters: u64) -> f64 {
-    secs / iters as f64 * 1e6
-}
-
-fn json_point(name: &str, iters: u64, secs: f64, extra: &str) -> String {
-    format!(
-        "    {{ \"workload\": {name:?}, \"iterations\": {iters}, \
-         \"total_secs\": {secs:.4}, \"per_stmt_us\": {us:.2}{extra} }}",
-        us = per_stmt_us(secs, iters),
-    )
-}
-
-fn bench_interpreted_vs_compiled(conn: &Connection, points: &mut Vec<String>) -> (f64, f64) {
+/// The parameterized SELECT re-parsed and tree-walked per call versus
+/// run through the plan cache. Asserts both return the same rows and
+/// that the compiled path bound a plan.
+fn interpreted_vs_compiled(db: &Database, report: &mut Report) {
     const Q: &str = "SELECT OrderId, Quantity * 2 + 1 FROM Orders \
                      WHERE Quantity > ? AND Approved = TRUE";
-    const ITERS: u64 = 300;
+    let conn = db.connect();
     let params = [Value::Int(25)];
+    let binds = db.stats().plan_binds;
+    let interpreted_rows = match conn.execute_ast(&parse_statement(Q).unwrap(), &params) {
+        Ok(StatementResult::Rows(r)) => r,
+        other => panic!("the SELECT must return rows, got {other:?}"),
+    };
+    assert_eq!(
+        interpreted_rows,
+        conn.query(Q, &params).unwrap(),
+        "compiled rows must equal interpreted rows"
+    );
+    assert!(
+        db.stats().plan_binds > binds,
+        "the compiled path must bind a plan"
+    );
 
-    // Interpreted: parse + tree-walk per iteration (what every execution
+    // Interpreted: parse + tree-walk per call (what every execution
     // cost before the statement and plan caches).
-    let interpreted = time_runs(ITERS, || {
+    let interpreted = time_us(|| {
         let stmt = parse_statement(Q).unwrap();
         std::hint::black_box(conn.execute_ast(&stmt, &params).unwrap());
     });
-
-    // Compiled: warm the plan, then run through the cache.
-    conn.execute(Q, &params).unwrap();
-    let compiled = time_runs(ITERS, || {
+    let compiled = time_us(|| {
         std::hint::black_box(conn.execute(Q, &params).unwrap());
     });
-
-    points.push(json_point("select_parse_interpret", ITERS, interpreted, ""));
-    points.push(json_point(
-        "select_compiled_plan",
-        ITERS,
-        compiled,
-        &format!(", \"speedup\": {:.2}", interpreted / compiled),
-    ));
-    (interpreted, compiled)
+    push_pair(
+        report,
+        "select",
+        [
+            ("parse_interpret", interpreted),
+            ("compiled_plan", compiled),
+        ],
+    );
 }
 
-fn bench_scan_vs_range(points: &mut Vec<String>, agg: &mut Agg) -> (f64, f64) {
-    const Q: &str = "SELECT OrderId FROM Orders WHERE Quantity BETWEEN 10 AND 12";
-    const ITERS: u64 = 300;
+/// Appends one point per variant, each with its speedup over the first.
+fn push_pair<const N: usize>(report: &mut Report, query: &str, variants: [(&str, Metric); N]) {
+    let base = variants[0].1.median;
+    for (variant, m) in variants {
+        eprintln!("{query} {variant}: {:.1}us", m.median);
+        let speedup = base / m.median;
+        report
+            .point()
+            .param("query", query)
+            .param("variant", variant)
+            .metric("per_stmt", m)
+            .metric("speedup", Metric::value("x", speedup));
+    }
+}
 
-    let plain = bench::seeded_orders_db("plan_scan", DB_ROWS);
-    let indexed = bench::seeded_orders_db("plan_range", DB_ROWS);
+/// Twin seeded databases, the second with an index on `Quantity`.
+fn twins(rows: usize) -> (Database, Database) {
+    let plain = bench::seeded_orders_db("plan_plain", rows);
+    let indexed = bench::seeded_orders_db("plan_indexed", rows);
     indexed
         .connect()
         .execute("CREATE INDEX idx_qty ON Orders (Quantity)", &[])
         .unwrap();
+    (plain, indexed)
+}
 
+fn scan_vs_range(rows: usize, report: &mut Report) -> [Database; 2] {
+    const Q: &str = "SELECT OrderId FROM Orders WHERE Quantity BETWEEN 10 AND 12";
+    let (plain, indexed) = twins(rows);
     let c_plain = plain.connect();
     let c_indexed = indexed.connect();
-    c_plain.query(Q, &[]).unwrap();
-    c_indexed.query(Q, &[]).unwrap();
     assert_eq!(
         c_plain.query(Q, &[]).unwrap().len(),
         c_indexed.query(Q, &[]).unwrap().len(),
         "index must not change the result"
     );
-
-    let full = time_runs(ITERS, || {
+    let full = time_us(|| {
         std::hint::black_box(c_plain.query(Q, &[]).unwrap());
     });
-    let range = time_runs(ITERS, || {
+    let range = time_us(|| {
         std::hint::black_box(c_indexed.query(Q, &[]).unwrap());
     });
     assert!(indexed.stats().range_scans > 0, "range path must be taken");
-
-    points.push(json_point("between_full_scan", ITERS, full, ""));
-    points.push(json_point(
-        "between_index_range_scan",
-        ITERS,
-        range,
-        &format!(", \"speedup\": {:.2}", full / range),
-    ));
-    agg.add(&plain);
-    agg.add(&indexed);
-    (full, range)
+    push_pair(
+        report,
+        "between",
+        [("full_scan", full), ("index_range_scan", range)],
+    );
+    [plain, indexed]
 }
 
-fn bench_sort_topk_indexorder(points: &mut Vec<String>, agg: &mut Agg) -> (f64, f64, f64) {
+fn sort_topk_indexorder(rows: usize, report: &mut Report) -> [Database; 2] {
     const Q_SORT: &str = "SELECT OrderId FROM Orders ORDER BY Quantity";
     const Q_TOPK: &str = "SELECT OrderId FROM Orders ORDER BY Quantity LIMIT 10";
-    const ITERS: u64 = 200;
-
-    let plain = bench::seeded_orders_db("plan_sort", DB_ROWS);
-    let indexed = bench::seeded_orders_db("plan_idxorder", DB_ROWS);
-    indexed
-        .connect()
-        .execute("CREATE INDEX idx_qty ON Orders (Quantity)", &[])
-        .unwrap();
-
+    let (plain, indexed) = twins(rows);
     let c_plain = plain.connect();
     let c_indexed = indexed.connect();
-    c_plain.query(Q_TOPK, &[]).unwrap();
-    c_indexed.query(Q_TOPK, &[]).unwrap();
-
-    let full_sort = time_runs(ITERS, || {
+    let full_sort = time_us(|| {
         std::hint::black_box(c_plain.query(Q_SORT, &[]).unwrap());
     });
-    let topk = time_runs(ITERS, || {
+    let topk = time_us(|| {
         std::hint::black_box(c_plain.query(Q_TOPK, &[]).unwrap());
     });
-    let index_order = time_runs(ITERS, || {
+    let index_order = time_us(|| {
         std::hint::black_box(c_indexed.query(Q_TOPK, &[]).unwrap());
     });
     assert!(plain.stats().topk_sorts > 0, "top-K path must be taken");
-
-    points.push(json_point("order_by_full_sort", ITERS, full_sort, ""));
-    points.push(json_point(
-        "order_by_limit_topk_heap",
-        ITERS,
-        topk,
-        &format!(", \"speedup_vs_full_sort\": {:.2}", full_sort / topk),
-    ));
-    points.push(json_point(
-        "order_by_limit_index_order",
-        ITERS,
-        index_order,
-        &format!(", \"speedup_vs_full_sort\": {:.2}", full_sort / index_order),
-    ));
-    agg.add(&plain);
-    agg.add(&indexed);
-    (full_sort, topk, index_order)
+    push_pair(
+        report,
+        "order_by",
+        [
+            ("full_sort", full_sort),
+            ("limit_topk_heap", topk),
+            ("limit_index_order", index_order),
+        ],
+    );
+    [plain, indexed]
 }
 
 fn main() {
-    let db = bench::seeded_orders_db("plan_exec", DB_ROWS);
-    let conn = db.connect();
-
-    let mut points = Vec::new();
-    let mut agg = Agg::default();
-    let (interp, compiled) = bench_interpreted_vs_compiled(&conn, &mut points);
-    let (full, range) = bench_scan_vs_range(&mut points, &mut agg);
-    let (sort, topk, idxord) = bench_sort_topk_indexorder(&mut points, &mut agg);
-    agg.add(&db);
-
-    eprintln!(
-        "interpreted {:.1}us vs compiled {:.1}us  (×{:.2})",
-        per_stmt_us(interp, 300),
-        per_stmt_us(compiled, 300),
-        interp / compiled
+    let rows = if report::smoke() { SMOKE_ROWS } else { DB_ROWS };
+    let mut report = Report::new(
+        "plan",
+        bench::ORDERS_SEED,
+        &format!(
+            "{rows}-row seeded orders database; per_stmt is wall time per statement; \
+             speedup compares against the first variant of each query; the total point \
+             sums engine counters over all benchmark databases"
+        ),
     );
-    eprintln!(
-        "full scan {:.1}us vs range scan {:.1}us  (×{:.2})",
-        per_stmt_us(full, 300),
-        per_stmt_us(range, 300),
-        full / range
-    );
-    eprintln!(
-        "full sort {:.1}us vs top-K {:.1}us vs index order {:.1}us",
-        per_stmt_us(sort, 200),
-        per_stmt_us(topk, 200),
-        per_stmt_us(idxord, 200)
-    );
+    let db = bench::seeded_orders_db("plan_exec", rows);
+    interpreted_vs_compiled(&db, &mut report);
+    let mut dbs = vec![db];
+    dbs.extend(scan_vs_range(rows, &mut report));
+    dbs.extend(sort_topk_indexorder(rows, &mut report));
 
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"bench\": \"compiled_plan_cache\",\n  \"db_rows\": {rows},\n  \"host_cpus\": {cpus},\n  \
-         \"note\": \"per_stmt_us is wall-clock per statement, median of 3 runs; \
-         speedups compare against the first workload of each pair/triple; \
-         engine_stats sums counters over all benchmark databases\",\n  \
-         \"points\": [\n{points}\n  ],\n  \
-         \"engine_stats\": {{\n    \"statements_executed\": {exec},\n    \
-         \"parses\": {parses},\n    \"plan_binds\": {binds},\n    \
-         \"bound_evals\": {bevals},\n    \"index_scans\": {idx},\n    \
-         \"range_scans\": {range_scans},\n    \"full_scans\": {full_scans},\n    \
-         \"topk_sorts\": {topk}\n  }}\n}}\n",
-        rows = DB_ROWS,
-        cpus = cpus,
-        points = points.join(",\n"),
-        exec = agg.statements_executed,
-        parses = agg.parses,
-        binds = agg.plan_binds,
-        bevals = agg.bound_evals,
-        idx = agg.index_scans,
-        range_scans = agg.range_scans,
-        full_scans = agg.full_scans,
-        topk = agg.topk_sorts,
-    );
-
-    let path = "docs/outputs/BENCH_plan.json";
-    std::fs::write(path, &json).expect("write BENCH_plan.json");
-    print!("{json}");
-    eprintln!("wrote {path}");
+    let stats: Vec<DbStats> = dbs.iter().map(Database::stats).collect();
+    let sum = |get: fn(&DbStats) -> u64| stats.iter().map(get).sum();
+    report
+        .point()
+        .param("query", "total")
+        .stat("statements_executed", sum(|s| s.statements_executed))
+        .stat("parses", sum(|s| s.parses))
+        .stat("plan_binds", sum(|s| s.plan_binds))
+        .stat("bound_evals", sum(|s| s.bound_evals))
+        .stat("index_scans", sum(|s| s.index_scans))
+        .stat("range_scans", sum(|s| s.range_scans))
+        .stat("full_scans", sum(|s| s.full_scans))
+        .stat("topk_sorts", sum(|s| s.topk_sorts));
+    report.finish();
 }

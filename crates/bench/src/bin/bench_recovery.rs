@@ -13,18 +13,17 @@
 //!   K statements: more frequent checkpoints keep the log (and therefore
 //!   recovery) small at the price of snapshot writes during the run.
 //!
-//! `BENCH_SMOKE=1` shortens the workload and skips the JSON write — used
-//! by `scripts/verify.sh` to prove the binary runs without clobbering
-//! recorded results; the recovered row count is asserted in both modes.
+//! `BENCH_SMOKE=1` shortens the workload and skips the JSON write; the
+//! recovered row count is asserted in both modes.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use bench::report::{self, Metric, Report};
 use sqlkernel::{Database, MemLogStore, Value};
 
 const OPS: usize = 20_000;
 const SMOKE_OPS: usize = 600;
-const REPS: usize = 3;
 
 fn schema(db: &Database) {
     db.connect()
@@ -58,33 +57,47 @@ fn run_workload(db: &Database, ops: usize, checkpoint_every: usize) {
     }
 }
 
-fn best_of<F: FnMut() -> f64>(mut f: F) -> f64 {
-    (0..REPS).map(|_| f()).fold(f64::MAX, f64::min)
-}
-
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok();
-    let ops = if smoke { SMOKE_OPS } else { OPS };
+    let ops = if report::smoke() { SMOKE_OPS } else { OPS };
+    let mut report = Report::new(
+        "recovery",
+        0,
+        &format!(
+            "{ops}-statement DML mix (INSERT, UPDATE of the row just written, re-read) on \
+             MemLogStore; WAL overhead budget 10% time; checkpoint_every = 0 means never: \
+             the whole history replays at recovery"
+        ),
+    );
     // -------------------------------------------------- WAL overhead
-    let t_mem = best_of(|| {
+    let plain = report::sample(|| {
         let db = Database::new("plain");
         schema(&db);
         let start = Instant::now();
         run_workload(&db, ops, 0);
-        start.elapsed().as_secs_f64()
+        ops as f64 / start.elapsed().as_secs_f64()
     });
-    let t_wal = best_of(|| {
+    let logged = report::sample(|| {
         let db = Database::recover("durable", Arc::new(MemLogStore::new())).unwrap();
         schema(&db);
         let start = Instant::now();
         run_workload(&db, ops, 0);
-        start.elapsed().as_secs_f64()
+        ops as f64 / start.elapsed().as_secs_f64()
     });
-    let mem_sps = ops as f64 / t_mem;
-    let wal_sps = ops as f64 / t_wal;
-    let overhead_pct = (t_wal - t_mem) / t_mem * 100.0;
-    eprintln!("plain:   {mem_sps:>10.0} stmts/s");
-    eprintln!("wal on:  {wal_sps:>10.0} stmts/s  ({overhead_pct:+.2}% time)");
+    let plain = Metric::of("stmts/s", &plain);
+    let logged = Metric::of("stmts/s", &logged);
+    let overhead_pct = (plain.median / logged.median - 1.0) * 100.0;
+    eprintln!("plain:   {:>10.0} stmts/s", plain.median);
+    eprintln!(
+        "wal on:  {:>10.0} stmts/s  ({overhead_pct:+.2}% time)",
+        logged.median
+    );
+    for (wal, m, pct) in [("off", plain, 0.0), ("on", logged, overhead_pct)] {
+        report
+            .point()
+            .param("wal", wal)
+            .metric("throughput", m)
+            .metric("time_vs_off", Metric::value("%", pct));
+    }
 
     // -------------------------------------------------- recovery replay
     let store = MemLogStore::new();
@@ -92,29 +105,38 @@ fn main() {
     schema(&db);
     run_workload(&db, ops, 0);
     let log_bytes = store.bytes();
-    let logged = sqlkernel::wal::scan(&log_bytes).records.len();
+    let records = sqlkernel::wal::scan(&log_bytes).records.len();
     drop(db); // the crash: only the log survives
-    let t_recover = best_of(|| {
-        let replica = Arc::new(MemLogStore::from_bytes(log_bytes.clone()));
-        let start = Instant::now();
-        let db = Database::recover("reborn", replica).unwrap();
-        let elapsed = start.elapsed().as_secs_f64();
-        let rows = db
-            .connect()
-            .execute("SELECT COUNT(*) FROM journal", &[])
-            .unwrap();
-        let grid = rows.rows().unwrap();
-        assert_eq!(grid.rows[0][0], Value::Int(ops.div_ceil(3) as i64));
-        elapsed
-    });
-    let records_per_sec = logged as f64 / t_recover;
+    let recover = Metric::of(
+        "ms",
+        &report::sample(|| {
+            let replica = Arc::new(MemLogStore::from_bytes(log_bytes.clone()));
+            let start = Instant::now();
+            let db = Database::recover("reborn", replica).unwrap();
+            let elapsed = start.elapsed().as_secs_f64();
+            let rows = db
+                .connect()
+                .execute("SELECT COUNT(*) FROM journal", &[])
+                .unwrap();
+            let grid = rows.rows().unwrap();
+            assert_eq!(grid.rows[0][0], Value::Int(ops.div_ceil(3) as i64));
+            elapsed * 1e3
+        }),
+    );
+    let records_per_sec = records as f64 / (recover.median / 1e3);
     eprintln!(
-        "recovery: {logged} records, {} bytes -> {records_per_sec:>10.0} records/s",
+        "recovery: {records} records, {} bytes -> {records_per_sec:>10.0} records/s",
         log_bytes.len()
     );
+    report
+        .point()
+        .param("replay", "whole log")
+        .metric("log_records", Metric::value("records", records as f64))
+        .metric("log_bytes", Metric::value("bytes", log_bytes.len() as f64))
+        .metric("recovery", recover)
+        .metric("replay_rate", Metric::value("records/s", records_per_sec));
 
     // -------------------------------------------------- checkpoint interval
-    let mut interval_rows = Vec::new();
     for every in [0usize, 5_000, 1_000, 200] {
         let store = MemLogStore::new();
         let db = Database::recover("ckpt", Arc::new(store.clone())).unwrap();
@@ -137,42 +159,15 @@ fn main() {
             bytes.len(),
             recover_secs * 1e3,
         );
-        interval_rows.push(format!(
-            "    {{ \"checkpoint_every\": {every}, \"run_stmts_per_sec\": {:.1}, \
-             \"final_log_bytes\": {}, \"recovery_ms\": {:.3} }}",
-            ops as f64 / run_secs,
-            bytes.len(),
-            recover_secs * 1e3,
-        ));
+        report
+            .point()
+            .param("checkpoint_every", every)
+            .metric(
+                "throughput",
+                Metric::value("stmts/s", ops as f64 / run_secs),
+            )
+            .metric("final_log", Metric::value("bytes", bytes.len() as f64))
+            .metric("recovery", Metric::value("ms", recover_secs * 1e3));
     }
-
-    if smoke {
-        eprintln!("BENCH_SMOKE set: assertions passed, JSON not written");
-        return;
-    }
-
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"bench\": \"crash_recovery\",\n  \"statements_per_run\": {OPS},\n  \
-         \"reps\": {REPS},\n  \"host_cpus\": {cpus},\n  \"plain_stmts_per_sec\": {mem_sps:.1},\n  \
-         \"wal_stmts_per_sec\": {wal_sps:.1},\n  \
-         \"wal_overhead_pct\": {overhead_pct:.2},\n  \
-         \"wal_overhead_budget_pct\": 10.0,\n  \
-         \"recovery\": {{ \"log_records\": {logged}, \"log_bytes\": {}, \
-         \"records_per_sec\": {records_per_sec:.1} }},\n  \
-         \"note\": \"checkpoint_every = 0 means never: the whole history replays \
-         at recovery; smaller intervals trade run-time snapshot writes for a \
-         compact log and near-instant recovery\",\n  \
-         \"checkpoint_intervals\": [\n{rows}\n  ]\n}}\n",
-        log_bytes.len(),
-        cpus = cpus,
-        rows = interval_rows.join(",\n"),
-    );
-
-    let path = "docs/outputs/BENCH_recovery.json";
-    std::fs::write(path, &json).expect("write BENCH_recovery.json");
-    print!("{json}");
-    eprintln!("wrote {path}");
+    report.finish();
 }

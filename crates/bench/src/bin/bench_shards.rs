@@ -12,33 +12,28 @@
 //!    COMMIT) versus a two-shard one (prepare → decision → notify,
 //!    three WAL forces plus a coordinator write) on the same fleet.
 //!
-//! `BENCH_SMOKE=1` shrinks the window and skips the JSON write — used
-//! by `scripts/verify.sh` to prove the binary runs without clobbering
-//! recorded results.
+//! `BENCH_SMOKE=1` shrinks the window and skips the JSON write; the
+//! assert that both commit paths committed runs in both modes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::report::{self, Metric, Report};
 use sqlkernel::shard::ShardedDatabase;
 use sqlkernel::{LogStore, MemLogStore, Value};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const WORKERS: usize = 4;
-
-struct RoutedPoint {
-    shards: usize,
-    workers: usize,
-    statements: u64,
-    stmts_per_sec: f64,
-    speedup_vs_1: f64,
-}
+/// Seed of the fleet's coordinator.
+const FLEET_SEED: u64 = 7;
 
 fn fresh_fleet(shards: usize) -> ShardedDatabase {
     let stores: Vec<Arc<dyn LogStore>> = (0..shards)
         .map(|_| Arc::new(MemLogStore::new()) as Arc<dyn LogStore>)
         .collect();
-    let sdb = ShardedDatabase::recover("bench", &stores, Arc::new(MemLogStore::new()), 7).unwrap();
+    let sdb = ShardedDatabase::recover("bench", &stores, Arc::new(MemLogStore::new()), FLEET_SEED)
+        .unwrap();
     for shard in sdb.shards() {
         shard
             .connect()
@@ -50,8 +45,8 @@ fn fresh_fleet(shards: usize) -> ShardedDatabase {
 
 /// W workers hammering routed single-shard INSERTs until the window
 /// closes. Keys are `w{worker}-{id}`, routed by the canonical hash; each
-/// worker keeps one connection per shard.
-fn measure_routed(shards: usize, window: Duration) -> RoutedPoint {
+/// worker keeps one connection per shard. Returns statements/s.
+fn measure_routed(shards: usize, window: Duration) -> f64 {
     let sdb = fresh_fleet(shards);
     let stop = AtomicBool::new(false);
     let start = Instant::now();
@@ -83,20 +78,13 @@ fn measure_routed(shards: usize, window: Duration) -> RoutedPoint {
         stop.store(true, Ordering::Relaxed);
         handles.into_iter().map(|h| h.join().unwrap()).sum()
     });
-    let elapsed = start.elapsed().as_secs_f64();
-    RoutedPoint {
-        shards,
-        workers: WORKERS,
-        statements,
-        stmts_per_sec: statements as f64 / elapsed,
-        speedup_vs_1: 0.0,
-    }
+    statements as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Commit cost: run `transact` bodies touching one shard (fast path) and
 /// two shards (full 2PC) back to back on a 2-shard fleet; report µs per
-/// committed transaction for each.
-fn measure_two_pc(window: Duration) -> (f64, f64, u64) {
+/// committed transaction and the 2PC prepares logged, for each.
+fn measure_two_pc(window: Duration) -> [(f64, u64); 2] {
     let sdb = fresh_fleet(2);
     // Two keys pinned to different shards.
     let mut keys = (0..64).map(|i| format!("k{i}"));
@@ -132,84 +120,61 @@ fn measure_two_pc(window: Duration) -> (f64, f64, u64) {
         start.elapsed().as_secs_f64() * 1e6 / commits as f64
     };
 
+    let prepares = || -> u64 { sdb.shards().iter().map(|db| db.stats().wal_prepares).sum() };
     let single_us = time_commits(false);
+    let single_prepares = prepares();
     let cross_us = time_commits(true);
-    let prepares: u64 = sdb.shards().iter().map(|db| db.stats().wal_prepares).sum();
     assert!(sdb.single_shard_commits() > 0 && sdb.cross_shard_commits() > 0);
-    (single_us, cross_us, prepares)
+    [
+        (single_us, single_prepares),
+        (cross_us, prepares() - single_prepares),
+    ]
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok();
-    let window = if smoke {
-        Duration::from_millis(40)
-    } else {
-        Duration::from_millis(400)
-    };
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let mut points = Vec::new();
+    let window = Duration::from_millis(if report::smoke() { 40 } else { 400 });
+    let mut report = Report::new(
+        "shards",
+        FLEET_SEED,
+        &format!(
+            "{WORKERS} workers hash-route single-shard INSERTs across independent engines, \
+             then transact() commit cost with 1 vs 2 participants; one {} ms window per \
+             point; speedup is bounded by host_cpus; cross-shard overhead buys atomicity \
+             across engines (prepare records + coordinator decision write)",
+            window.as_millis()
+        ),
+    );
     let mut base_qps = 0.0f64;
     for &shards in &SHARD_COUNTS {
-        let mut p = measure_routed(shards, window);
+        let qps = measure_routed(shards, window);
         if shards == 1 {
-            base_qps = p.stmts_per_sec;
+            base_qps = qps;
         }
-        p.speedup_vs_1 = if base_qps > 0.0 {
-            p.stmts_per_sec / base_qps
-        } else {
-            0.0
-        };
-        eprintln!(
-            "{shards} shards, {workers} workers: {qps:>9.0} stmts/s (×{speedup:.2} vs 1 shard)",
-            workers = p.workers,
-            qps = p.stmts_per_sec,
-            speedup = p.speedup_vs_1,
-        );
-        points.push(p);
+        let speedup = qps / base_qps;
+        eprintln!("{shards} shards: {qps:>9.0} stmts/s (×{speedup:.2} vs 1 shard)");
+        report
+            .point()
+            .param("shards", shards)
+            .metric("routed", Metric::value("stmts/s", qps))
+            .metric("speedup_vs_1", Metric::value("x", speedup));
     }
 
-    let (single_us, cross_us, prepares) = measure_two_pc(window);
+    let [(single_us, single_prepares), (cross_us, cross_prepares)] = measure_two_pc(window);
     eprintln!(
         "2PC: {single_us:.1} µs/commit single-shard, {cross_us:.1} µs/commit cross-shard \
-         (×{ratio:.2}, {prepares} prepares logged)",
-        ratio = cross_us / single_us,
+         (×{:.2})",
+        cross_us / single_us,
     );
-
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{ \"shards\": {}, \"workers\": {}, \"statements\": {}, \
-                 \"stmts_per_sec\": {:.1}, \"speedup_vs_1\": {:.3} }}",
-                p.shards, p.workers, p.statements, p.stmts_per_sec, p.speedup_vs_1,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"sharded_execution\",\n  \
-         \"workload\": \"hash-routed single-shard INSERTs across independent engines; \
-         then transact() commit cost, 1 vs 2 participants\",\n  \
-         \"window_ms\": {window},\n  \"host_cpus\": {cpus},\n  \
-         \"note\": \"speedup is bounded by host_cpus; cross-shard overhead buys atomicity \
-         across engines (prepare records + coordinator decision write)\",\n  \
-         \"routed\": [\n{points}\n  ],\n  \
-         \"two_phase_commit\": {{\n    \"single_shard_us_per_commit\": {single_us:.1},\n    \
-         \"cross_shard_us_per_commit\": {cross_us:.1},\n    \
-         \"overhead_ratio\": {ratio:.3},\n    \"wal_prepares\": {prepares}\n  }}\n}}\n",
-        window = window.as_millis(),
-        points = rows.join(",\n"),
-        ratio = cross_us / single_us,
-    );
-
-    if smoke {
-        eprintln!("smoke mode: skipping JSON write");
-    } else {
-        let path = "docs/outputs/BENCH_shards.json";
-        std::fs::write(path, &json).expect("write BENCH_shards.json");
-        eprintln!("wrote {path}");
+    for (path, us, prepares) in [
+        ("single_shard", single_us, single_prepares),
+        ("cross_shard_2pc", cross_us, cross_prepares),
+    ] {
+        report
+            .point()
+            .param("commit_path", path)
+            .metric("commit", Metric::value("us", us))
+            .metric("vs_single_shard", Metric::value("x", us / single_us))
+            .stat("wal_prepares", prepares);
     }
-    print!("{json}");
+    report.finish();
 }

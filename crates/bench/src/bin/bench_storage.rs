@@ -10,14 +10,13 @@
 //!
 //! The run uses in-memory page/log stores so the numbers profile the
 //! engine (checksums, slotted codec, epoch writeback), not the host's
-//! disk. `BENCH_SMOKE=1` shrinks the row count and skips the JSON write —
-//! used by `scripts/verify.sh` to prove the binary runs without
-//! clobbering recorded results; the row-count assertions run in both
-//! modes.
+//! disk. `BENCH_SMOKE=1` shrinks the row count and skips the JSON write;
+//! the row-count assertions run in both modes.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use bench::report::{self, Metric, Report};
 use sqlkernel::{Database, MemLogStore, MemPageStore, Value};
 
 /// Ledger rows loaded per run (about 320 pages' worth).
@@ -73,14 +72,17 @@ fn count_rows(db: &Database) -> i64 {
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok();
-    let scale = if smoke { 4 } else { 1 };
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let rows = ROWS / scale;
-    let mut interval_rows = Vec::new();
+    let rows = ROWS / if report::smoke() { 4 } else { 1 };
+    let mut report = Report::new(
+        "storage",
+        0,
+        &format!(
+            "{rows} ledger rows, about {ROWS_PER_PAGE} per page, on in-memory page/log \
+             stores: numbers profile the paged engine (checksummed slotted codec, epoch \
+             writeback), not disk; checkpoint_every_batches = 0 means never, so the whole \
+             WAL replays at recovery"
+        ),
+    );
     for every in [0usize, 16, 4, 1] {
         let log = MemLogStore::new();
         let pages = MemPageStore::new();
@@ -101,32 +103,12 @@ fn main() {
             wal_bytes,
             recover_secs * 1e3,
         );
-        interval_rows.push(format!(
-            "    {{ \"checkpoint_every_batches\": {every}, \"load_rows_per_sec\": {:.1}, \
-             \"wal_tail_bytes\": {wal_bytes}, \"recovery_ms\": {:.3} }}",
-            rows as f64 / run_secs,
-            recover_secs * 1e3,
-        ));
+        report
+            .point()
+            .param("checkpoint_every_batches", every)
+            .metric("load", Metric::value("rows/s", rows as f64 / run_secs))
+            .metric("wal_tail", Metric::value("bytes", wal_bytes as f64))
+            .metric("recovery", Metric::value("ms", recover_secs * 1e3));
     }
-
-    if smoke {
-        eprintln!("BENCH_SMOKE set: assertions passed, JSON not written");
-        return;
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"paged_storage\",\n  \"rows\": {ROWS},\n  \
-         \"rows_per_page_approx\": {ROWS_PER_PAGE},\n  \"host_cpus\": {cpus},\n  \
-         \"note\": \"in-memory page/log stores: numbers profile the paged engine \
-         (checksummed slotted codec, epoch writeback), not disk; \
-         checkpoint_every_batches = 0 means never, so the whole WAL replays at \
-         recovery, while smaller intervals truncate the log as they go\",\n  \
-         \"checkpoint_intervals\": [\n{intervals}\n  ]\n}}\n",
-        intervals = interval_rows.join(",\n"),
-    );
-
-    let path = "docs/outputs/BENCH_storage.json";
-    std::fs::write(path, &json).expect("write BENCH_storage.json");
-    print!("{json}");
-    eprintln!("wrote {path}");
+    report.finish();
 }

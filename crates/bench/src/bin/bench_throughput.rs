@@ -9,29 +9,17 @@
 //! write lock; with a non-zero group-commit window, concurrent commits
 //! should coalesce into fewer WAL appends (`appends_per_commit` < 1).
 //!
-//! `BENCH_SMOKE=1` shrinks the window and skips the JSON write — used
-//! by `scripts/verify.sh` to prove the binary runs without clobbering
-//! recorded results.
+//! `BENCH_SMOKE=1` shrinks the window and skips the JSON write.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::report::{self, Metric, Report};
 use sqlkernel::{Database, MemLogStore, Value};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const GROUP_WINDOWS: [u64; 2] = [0, 4];
-
-struct Point {
-    workers: usize,
-    group_window: u64,
-    statements: u64,
-    stmts_per_sec: f64,
-    speedup_vs_1: f64,
-    wal_appends: u64,
-    wal_commits: u64,
-    appends_per_commit: f64,
-}
 
 fn fresh_db(workers: usize) -> Database {
     let db = Database::recover("throughput", Arc::new(MemLogStore::new())).unwrap();
@@ -47,9 +35,9 @@ fn fresh_db(workers: usize) -> Database {
 }
 
 /// N workers, each hammering its own table with INSERT-then-UPDATE
-/// pairs until the window closes. Returns completed statements and the
+/// pairs until the window closes. Returns statements per second and the
 /// WAL append/commit deltas over the measured region.
-fn measure(workers: usize, group_window: u64, window: Duration) -> Point {
+fn measure(workers: usize, group_window: u64, window: Duration) -> (f64, u64, u64) {
     let db = fresh_db(workers);
     db.set_group_commit_window(group_window);
     let base = db.snapshot();
@@ -84,94 +72,49 @@ fn measure(workers: usize, group_window: u64, window: Duration) -> Point {
     let elapsed = start.elapsed().as_secs_f64();
 
     let stats = db.snapshot();
-    let wal_appends = stats.wal_appends - base.wal_appends;
-    let wal_commits = stats.wal_commits - base.wal_commits;
-    Point {
-        workers,
-        group_window,
-        statements,
-        stmts_per_sec: statements as f64 / elapsed,
-        speedup_vs_1: 0.0,
-        wal_appends,
-        wal_commits,
-        appends_per_commit: if wal_commits > 0 {
-            wal_appends as f64 / wal_commits as f64
-        } else {
-            0.0
-        },
-    }
+    (
+        statements as f64 / elapsed,
+        stats.wal_appends - base.wal_appends,
+        stats.wal_commits - base.wal_commits,
+    )
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok();
-    let window = if smoke {
-        Duration::from_millis(40)
-    } else {
-        Duration::from_millis(400)
-    };
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let mut points = Vec::new();
+    let window = Duration::from_millis(if report::smoke() { 40 } else { 400 });
+    let mut report = Report::new(
+        "throughput",
+        0,
+        &format!(
+            "per-worker private table, INSERT/UPDATE pairs on the fast path, one {} ms \
+             window per point; speedup is bounded by host_cpus; appends_per_commit < 1 \
+             means the group-commit sequencer coalesced concurrent commits into shared \
+             appends",
+            window.as_millis()
+        ),
+    );
     for &group_window in &GROUP_WINDOWS {
         let mut base_qps = 0.0f64;
         for &workers in &WORKER_COUNTS {
-            let mut p = measure(workers, group_window, window);
+            let (qps, appends, commits) = measure(workers, group_window, window);
             if workers == 1 {
-                base_qps = p.stmts_per_sec;
+                base_qps = qps;
             }
-            p.speedup_vs_1 = if base_qps > 0.0 {
-                p.stmts_per_sec / base_qps
-            } else {
-                0.0
-            };
+            let apc = appends as f64 / commits.max(1) as f64;
             eprintln!(
                 "{workers} workers, window {group_window}: {qps:>9.0} stmts/s \
-                 (×{speedup:.2} vs 1)  {apc:.3} appends/commit",
-                qps = p.stmts_per_sec,
-                speedup = p.speedup_vs_1,
-                apc = p.appends_per_commit,
+                 (×{:.2} vs 1)  {apc:.3} appends/commit",
+                qps / base_qps
             );
-            points.push(p);
+            report
+                .point()
+                .param("group_window", group_window)
+                .param("workers", workers)
+                .metric("throughput", Metric::value("stmts/s", qps))
+                .metric("speedup_vs_1", Metric::value("x", qps / base_qps))
+                .metric("appends_per_commit", Metric::value("ratio", apc))
+                .stat("wal_appends", appends)
+                .stat("wal_commits", commits);
         }
     }
-
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{ \"workers\": {}, \"group_window\": {}, \"statements\": {}, \
-                 \"stmts_per_sec\": {:.1}, \"speedup_vs_1\": {:.3}, \
-                 \"wal_appends\": {}, \"wal_commits\": {}, \"appends_per_commit\": {:.3} }}",
-                p.workers,
-                p.group_window,
-                p.statements,
-                p.stmts_per_sec,
-                p.speedup_vs_1,
-                p.wal_appends,
-                p.wal_commits,
-                p.appends_per_commit,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"parallel_dml_throughput\",\n  \
-         \"workload\": \"per-worker private table, INSERT/UPDATE pairs, fast-path DML\",\n  \
-         \"window_ms\": {window},\n  \"host_cpus\": {cpus},\n  \
-         \"note\": \"speedup is bounded by host_cpus; appends_per_commit < 1 means the \
-         group-commit sequencer coalesced concurrent commits into shared appends\",\n  \
-         \"points\": [\n{points}\n  ]\n}}\n",
-        window = window.as_millis(),
-        points = rows.join(",\n"),
-    );
-
-    if smoke {
-        eprintln!("smoke mode: skipping JSON write");
-    } else {
-        let path = "docs/outputs/BENCH_throughput.json";
-        std::fs::write(path, &json).expect("write BENCH_throughput.json");
-        eprintln!("wrote {path}");
-    }
-    print!("{json}");
+    report.finish();
 }

@@ -16,45 +16,19 @@
 //! query from `BENCH_concurrency`. Row count is 10x the older read
 //! benchmarks (20k vs 2k) so per-row costs dominate fixed overheads.
 //!
-//! `BENCH_SMOKE=1` shrinks the workload and skips the JSON write — used
-//! by `scripts/verify.sh` to prove the binary runs (and that the batch
-//! path actually engages) without clobbering recorded results.
+//! `BENCH_SMOKE=1` shrinks the workload and skips the JSON write; the
+//! byte-identity and engagement asserts run in both modes.
 
-use std::time::Instant;
-
+use bench::report::{self, time_us, Metric, Report};
 use sqlkernel::parser::parse_statement;
 use sqlkernel::{Connection, StatementResult};
 
 const DB_ROWS: usize = 20_000;
 const SMOKE_ROWS: usize = 2_000;
 
-/// Median-of-3 timing of `iters` runs of `f`, in seconds.
-fn time_runs(iters: u64, mut f: impl FnMut()) -> f64 {
-    let mut samples = [0.0f64; 3];
-    for s in &mut samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        *s = start.elapsed().as_secs_f64();
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[1]
-}
-
-fn per_stmt_us(secs: f64, iters: u64) -> f64 {
-    secs / iters as f64 * 1e6
-}
-
-/// Time one workload interpreted vs batched and emit its JSON point.
+/// Time one workload interpreted vs batched and add its point.
 /// Asserts both executors return byte-identical results first.
-fn run_workload(
-    conn: &Connection,
-    name: &str,
-    query: &str,
-    iters: u64,
-    points: &mut Vec<String>,
-) -> (f64, f64) {
+fn run_workload(conn: &Connection, name: &str, query: &str, report: &mut Report) {
     let stmt = parse_statement(query).expect("benchmark query parses");
 
     // Differential sanity: same rows, same order, both ways.
@@ -68,67 +42,60 @@ fn run_workload(
         "{name}: batched result must be byte-identical to interpreted"
     );
 
-    let interpreted = time_runs(iters, || {
+    let interpreted = time_us(|| {
         std::hint::black_box(conn.execute_ast(&stmt, &[]).unwrap());
     });
-    let batched = time_runs(iters, || {
+    let batched = time_us(|| {
         std::hint::black_box(conn.execute(query, &[]).unwrap());
     });
-
-    points.push(format!(
-        "    {{ \"workload\": {name:?}, \"query\": {query:?}, \"iterations\": {iters}, \
-         \"interpreted_per_stmt_us\": {i:.2}, \"batched_per_stmt_us\": {b:.2}, \
-         \"speedup\": {s:.2} }}",
-        i = per_stmt_us(interpreted, iters),
-        b = per_stmt_us(batched, iters),
-        s = interpreted / batched,
-    ));
-    (interpreted, batched)
+    let speedup = interpreted.median / batched.median;
+    eprintln!(
+        "{name}: interpreted {:.1}us vs batched {:.1}us  (×{speedup:.2})",
+        interpreted.median, batched.median
+    );
+    report
+        .point()
+        .param("workload", name)
+        .metric("interpreted", interpreted)
+        .metric("batched", batched)
+        .metric("speedup", Metric::value("x", speedup));
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok();
-    let (rows, iters) = if smoke {
-        (SMOKE_ROWS, 5)
-    } else {
-        (DB_ROWS, 100)
-    };
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
+    let rows = if report::smoke() { SMOKE_ROWS } else { DB_ROWS };
+    let mut report = Report::new(
+        "vectorized",
+        bench::ORDERS_SEED,
+        &format!(
+            "{rows}-row seeded orders database; times are wall time per statement; \
+             interpreted is the pre-parsed AST through the tree-walking executor, batched \
+             is the warm compiled plan through the batch executor; results are asserted \
+             byte-identical before timing"
+        ),
+    );
     let db = bench::seeded_orders_db("vectorized", rows);
     let conn = db.connect();
 
-    let mut points = Vec::new();
-    run_workload(
-        &conn,
-        "scan",
-        "SELECT OrderId, ItemId, Quantity, Approved FROM Orders",
-        iters,
-        &mut points,
-    );
-    run_workload(
-        &conn,
-        "filter",
-        "SELECT OrderId FROM Orders WHERE Quantity > 25 AND Approved = TRUE",
-        iters,
-        &mut points,
-    );
-    run_workload(
-        &conn,
-        "fused",
-        "SELECT OrderId, Quantity * 2 + 1 FROM Orders WHERE Quantity > 25 AND Approved = TRUE",
-        iters,
-        &mut points,
-    );
-    let (agg_i, agg_b) = run_workload(
-        &conn,
-        "aggregate",
-        "SELECT ItemId, SUM(Quantity) FROM Orders WHERE Approved = TRUE GROUP BY ItemId",
-        iters,
-        &mut points,
-    );
+    for (name, query) in [
+        (
+            "scan",
+            "SELECT OrderId, ItemId, Quantity, Approved FROM Orders",
+        ),
+        (
+            "filter",
+            "SELECT OrderId FROM Orders WHERE Quantity > 25 AND Approved = TRUE",
+        ),
+        (
+            "fused",
+            "SELECT OrderId, Quantity * 2 + 1 FROM Orders WHERE Quantity > 25 AND Approved = TRUE",
+        ),
+        (
+            "aggregate",
+            "SELECT ItemId, SUM(Quantity) FROM Orders WHERE Approved = TRUE GROUP BY ItemId",
+        ),
+    ] {
+        run_workload(&conn, name, query, &mut report);
+    }
 
     // The whole point of the benchmark: prove the batched path engaged,
     // not just that two interpreters raced each other.
@@ -143,46 +110,16 @@ fn main() {
     );
     assert!(stats.batched_rows > 0 && stats.full_scan_rows > 0);
 
-    let agg_speedup = agg_i / agg_b;
-    eprintln!(
-        "aggregate: interpreted {:.1}us vs batched {:.1}us  (×{:.2})",
-        per_stmt_us(agg_i, iters),
-        per_stmt_us(agg_b, iters),
-        agg_speedup
-    );
-
-    if smoke {
-        eprintln!("BENCH_SMOKE set; skipping JSON write");
-        return;
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"vectorized_batch_executor\",\n  \"db_rows\": {rows},\n  \
-         \"host_cpus\": {cpus},\n  \
-         \"note\": \"per_stmt_us is wall-clock per statement, median of 3 runs; \
-         interpreted is the pre-parsed AST through the tree-walking executor, batched is \
-         the warm compiled plan through the batch executor; results are asserted \
-         byte-identical before timing\",\n  \
-         \"points\": [\n{points}\n  ],\n  \
-         \"aggregate_speedup\": {agg_speedup:.2},\n  \
-         \"engine_stats\": {{\n    \"statements_executed\": {exec},\n    \
-         \"plan_binds\": {binds},\n    \"bound_evals\": {bevals},\n    \
-         \"batch_evals\": {batch},\n    \"batched_rows\": {brows},\n    \
-         \"hash_aggs\": {haggs},\n    \"full_scans\": {fscans},\n    \
-         \"full_scan_rows\": {fsrows}\n  }}\n}}\n",
-        points = points.join(",\n"),
-        exec = stats.statements_executed,
-        binds = stats.plan_binds,
-        bevals = stats.bound_evals,
-        batch = stats.batch_evals,
-        brows = stats.batched_rows,
-        haggs = stats.hash_aggs,
-        fscans = stats.full_scans,
-        fsrows = stats.full_scan_rows,
-    );
-
-    let path = "docs/outputs/BENCH_vectorized.json";
-    std::fs::write(path, &json).expect("write BENCH_vectorized.json");
-    print!("{json}");
-    eprintln!("wrote {path}");
+    report
+        .point()
+        .param("workload", "total")
+        .stat("statements_executed", stats.statements_executed)
+        .stat("plan_binds", stats.plan_binds)
+        .stat("bound_evals", stats.bound_evals)
+        .stat("batch_evals", stats.batch_evals)
+        .stat("batched_rows", stats.batched_rows)
+        .stat("hash_aggs", stats.hash_aggs)
+        .stat("full_scans", stats.full_scans)
+        .stat("full_scan_rows", stats.full_scan_rows);
+    report.finish();
 }

@@ -1,12 +1,17 @@
-//! Shared harness for the table/figure regeneration binaries and the
-//! benchmark targets.
+//! Shared code of the table/figure regeneration binaries and the bench
+//! binaries: the paper's products, seeded datasets, and the one report
+//! schema every bench binary writes.
 
-pub mod harness;
-pub mod rng;
+pub mod report;
 
 use patterns::SqlIntegration;
-use rng::SplitMix64;
-use sqlkernel::{Database, Value};
+use sqlkernel::{Database, SplitMix64, Value};
+
+/// Base seed of [`seeded_orders_db`] (offset by the order count).
+pub const ORDERS_SEED: u64 = 0x5EED;
+
+/// Base seed of [`seeded_wide_db`] (offset by the row count).
+pub const WIDE_SEED: u64 = 0xDA7A;
 
 /// All three surveyed products, in Table order.
 pub fn all_products() -> Vec<Box<dyn SqlIntegration>> {
@@ -41,14 +46,14 @@ pub fn seeded_orders_db(name: &str, n_orders: usize) -> Database {
          CREATE SEQUENCE conf_ids START WITH 1;",
     )
     .expect("schema is valid");
-    let mut rng = SplitMix64::seed_from_u64(0x5EED + n_orders as u64);
+    let mut rng = SplitMix64::new(ORDERS_SEED + n_orders as u64);
     let insert = conn
         .prepare("INSERT INTO Orders VALUES (?, ?, ?, ?)")
         .expect("valid insert");
     for i in 0..n_orders {
-        let item = ITEM_TYPES[rng.gen_range(0..ITEM_TYPES.len())];
-        let qty = rng.gen_range(1i64..50);
-        let approved = rng.gen_bool(0.7);
+        let item = ITEM_TYPES[rng.next_below(ITEM_TYPES.len() as u64) as usize];
+        let qty = 1 + rng.next_below(49) as i64;
+        let approved = rng.next_f64() < 0.7;
         conn.execute_prepared(
             &insert,
             &[
@@ -78,7 +83,7 @@ pub fn seeded_wide_db(name: &str, n_rows: usize) -> Database {
         &[],
     )
     .expect("valid ddl");
-    let mut rng = SplitMix64::seed_from_u64(0xDA7A + n_rows as u64);
+    let mut rng = SplitMix64::new(WIDE_SEED + n_rows as u64);
     let insert = conn
         .prepare("INSERT INTO src VALUES (?, ?, ?, ?, ?)")
         .expect("valid");
@@ -88,9 +93,9 @@ pub fn seeded_wide_db(name: &str, n_rows: usize) -> Database {
             &[
                 Value::Int(i as i64),
                 Value::Text(format!("payload-{i:06}")),
-                Value::Int(rng.gen_range(0i64..1000)),
-                Value::Float(rng.gen_range(0.0f64..1.0)),
-                Value::Text(format!("tail-{}", rng.gen_range(0i64..100))),
+                Value::Int(rng.next_below(1000) as i64),
+                Value::Float(rng.next_f64()),
+                Value::Text(format!("tail-{}", rng.next_below(100))),
             ],
         )
         .expect("insert succeeds");

@@ -1480,10 +1480,9 @@ impl Connection {
     }
 
     /// Fast-path variant of [`Connection::wal_log_statement`]: derives
-    /// the redo ops from the *held* table guard instead of re-entering
-    /// the catalog's table map (which would self-deadlock). Everything
-    /// else — crash points, transaction framing, group commit — is
-    /// identical.
+    /// the redo ops through one table guard per statement instead of
+    /// one catalog lookup per op. Everything else — crash points,
+    /// transaction framing, group commit — is identical.
     fn wal_log_statement_on(
         &self,
         catalog: &Catalog,

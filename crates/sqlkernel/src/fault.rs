@@ -33,9 +33,9 @@ pub fn crashed_error() -> SqlError {
     SqlError::Crashed("process killed by fault injection".into())
 }
 
-/// SplitMix64: tiny, seedable, statistically solid for fault schedules.
-/// Kept in-tree (the kernel has no dependencies, and the bench crate's
-/// copy sits on the wrong side of the dependency arrow).
+/// SplitMix64: tiny, seedable, statistically solid for fault schedules
+/// and the benchmarks' seeded datasets. Kept in-tree: the kernel has no
+/// dependencies.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,

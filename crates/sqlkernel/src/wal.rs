@@ -1141,11 +1141,11 @@ pub fn ops_from_undo(catalog: &Catalog, snap: &Snapshot, undo_ops: &[UndoOp]) ->
 }
 
 /// Fast-path variant of [`ops_from_undo`]: the after-images are read
-/// from the caller's *held* table guard instead of re-entering the
-/// catalog's table map (which would self-deadlock on the per-table
-/// lock). Only row operations can occur on that path — the fast path is
-/// restricted to single-table, subquery-free DML — so any other entry is
-/// a logic error.
+/// through one table guard the caller takes for the whole statement,
+/// instead of one catalog lookup and table lock per op. Only row
+/// operations can occur on that path — the fast path is restricted to
+/// single-table, subquery-free DML — so any other entry is a logic
+/// error.
 pub fn ops_from_undo_on(table: &Table, undo_ops: &[UndoOp]) -> Vec<WalOp> {
     if table.schema.temporary {
         return Vec::new();

@@ -57,30 +57,32 @@ for seed in 20260807 271828 31337; do
   CHAOS_SEED="$seed" CRASH_SEED="$seed" cargo test -q --test mvcc_snapshots
 done
 
-# Bench smokes: prove the binaries run end-to-end without overwriting
-# the recorded JSONs (BENCH_SMOKE shortens the workload and skips the
-# write). bench_vectorized additionally asserts in-process that the
-# batched executor engaged and that batched results are byte-identical
-# to the interpreter.
-BENCH_SMOKE=1 ./target/release/bench_throughput >/dev/null
-BENCH_SMOKE=1 ./target/release/bench_vectorized >/dev/null
-# bench_concurrency's smoke runs the read-while-write identity gate:
-# a fixed transfer budget under concurrent snapshot readers must leave
-# bytes identical to the serialized run, with no torn scans.
-BENCH_SMOKE=1 ./target/release/bench_concurrency >/dev/null
-# bench_shards' smoke asserts in-process that both the single-shard
-# fast path and the cross-shard 2PC path committed.
-BENCH_SMOKE=1 ./target/release/bench_shards >/dev/null
-# bench_storage's smoke asserts in-process that paged recovery preserves
-# every row at each checkpoint interval.
-BENCH_SMOKE=1 ./target/release/bench_storage >/dev/null
-# bench_joins' smoke asserts in-process that the compiled join executor
-# engaged (hash join, index nested loop, pushed predicates) and that
-# compiled join results are byte-identical to the interpreter's.
-BENCH_SMOKE=1 ./target/release/bench_joins >/dev/null
-# bench_recovery's smoke drives the durable open/replay path: it logs a
-# short workload, recovers from the log alone and asserts in-process
-# that every row came back.
-BENCH_SMOKE=1 ./target/release/bench_recovery >/dev/null
+# Bench smokes: every bench binary runs end-to-end on a short workload
+# with its in-process asserts, and none rewrites its recorded JSON
+# (BENCH_SMOKE shortens the workload and skips the write).
+# - throughput: the parallel DML path runs at every worker count.
+# - vectorized: the batch executor engaged, and its results are
+#   byte-identical to the interpreter's.
+# - concurrency: the read-while-write identity gate, a fixed transfer
+#   budget under concurrent snapshot readers leaving bytes identical to
+#   the serialized run, with no torn scans.
+# - shards: both the single-shard fast path and cross-shard 2PC committed.
+# - storage: paged recovery preserves every row at each checkpoint
+#   interval.
+# - joins: the compiled join executor engaged (hash join, index nested
+#   loop, pushed predicates), byte-identical to the interpreter.
+# - recovery: a short workload recovers from the log alone with every
+#   row.
+# - faults: every retry-wrapped statement completes, and the 0%-rate
+#   plan injects no fault.
+# - plan: compiled rows equal interpreted rows, and a plan was bound.
+# - claims: by-reference and by-value copies leave identical sinks, and
+#   inline and adapter queries return the same RowSet.
+for b in throughput vectorized concurrency shards storage joins recovery faults plan claims; do
+  BENCH_SMOKE=1 "./target/release/bench_$b" >/dev/null
+done
+# Every table in EXPERIMENTS.md section 2 is rendered from the committed
+# docs/outputs/BENCH_*.json; a hand edit of either side fails here.
+./target/release/experiments --check
 
 echo "verify: OK"
