@@ -27,9 +27,8 @@
 //!
 //! `BENCH_SMOKE=1` shrinks the workload and skips the JSON write.
 
-use bench::report::{self, time_us, Metric, Report};
-use sqlkernel::parser::parse_statement;
-use sqlkernel::{Connection, Database, SplitMix64, StatementResult, Value};
+use bench::report::{self, Report};
+use sqlkernel::{Database, SplitMix64, Value};
 
 const FACT_ROWS: usize = 20_000;
 const DIM_ROWS: usize = 20_000;
@@ -101,41 +100,6 @@ fn seeded_join_db(scale_div: usize) -> Database {
     db
 }
 
-/// Time one workload interpreted vs compiled and add its point.
-/// Asserts both executors return byte-identical results first.
-fn run_workload(conn: &Connection, name: &str, query: &str, report: &mut Report) {
-    let stmt = parse_statement(query).expect("benchmark query parses");
-
-    // Differential sanity: same rows, same order, both ways.
-    let interpreted_rows = match conn.execute_ast(&stmt, &[]).unwrap() {
-        StatementResult::Rows(r) => r,
-        other => panic!("workload must return rows, got {other:?}"),
-    };
-    let compiled_rows = conn.query(query, &[]).unwrap();
-    assert_eq!(
-        interpreted_rows, compiled_rows,
-        "{name}: compiled result must be byte-identical to interpreted"
-    );
-
-    let interpreted = time_us(|| {
-        std::hint::black_box(conn.execute_ast(&stmt, &[]).unwrap());
-    });
-    let compiled = time_us(|| {
-        std::hint::black_box(conn.execute(query, &[]).unwrap());
-    });
-    let speedup = interpreted.median / compiled.median;
-    eprintln!(
-        "{name}: interpreted {:.1}us vs compiled {:.1}us  (x{speedup:.2})",
-        interpreted.median, compiled.median
-    );
-    report
-        .point()
-        .param("workload", name)
-        .metric("interpreted", interpreted)
-        .metric("compiled", compiled)
-        .metric("speedup", Metric::value("x", speedup));
-}
-
 fn main() {
     let scale_div = if report::smoke() { SMOKE_SCALE } else { 1 };
     let mut report = Report::new(
@@ -155,7 +119,7 @@ fn main() {
     let conn = db.connect();
 
     // Unfiltered 20k x 20k equi-join folded into a grouped aggregate.
-    run_workload(
+    bench::interpreted_vs_compiled(
         &conn,
         "hash_join",
         "SELECT d.code, COUNT(*) AS n, SUM(f.qty) AS q FROM fact f \
@@ -166,7 +130,7 @@ fn main() {
     // The headline point: the same join with one pushable conjunct per
     // side. The compiler prefilters both scans before the join; the
     // interpreter joins everything and filters after.
-    run_workload(
+    bench::interpreted_vs_compiled(
         &conn,
         "pushdown_join",
         "SELECT d.code, COUNT(*) AS n, SUM(f.qty) AS q FROM fact f \
@@ -177,7 +141,7 @@ fn main() {
 
     // Small outer against the dimension's primary-key index: the
     // executor probes the B-tree per outer row instead of hashing 20k.
-    run_workload(
+    bench::interpreted_vs_compiled(
         &conn,
         "index_nl",
         "SELECT probe.id, d.price FROM probe JOIN dim d ON probe.dim_id = d.id \
@@ -188,7 +152,7 @@ fn main() {
     // Asymmetric 2k/20k ratio returning plain rows: the compiled
     // executor hashes the small side and replays matches in probe-left
     // order (dim_id > threshold defeats the index, forcing the hash).
-    run_workload(
+    bench::interpreted_vs_compiled(
         &conn,
         "build_small",
         "SELECT probe.id, f.qty FROM probe JOIN fact f ON probe.dim_id = f.dim_id \

@@ -30,7 +30,7 @@ const SMOKE_ROWS: usize = 2_000;
 /// The parameterized SELECT re-parsed and tree-walked per call versus
 /// run through the plan cache. Asserts both return the same rows and
 /// that the compiled path bound a plan.
-fn interpreted_vs_compiled(db: &Database, report: &mut Report) {
+fn parse_interpret_vs_plan(db: &Database, report: &mut Report) {
     const Q: &str = "SELECT OrderId, Quantity * 2 + 1 FROM Orders \
                      WHERE Quantity > ? AND Approved = TRUE";
     let conn = db.connect();
@@ -160,7 +160,7 @@ fn main() {
         ),
     );
     let db = bench::seeded_orders_db("plan_exec", rows);
-    interpreted_vs_compiled(&db, &mut report);
+    parse_interpret_vs_plan(&db, &mut report);
     let mut dbs = vec![db];
     dbs.extend(scan_vs_range(rows, &mut report));
     dbs.extend(sort_topk_indexorder(rows, &mut report));

@@ -7,7 +7,7 @@
 //! - **interpreted**: pre-parsed AST through `execute_ast` — tree
 //!   walking with name resolution per row, no compiled plan. Parsing is
 //!   excluded, so the comparison isolates execution, not the parser.
-//! - **batched**: warm `execute` through the compiled-plan cache — the
+//! - **compiled**: warm `execute` through the compiled-plan cache — the
 //!   batch executor with selection vectors, fused filter+project, and
 //!   (for the GROUP BY workload) the one-pass hash aggregator.
 //!
@@ -19,47 +19,10 @@
 //! `BENCH_SMOKE=1` shrinks the workload and skips the JSON write; the
 //! byte-identity and engagement asserts run in both modes.
 
-use bench::report::{self, time_us, Metric, Report};
-use sqlkernel::parser::parse_statement;
-use sqlkernel::{Connection, StatementResult};
+use bench::report::{self, Report};
 
 const DB_ROWS: usize = 20_000;
 const SMOKE_ROWS: usize = 2_000;
-
-/// Time one workload interpreted vs batched and add its point.
-/// Asserts both executors return byte-identical results first.
-fn run_workload(conn: &Connection, name: &str, query: &str, report: &mut Report) {
-    let stmt = parse_statement(query).expect("benchmark query parses");
-
-    // Differential sanity: same rows, same order, both ways.
-    let interpreted_rows = match conn.execute_ast(&stmt, &[]).unwrap() {
-        StatementResult::Rows(r) => r,
-        other => panic!("workload must return rows, got {other:?}"),
-    };
-    let batched_rows = conn.query(query, &[]).unwrap();
-    assert_eq!(
-        interpreted_rows, batched_rows,
-        "{name}: batched result must be byte-identical to interpreted"
-    );
-
-    let interpreted = time_us(|| {
-        std::hint::black_box(conn.execute_ast(&stmt, &[]).unwrap());
-    });
-    let batched = time_us(|| {
-        std::hint::black_box(conn.execute(query, &[]).unwrap());
-    });
-    let speedup = interpreted.median / batched.median;
-    eprintln!(
-        "{name}: interpreted {:.1}us vs batched {:.1}us  (×{speedup:.2})",
-        interpreted.median, batched.median
-    );
-    report
-        .point()
-        .param("workload", name)
-        .metric("interpreted", interpreted)
-        .metric("batched", batched)
-        .metric("speedup", Metric::value("x", speedup));
-}
 
 fn main() {
     let rows = if report::smoke() { SMOKE_ROWS } else { DB_ROWS };
@@ -68,7 +31,7 @@ fn main() {
         bench::ORDERS_SEED,
         &format!(
             "{rows}-row seeded orders database; times are wall time per statement; \
-             interpreted is the pre-parsed AST through the tree-walking executor, batched \
+             interpreted is the pre-parsed AST through the tree-walking executor, compiled \
              is the warm compiled plan through the batch executor; results are asserted \
              byte-identical before timing"
         ),
@@ -94,7 +57,7 @@ fn main() {
             "SELECT ItemId, SUM(Quantity) FROM Orders WHERE Approved = TRUE GROUP BY ItemId",
         ),
     ] {
-        run_workload(&conn, name, query, &mut report);
+        bench::interpreted_vs_compiled(&conn, name, query, &mut report);
     }
 
     // The whole point of the benchmark: prove the batched path engaged,

@@ -5,7 +5,9 @@
 pub mod report;
 
 use patterns::SqlIntegration;
-use sqlkernel::{Database, SplitMix64, Value};
+use report::{time_us, Metric, Report};
+use sqlkernel::parser::parse_statement;
+use sqlkernel::{Connection, Database, SplitMix64, StatementResult, Value};
 
 /// Base seed of [`seeded_orders_db`] (offset by the order count).
 pub const ORDERS_SEED: u64 = 0x5EED;
@@ -101,6 +103,41 @@ pub fn seeded_wide_db(name: &str, n_rows: usize) -> Database {
         .expect("insert succeeds");
     }
     db
+}
+
+/// Times `query` through the tree-walking interpreter (its pre-parsed
+/// AST, so parsing is excluded) and through its warm compiled plan, and
+/// adds the point `workload = name`. Asserts first that both return
+/// byte-identical rows.
+pub fn interpreted_vs_compiled(conn: &Connection, name: &str, query: &str, report: &mut Report) {
+    let stmt = parse_statement(query).expect("benchmark query parses");
+    let interpreted_rows = match conn.execute_ast(&stmt, &[]).unwrap() {
+        StatementResult::Rows(r) => r,
+        other => panic!("workload must return rows, got {other:?}"),
+    };
+    assert_eq!(
+        interpreted_rows,
+        conn.query(query, &[]).unwrap(),
+        "{name}: compiled result must be byte-identical to interpreted"
+    );
+
+    let interpreted = time_us(|| {
+        std::hint::black_box(conn.execute_ast(&stmt, &[]).unwrap());
+    });
+    let compiled = time_us(|| {
+        std::hint::black_box(conn.execute(query, &[]).unwrap());
+    });
+    let speedup = interpreted.median / compiled.median;
+    eprintln!(
+        "{name}: interpreted {:.1}us vs compiled {:.1}us  (x{speedup:.2})",
+        interpreted.median, compiled.median
+    );
+    report
+        .point()
+        .param("workload", name)
+        .metric("interpreted", interpreted)
+        .metric("compiled", compiled)
+        .metric("speedup", Metric::value("x", speedup));
 }
 
 #[cfg(test)]
