@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 const SAMPLE_TIME: Duration = Duration::from_millis(10);
 
 /// Samples per timed metric.
-pub const SAMPLES: usize = 11;
+const SAMPLES: usize = 11;
 
 /// `BENCH_SMOKE` is set: binaries shrink their workloads, keep their
 /// in-process asserts, and [`Report::finish`] writes no JSON.
@@ -24,7 +24,7 @@ pub fn smoke() -> bool {
     std::env::var_os("BENCH_SMOKE").is_some()
 }
 
-/// Runs `f` [`SAMPLES`] times (once in smoke mode) and collects what
+/// Runs `f` `SAMPLES` times (once in smoke mode) and collects what
 /// each run measured; `f` excludes its own set-up from its measurement.
 pub fn sample(f: impl FnMut() -> f64) -> Vec<f64> {
     let n = if smoke() { 1 } else { SAMPLES };
@@ -32,7 +32,7 @@ pub fn sample(f: impl FnMut() -> f64) -> Vec<f64> {
 }
 
 /// Times `f`: calibrates a call count so that one sample lasts at least
-/// [`SAMPLE_TIME`] (one call in smoke mode), then [`sample`]s the wall
+/// `SAMPLE_TIME` (one call in smoke mode), then [`sample`]s the wall
 /// time per call, in µs.
 pub fn time_us(mut f: impl FnMut()) -> Metric {
     let mut run = |iters: u32| {
@@ -144,10 +144,10 @@ impl fmt::Display for Param {
 /// One measured configuration.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Point {
-    pub params: Vec<(String, Param)>,
-    pub metrics: Vec<(String, Metric)>,
+    params: Vec<(String, Param)>,
+    metrics: Vec<(String, Metric)>,
     /// `DbStats` counter deltas over the point's run.
-    pub stats: Vec<(String, u64)>,
+    stats: Vec<(String, u64)>,
 }
 
 impl Point {
@@ -182,12 +182,12 @@ impl Point {
 /// One bench binary's recorded run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
-    pub bench: String,
-    pub git_rev: String,
-    pub host_cpus: usize,
-    pub seed: u64,
-    pub note: String,
-    pub points: Vec<Point>,
+    bench: String,
+    git_rev: String,
+    host_cpus: usize,
+    seed: u64,
+    note: String,
+    points: Vec<Point>,
 }
 
 impl Report {
@@ -218,7 +218,7 @@ impl Report {
     }
 
     /// Where the report of `bench` is committed, relative to the repo root.
-    pub fn path(bench: &str) -> String {
+    fn path(bench: &str) -> String {
         format!("docs/outputs/BENCH_{bench}.json")
     }
 
