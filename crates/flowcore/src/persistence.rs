@@ -49,6 +49,23 @@
 //! expose instance tables to admin queries). Floats round-trip via their
 //! IEEE-754 bit patterns; XML variables via `to_xml` + re-parse. Opaque
 //! values cannot be dehydrated and fail fast.
+//!
+//! Only the bytes the line/space frame needs are escaped as `%XX`: `%`,
+//! every byte ≤ 0x20 (space, `\n`, `\r`, tab, the other controls) and
+//! 0x7F. UTF-8 and XML punctuation pass through, so parked XML reads as
+//! XML. The decoder accepts any `%XX` of exactly two hex digits, so text
+//! from the earlier encoder, which escaped every byte outside
+//! `[A-Za-z0-9_.-]`, decodes too — and the earlier decoder reads this
+//! encoder's text. Both encodings are one format.
+//!
+//! Decided against: carrying the committed [`Variables`] from step to
+//! step instead of decoding them per attempt. `xmlval::parse` drops empty
+//! and whitespace-only text runs, so `decode(encode(v))` can differ from
+//! `v`, and a resumed run would then see other variables than an
+//! uninterrupted one. Every attempt decodes the parked text.
+
+use std::borrow::Cow;
+use std::fmt::{self, Write};
 
 use sqlkernel::{Connection, Database, Value};
 use xmlval::XmlNode;
@@ -468,20 +485,36 @@ fn as_int(v: &Value) -> FlowResult<i64> {
     }
 }
 
-/// Percent-escape everything outside `[A-Za-z0-9_.-]` so names and text
-/// payloads survive the line/space-delimited frame.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' | b'.' | b'-' => out.push(b as char),
-            _ => out.push_str(&format!("%{b:02X}")),
+/// A payload as it appears in the line/space frame: `%`, every byte up to
+/// and including space (newline, carriage return, tab and the other
+/// controls) and DEL become `%XX`; everything else, UTF-8 and XML
+/// punctuation included, is copied through in runs.
+struct Esc<'a>(&'a str);
+
+impl fmt::Display for Esc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        const HEX: &[u8; 16] = b"0123456789ABCDEF";
+        let s = self.0;
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b == b'%' || b <= b' ' || b == 0x7F {
+                f.write_str(&s[run..i])?;
+                f.write_char('%')?;
+                f.write_char(char::from(HEX[usize::from(b >> 4)]))?;
+                f.write_char(char::from(HEX[usize::from(b & 0xF)]))?;
+                run = i + 1;
+            }
         }
+        f.write_str(&s[run..])
     }
-    out
 }
 
-fn unesc(s: &str) -> FlowResult<String> {
+/// Inverse of [`Esc`]. Any `%` followed by two hex digits decodes, so text
+/// escaped more eagerly than [`Esc`] does (older rows) reads back too.
+fn unesc(s: &str) -> FlowResult<Cow<'_, str>> {
+    if !s.contains('%') {
+        return Ok(Cow::Borrowed(s));
+    }
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -490,46 +523,53 @@ fn unesc(s: &str) -> FlowResult<String> {
             if i + 2 >= bytes.len() {
                 return Err(corrupt("truncated escape sequence"));
             }
-            let hex = std::str::from_utf8(&bytes[i + 1..i + 3])
-                .map_err(|_| corrupt("non-utf8 escape sequence"))?;
-            let v = u8::from_str_radix(hex, 16).map_err(|_| corrupt("bad hex escape sequence"))?;
-            out.push(v);
+            let hex = |b: u8| char::from(b).to_digit(16);
+            match (hex(bytes[i + 1]), hex(bytes[i + 2])) {
+                (Some(hi), Some(lo)) => out.push((hi << 4 | lo) as u8),
+                _ => return Err(corrupt("bad hex escape sequence")),
+            }
             i += 3;
         } else {
             out.push(bytes[i]);
             i += 1;
         }
     }
-    String::from_utf8(out).map_err(|_| corrupt("escaped payload is not utf-8"))
+    String::from_utf8(out)
+        .map(Cow::Owned)
+        .map_err(|_| corrupt("escaped payload is not utf-8"))
 }
 
 /// Encode variables as one `name tag [payload]` line each, sorted by name
 /// (deterministic — identical states encode identically, which the crash
 /// tests rely on for fingerprint comparison).
 pub fn encode_variables(vars: &Variables) -> FlowResult<String> {
-    let mut lines = Vec::new();
+    let mut out = String::new();
     for name in vars.names() {
         let v = vars.get(name).expect("name listed by names()");
-        let line = match v {
-            VarValue::Null => format!("{} null", esc(name)),
-            VarValue::Scalar(Value::Null) => format!("{} snull", esc(name)),
-            VarValue::Scalar(Value::Bool(b)) => format!("{} bool {b}", esc(name)),
-            VarValue::Scalar(Value::Int(i)) => format!("{} int {i}", esc(name)),
-            VarValue::Scalar(Value::Float(f)) => format!("{} float {}", esc(name), f.to_bits()),
-            VarValue::Scalar(Value::Text(t)) => format!("{} text {}", esc(name), esc(t)),
-            VarValue::Xml(n @ XmlNode::Element(_)) => {
-                format!("{} xml {}", esc(name), esc(&n.to_xml()))
+        if !out.is_empty() {
+            out.push('\n');
+        }
+        let n = Esc(name);
+        // Writing into a `String` cannot fail.
+        let _ = match v {
+            VarValue::Null => write!(out, "{n} null"),
+            VarValue::Scalar(Value::Null) => write!(out, "{n} snull"),
+            VarValue::Scalar(Value::Bool(b)) => write!(out, "{n} bool {b}"),
+            VarValue::Scalar(Value::Int(i)) => write!(out, "{n} int {i}"),
+            VarValue::Scalar(Value::Float(f)) => write!(out, "{n} float {}", f.to_bits()),
+            VarValue::Scalar(Value::Text(t)) => write!(out, "{n} text {}", Esc(t)),
+            VarValue::Xml(x @ XmlNode::Element(_)) => {
+                write!(out, "{n} xml {}", Esc(&x.to_xml()))
             }
-            VarValue::Xml(XmlNode::Text(t)) => format!("{} xmltext {}", esc(name), esc(t)),
+            VarValue::Xml(XmlNode::Text(t)) => write!(out, "{n} xmltext {}", Esc(t)),
             VarValue::Opaque(_) => {
                 return Err(FlowError::Variable(format!(
                     "variable '{name}' holds an opaque host object and cannot be dehydrated"
                 )))
             }
         };
-        lines.push(line);
     }
-    Ok(lines.join("\n"))
+    Ok(out)
 }
 
 /// Inverse of [`encode_variables`].
@@ -540,7 +580,7 @@ pub fn decode_variables(text: &str) -> FlowResult<Variables> {
             continue;
         }
         let mut parts = line.splitn(3, ' ');
-        let name = unesc(parts.next().ok_or_else(|| corrupt("empty variable line"))?)?;
+        let name = unesc(parts.next().ok_or_else(|| corrupt("empty variable line"))?)?.into_owned();
         let tag = parts
             .next()
             .ok_or_else(|| corrupt("variable line missing type tag"))?;
@@ -566,12 +606,12 @@ pub fn decode_variables(text: &str) -> FlowResult<Variables> {
                     .parse::<u64>()
                     .map_err(|_| corrupt("bad float payload"))?,
             ))),
-            "text" => VarValue::Scalar(Value::Text(unesc(need(payload)?)?)),
+            "text" => VarValue::Scalar(Value::Text(unesc(need(payload)?)?.into_owned())),
             "xml" => {
                 let xml = unesc(need(payload)?)?;
                 VarValue::Xml(XmlNode::Element(xmlval::parse(&xml)?))
             }
-            "xmltext" => VarValue::Xml(XmlNode::Text(unesc(need(payload)?)?)),
+            "xmltext" => VarValue::Xml(XmlNode::Text(unesc(need(payload)?)?.into_owned())),
             other => return Err(corrupt(&format!("unknown variable tag '{other}'"))),
         };
         vars.set(name, value);
@@ -606,19 +646,21 @@ pub fn encode_breakers(rt: &RetryRuntime) -> String {
 /// attempt under that key, this is the encoding the runtime will have
 /// once the attempt returns `Ok`.
 fn encode_breakers_closing(rt: &RetryRuntime, closed: Option<&str>) -> String {
-    let mut lines = vec![format!("clock {}", rt.now())];
+    let mut out = format!("clock {}", rt.now());
     for (key, mut state, mut failures, opened_at) in rt.export_breakers() {
         if closed == Some(key.as_str()) {
             state = BreakerState::Closed;
             failures = 0;
         }
-        lines.push(format!(
-            "{} {} {failures} {opened_at}",
-            esc(&key),
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "\n{} {} {failures} {opened_at}",
+            Esc(&key),
             state_name(state)
-        ));
+        );
     }
-    lines.join("\n")
+    out
 }
 
 /// Inverse of [`encode_breakers`]: `(clock, snapshot)`.
@@ -635,7 +677,7 @@ pub fn decode_breakers(text: &str) -> FlowResult<(u64, Vec<BreakerSnapshot>)> {
                 clock = ticks.parse().map_err(|_| corrupt("bad clock payload"))?;
             }
             [key, state, failures, opened_at] => snaps.push((
-                unesc(key)?,
+                unesc(key)?.into_owned(),
                 state_from_name(state)?,
                 failures
                     .parse()
@@ -697,6 +739,96 @@ mod tests {
         );
         // Deterministic: encoding the decoded state is byte-identical.
         assert_eq!(encode_variables(&back).unwrap(), encoded);
+    }
+
+    /// Text written by the encoder that escaped every byte outside
+    /// `[A-Za-z0-9_.-]`, as older rows hold it.
+    const FULLY_ESCAPED_VARS: &str = "Menge%20%C3%BC text \n\
+        count int -7\n\
+        doc xml %3Corder%20id%3D%22a%26quot%3Bb%20c%22%3Ex%26lt%3By%26amp%3Bz%3C%2Forder%3E\n\
+        flag bool true\n\
+        frag xmltext x%20%3C%20y%20%26%20%22z%22\n\
+        missing null\n\
+        none snull\n\
+        ratio float 4599075939470750516\n\
+        who text a%20b%0Ac%25%0D%09%C3%BC%E2%82%AC";
+
+    const FULLY_ESCAPED_BREAKERS: &str = "clock 42\n\
+        bis%3A100%25 half_open 1 4\n\
+        soa%3Aok closed 0 0\n\
+        wf%3Astep%20one open 3 17";
+
+    #[test]
+    fn fully_escaped_rows_still_decode() {
+        let vars = decode_variables(FULLY_ESCAPED_VARS).unwrap();
+        let scalar = |n| vars.require_scalar(n).unwrap().clone();
+        assert_eq!(scalar("Menge ü"), Value::Text(String::new()));
+        assert_eq!(scalar("count"), Value::Int(-7));
+        assert_eq!(scalar("flag"), Value::Bool(true));
+        assert_eq!(scalar("none"), Value::Null);
+        assert_eq!(scalar("ratio"), Value::Float(0.1 + 0.2));
+        assert_eq!(scalar("who"), Value::Text("a b\nc%\r\tü€".into()));
+        assert!(matches!(vars.get("missing"), Some(VarValue::Null)));
+        assert_eq!(
+            vars.require_xml("doc").unwrap(),
+            &XmlNode::Element(
+                Element::new("order")
+                    .with_attr("id", "a\"b c")
+                    .with_child(XmlNode::text("x<y&z"))
+            )
+        );
+        assert_eq!(
+            vars.require_xml("frag").unwrap(),
+            &XmlNode::text("x < y & \"z\"")
+        );
+        // Re-encoding escapes only what the frame needs: the XML reads as
+        // XML in `SELECT Vars FROM FLOW_INSTANCES`.
+        assert_eq!(
+            encode_variables(&vars).unwrap(),
+            "Menge%20ü text \n\
+             count int -7\n\
+             doc xml <order%20id=\"a&quot;b%20c\">x&lt;y&amp;z</order>\n\
+             flag bool true\n\
+             frag xmltext x%20<%20y%20&%20\"z\"\n\
+             missing null\n\
+             none snull\n\
+             ratio float 4599075939470750516\n\
+             who text a%20b%0Ac%25%0D%09ü€"
+        );
+
+        let (clock, snaps) = decode_breakers(FULLY_ESCAPED_BREAKERS).unwrap();
+        assert_eq!(clock, 42);
+        assert_eq!(
+            snaps,
+            vec![
+                ("bis:100%".into(), BreakerState::HalfOpen, 1, 4),
+                ("soa:ok".into(), BreakerState::Closed, 0, 0),
+                ("wf:step one".into(), BreakerState::Open, 3, 17),
+            ]
+        );
+        let mut rt = RetryRuntime::new(1);
+        rt.restore_clock(clock);
+        rt.import_breakers(&snaps);
+        assert_eq!(
+            encode_breakers(&rt),
+            "clock 42\n\
+             bis:100%25 half_open 1 4\n\
+             soa:ok closed 0 0\n\
+             wf:step%20one open 3 17"
+        );
+    }
+
+    #[test]
+    fn malformed_escapes_are_corrupt() {
+        for (text, why) in [
+            ("who text %+A", "bad hex escape sequence"),
+            ("who text %G0", "bad hex escape sequence"),
+            ("who text %A", "truncated escape sequence"),
+            ("who text %FF", "escaped payload is not utf-8"),
+        ] {
+            let err = decode_variables(text).unwrap_err().to_string();
+            assert!(err.contains(why), "{text}: {err}");
+        }
     }
 
     #[test]

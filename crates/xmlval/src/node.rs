@@ -60,7 +60,7 @@ impl XmlNode {
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
-            XmlNode::Text(s) => out.push_str(&escape_text(s)),
+            XmlNode::Text(s) => push_escaped(out, s, false),
             XmlNode::Element(e) => e.write(out, indent, depth),
         }
     }
@@ -166,7 +166,7 @@ impl Element {
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         let pad = |out: &mut String, depth: usize| {
             if let Some(n) = indent {
-                out.push_str(&" ".repeat(n * depth));
+                out.extend(std::iter::repeat_n(' ', n * depth));
             }
         };
         pad(out, depth);
@@ -176,7 +176,7 @@ impl Element {
             out.push(' ');
             out.push_str(n);
             out.push_str("=\"");
-            out.push_str(&escape_attr(v));
+            push_escaped(out, v, true);
             out.push('"');
         }
         if self.children.is_empty() {
@@ -191,7 +191,7 @@ impl Element {
         if only_text {
             for c in &self.children {
                 if let XmlNode::Text(s) = c {
-                    out.push_str(&escape_text(s));
+                    push_escaped(out, s, false);
                 }
             }
         } else {
@@ -220,14 +220,24 @@ impl fmt::Display for Element {
     }
 }
 
-fn escape_text(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-}
-
-fn escape_attr(s: &str) -> String {
-    escape_text(s).replace('"', "&quot;")
+/// Append `s` to `out` with `&`, `<` and `>` (and, in an attribute
+/// value, `"`) replaced by their entities; unescaped runs are copied as
+/// slices.
+fn push_escaped(out: &mut String, s: &str, attr: bool) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if attr => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 #[cfg(test)]
@@ -295,6 +305,50 @@ mod tests {
         let xml = XmlNode::Element(e).to_xml();
         assert!(xml.contains("&quot;hi&quot;"));
         assert!(xml.contains("1 &lt; 2 &amp; 3 &gt; 2"));
+    }
+
+    /// `to_xml` and `to_pretty_xml` output is part of the dehydrated
+    /// state and of every XML-typed column, so it is pinned byte for byte.
+    #[test]
+    fn serialization_golden() {
+        let quoted = Element::new("a")
+            .with_attr("q", "say \"hi\" & <bye> 'x'")
+            .with_attr("empty", "")
+            .with_child(XmlNode::text("1 < 2 & 3 > 2 \"q\" 'a'"));
+        let mixed = Element::new("p")
+            .with_attr("k", "v&w")
+            .with_child(XmlNode::text("a & b "))
+            .with_child(XmlNode::Element(
+                Element::new("b").with_child(XmlNode::text("<x>")),
+            ))
+            .with_child(XmlNode::text(" 'tail' \"q\""))
+            .with_child(XmlNode::Element(Element::new("br").with_attr("x", "1>0")))
+            .with_child(XmlNode::Element(Element::new("i").with_child(
+                XmlNode::Element(Element::new("j").with_attr("n", "\"&\"")),
+            )));
+        let golden = [
+            (
+                quoted,
+                "<a q=\"say &quot;hi&quot; &amp; &lt;bye&gt; 'x'\" empty=\"\">\
+                 1 &lt; 2 &amp; 3 &gt; 2 \"q\" 'a'</a>",
+                "<a q=\"say &quot;hi&quot; &amp; &lt;bye&gt; 'x'\" empty=\"\">\
+                 1 &lt; 2 &amp; 3 &gt; 2 \"q\" 'a'</a>\n",
+            ),
+            (
+                mixed,
+                "<p k=\"v&amp;w\">a &amp; b <b>&lt;x&gt;</b> 'tail' \"q\"\
+                 <br x=\"1&gt;0\"/><i><j n=\"&quot;&amp;&quot;\"/></i></p>",
+                "<p k=\"v&amp;w\">\na &amp; b   <b>&lt;x&gt;</b>\n 'tail' \"q\"  \
+                 <br x=\"1&gt;0\"/>\n  <i>\n    <j n=\"&quot;&amp;&quot;\"/>\n  </i>\n</p>\n",
+            ),
+        ];
+        for (e, xml, pretty) in golden {
+            let node = XmlNode::Element(e.clone());
+            assert_eq!(node.to_xml(), xml);
+            assert_eq!(node.to_pretty_xml(), pretty);
+            assert_eq!(e.to_string(), xml);
+            assert_eq!(crate::parse(xml).unwrap(), e, "{xml}");
+        }
     }
 
     #[test]

@@ -32,10 +32,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Chaos: the differential exactly-once suite under rotating storm seeds
 # (each run adds CHAOS_SEED to the three built-in schedules), plus the
-# compiled-join differential corpus (CHAOS_SEED adds a corpus seed).
+# compiled-join differential corpus (CHAOS_SEED adds a corpus seed) and
+# the property tests (CHAOS_SEED is XORed into every case seed).
 for seed in 20260807 271828 31337; do
   CHAOS_SEED="$seed" cargo test -q --test chaos_exactly_once
   CHAOS_SEED="$seed" cargo test -q -p sqlkernel --test join_exec
+  CHAOS_SEED="$seed" cargo test -q --test proptests
 done
 
 # Crash recovery: kill-and-recover schedules across all three stacks

@@ -4,7 +4,9 @@
 //! drives the generators, so every run exercises the same cases (no
 //! external property-testing crate required — the workspace builds
 //! hermetically). Each test runs `CASES` generated inputs and reports
-//! the case index on failure so a seed can be replayed exactly.
+//! the case index on failure so a seed can be replayed exactly. Setting
+//! `CHAOS_SEED` XORs it into every case seed, so a seed rotation explores
+//! fresh cases; unset, every run replays the same ones.
 
 use flowsql::sqlkernel::{DataType, Database, QueryResult, Value};
 use flowsql::wf::{DataAdapter, DataTable};
@@ -15,13 +17,26 @@ const HEAVY_CASES: u64 = 32;
 
 // ---------------------------------------------------------------- PRNG
 
+/// `CHAOS_SEED` if set, else 0 (which leaves every case seed as written).
+fn chaos_seed() -> u64 {
+    static SEED: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *SEED.get_or_init(|| {
+        std::env::var("CHAOS_SEED")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(0)
+    })
+}
+
 struct Rng {
     state: u64,
 }
 
 impl Rng {
     fn new(seed: u64) -> Rng {
-        Rng { state: seed }
+        Rng {
+            state: seed ^ chaos_seed(),
+        }
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -252,6 +267,141 @@ fn row_count_consistent() {
         let rs = gen_result(&mut rng);
         let xml = rowset::encode(&rs);
         assert_eq!(rowset::row_count(&xml), rs.rows.len(), "case {case}");
+    }
+}
+
+// ---------------------------------------------------------------- dehydration codec
+
+use flowsql::flowcore::persistence::{
+    decode_breakers, decode_variables, encode_breakers, encode_variables,
+};
+use flowsql::flowcore::retry::BreakerSnapshot;
+use flowsql::flowcore::{BreakerState, RetryRuntime, VarValue, Variables};
+
+/// A short string over every ASCII byte plus multi-byte UTF-8, with the
+/// bytes the dehydration frame must escape (`%`, space, `\n`, `\r`)
+/// weighted up.
+fn gen_codec_text(rng: &mut Rng) -> String {
+    const SPECIAL: &[char] = &['%', ' ', '\n', '\r', '\t', '\u{7f}', 'ü', '€', '😀'];
+    (0..rng.range(0, 12))
+        .map(|_| match rng.range(0, 3) {
+            0 => SPECIAL[rng.range(0, SPECIAL.len())],
+            _ => char::from(rng.range(0, 0x80) as u8),
+        })
+        .collect()
+}
+
+/// Any dehydratable variable value.
+fn gen_var_value(rng: &mut Rng) -> VarValue {
+    // Quiet NaN, negative signalling NaN, -0.0, +inf.
+    const FLOAT_BITS: [u64; 4] = [
+        0x7FF8_0000_0000_0000,
+        0xFFF0_0000_0000_0001,
+        0x8000_0000_0000_0000,
+        0x7FF0_0000_0000_0000,
+    ];
+    match rng.range(0, 9) {
+        0 => VarValue::Null,
+        1 => VarValue::Scalar(Value::Null),
+        2 => VarValue::Scalar(Value::Bool(rng.bool())),
+        3 => VarValue::Scalar(Value::Int(rng.next_u64() as i64)),
+        4 => {
+            let bits = if rng.bool() {
+                FLOAT_BITS[rng.range(0, FLOAT_BITS.len())]
+            } else {
+                rng.next_u64()
+            };
+            VarValue::Scalar(Value::Float(f64::from_bits(bits)))
+        }
+        5 => VarValue::Scalar(Value::Text(gen_codec_text(rng))),
+        6 => VarValue::Xml(XmlNode::Text(gen_codec_text(rng))),
+        _ => VarValue::Xml(rowset::encode(&gen_result(rng))),
+    }
+}
+
+/// `v` as it reads back after dehydration: an XML element goes through
+/// the parser, which drops empty and whitespace-only text runs.
+fn reparsed(v: &VarValue) -> VarValue {
+    match v {
+        VarValue::Xml(x @ XmlNode::Element(_)) => {
+            VarValue::Xml(XmlNode::Element(xmlval::parse(&x.to_xml()).unwrap()))
+        }
+        other => other.clone(),
+    }
+}
+
+/// Exact equality: same scalar type, floats by bit pattern.
+fn same_var(a: &VarValue, b: &VarValue) -> bool {
+    match (a, b) {
+        (VarValue::Null, VarValue::Null) => true,
+        (VarValue::Scalar(Value::Float(x)), VarValue::Scalar(Value::Float(y))) => {
+            x.to_bits() == y.to_bits()
+        }
+        (VarValue::Scalar(x), VarValue::Scalar(y)) => {
+            std::mem::discriminant(x) == std::mem::discriminant(y) && x == y
+        }
+        (VarValue::Xml(x), VarValue::Xml(y)) => x == y,
+        _ => false,
+    }
+}
+
+#[test]
+fn dehydrated_variables_round_trip() {
+    for case in 0..CASES {
+        let mut rng = Rng::new(0x9001 ^ case);
+        let mut vars = Variables::new();
+        for _ in 0..rng.range(0, 8) {
+            let name = gen_codec_text(&mut rng);
+            vars.set(name, gen_var_value(&mut rng));
+        }
+        let text = encode_variables(&vars).unwrap();
+        let back = decode_variables(&text).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!(back.names(), vars.names(), "case {case}");
+        for name in vars.names() {
+            let (want, got) = (reparsed(vars.get(name).unwrap()), back.get(name).unwrap());
+            assert!(
+                same_var(&want, got),
+                "case {case}: {name:?}: {want:?} read back as {got:?}"
+            );
+        }
+        // Once read back, decode→encode reproduces the text exactly.
+        let again = encode_variables(&back).unwrap();
+        let third = encode_variables(&decode_variables(&again).unwrap()).unwrap();
+        assert_eq!(third, again, "case {case}");
+    }
+}
+
+#[test]
+fn dehydrated_breakers_round_trip() {
+    const STATES: [BreakerState; 3] = [
+        BreakerState::Closed,
+        BreakerState::Open,
+        BreakerState::HalfOpen,
+    ];
+    for case in 0..CASES {
+        let mut rng = Rng::new(0x9002 ^ case);
+        let mut snaps: Vec<BreakerSnapshot> = (0..rng.range(0, 6))
+            .map(|_| {
+                (
+                    gen_codec_text(&mut rng),
+                    STATES[rng.range(0, STATES.len())],
+                    rng.next_u64() as u32,
+                    rng.next_u64(),
+                )
+            })
+            .collect();
+        snaps.sort_by(|a, b| a.0.cmp(&b.0));
+        snaps.dedup_by(|a, b| a.0 == b.0);
+        let mut rt = RetryRuntime::new(case);
+        rt.restore_clock(rng.next_u64());
+        rt.import_breakers(&snaps);
+        let text = encode_breakers(&rt);
+        let (clock, back) = decode_breakers(&text).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!((clock, &back), (rt.now(), &snaps), "case {case}");
+        let mut rt2 = RetryRuntime::new(case);
+        rt2.restore_clock(clock);
+        rt2.import_breakers(&back);
+        assert_eq!(encode_breakers(&rt2), text, "case {case}");
     }
 }
 
