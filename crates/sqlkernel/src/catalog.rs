@@ -301,6 +301,17 @@ impl Catalog {
         dropped
     }
 
+    /// [`Catalog::gc_tables`] through [`Table::gc_versions_full_walk`]:
+    /// the oracle of the garbage-list sweep.
+    #[cfg(test)]
+    pub(crate) fn gc_tables_full_walk(&self, floor: u64) -> u64 {
+        let mut dropped = 0;
+        for slot in self.tables.values() {
+            dropped += slot.lock.write().gc_versions_full_walk(floor);
+        }
+        dropped
+    }
+
     /// Look up a table: returns a shared per-table guard. Reader
     /// preference makes re-acquiring a table this thread already reads
     /// safe (self-joins, subqueries over the scanned table).

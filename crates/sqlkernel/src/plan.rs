@@ -29,8 +29,8 @@ use crate::ast::{
     BinOp, Expr, FromClause, JoinKind, OrderItem, SelectItem, SelectStmt, Statement, TableSource,
 };
 use crate::bound::{
-    as_col_cmps, bind, eval_bound, eval_bound_predicate, infallible_predicate, BoundCtx, BoundExpr,
-    OwnedColCmp,
+    as_col_cmps, bind, eval_bound, eval_bound_predicate, flatten_col_cmps, infallible_predicate,
+    BoundCtx, BoundExpr, ColCmp, OwnedColCmp,
 };
 use crate::catalog::Catalog;
 use crate::error::{SqlError, SqlResult};
@@ -1045,6 +1045,10 @@ pub(crate) fn bound_usize(
 struct BoundDml<'a> {
     plan: &'a DmlPlan,
     ctx: BoundCtx<'a>,
+    /// The WHERE flattened once into `column <cmp> constant` conjuncts,
+    /// when it is nothing else: each row is then tested in place, with
+    /// no per-row context and no `Value` clones.
+    cmps: Option<Vec<ColCmp<'a>>>,
     evals: Evals,
 }
 
@@ -1058,10 +1062,16 @@ impl DmlEval for BoundDml<'_> {
             row: Some(row),
             ..self.ctx
         };
-        if let Some(pred) = &self.plan.filter {
-            if !self.evals.pred(pred, &rc)? {
-                return Ok(None);
+        let passes = match (&self.cmps, &self.plan.filter) {
+            (Some(cmps), _) => {
+                self.evals.0 += 1;
+                cmps.iter().all(|c| c.passes(row))
             }
+            (None, Some(pred)) => self.evals.pred(pred, &rc)?,
+            (None, None) => true,
+        };
+        if !passes {
+            return Ok(None);
         }
         let Some(set) = &self.plan.assignments else {
             return Ok(Some(RowChange::Delete));
@@ -1086,15 +1096,21 @@ pub fn run_dml_plan(
     named_params: &HashMap<String, Value>,
     undo: &mut UndoLog,
 ) -> SqlResult<usize> {
+    let ctx = BoundCtx {
+        catalog,
+        snap,
+        params,
+        named_params,
+        row: None,
+    };
+    let cmps = plan.filter.as_ref().and_then(|pred| {
+        let mut cmps = Vec::new();
+        flatten_col_cmps(pred, &ctx, &mut cmps).then_some(cmps)
+    });
     let mut eval = BoundDml {
         plan,
-        ctx: BoundCtx {
-            catalog,
-            snap,
-            params,
-            named_params,
-            row: None,
-        },
+        ctx,
+        cmps,
         evals: Evals(0),
     };
     let n = run_dml(catalog, snap, held, &plan.table, &mut eval, undo)?;

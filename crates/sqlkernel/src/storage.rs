@@ -32,7 +32,10 @@
 //! case). Unique indexes enforce at-most-one id per key against the
 //! newest version (ignoring keys containing NULL, per SQL convention).
 //! Superseded versions are trimmed inline on write and swept by
-//! [`Table::gc_versions`] using the oldest-active-snapshot watermark.
+//! [`Table::gc_versions`] using the oldest-active-snapshot watermark. The
+//! sweep visits only the chains each table lists as garbage (more than
+//! one version, or a tombstone on top), so its cost follows the garbage,
+//! not the table size.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -53,12 +56,6 @@ pub type Row = Vec<Value>;
 /// stores the commit timestamp, atomically publishing every version that
 /// shares the stamp.
 pub type TxnStamp = Arc<AtomicU64>;
-
-/// Unwrap an `Arc<Row>` without copying when this was the last reference,
-/// falling back to a deep clone when the row is still shared.
-pub fn unshare_row(row: Arc<Row>) -> Row {
-    Arc::try_unwrap(row).unwrap_or_else(|shared| (*shared).clone())
-}
 
 /// Allocate a fresh (uncommitted) stamp.
 pub fn new_stamp() -> TxnStamp {
@@ -109,6 +106,8 @@ pub struct MvccShared {
     pub chains_walked: AtomicU64,
     /// Superseded versions dropped by inline trims and GC sweeps.
     pub versions_gced: AtomicU64,
+    /// Chains GC sweeps visited: the garbage lists they drained.
+    pub gc_chains_visited: AtomicU64,
 }
 
 impl Default for MvccShared {
@@ -117,6 +116,7 @@ impl Default for MvccShared {
             floor: AtomicU64::new(u64::MAX),
             chains_walked: AtomicU64::new(0),
             versions_gced: AtomicU64::new(0),
+            gc_chains_visited: AtomicU64::new(0),
         }
     }
 }
@@ -161,6 +161,11 @@ impl Chain {
     /// Is the newest version a live row (not a tombstone)?
     fn top_is_live(&self) -> bool {
         self.versions.last().is_some_and(|v| v.row.is_some())
+    }
+
+    /// Does a sweep have work here: a superseded version or a tombstone?
+    fn is_garbage(&self) -> bool {
+        self.versions.len() > 1 || !self.top_is_live()
     }
 
     /// Resolve against a snapshot: newest first, first own-or-committed
@@ -224,6 +229,18 @@ impl Index {
     /// [`Index::key_has_null`], used to skip key construction entirely.
     fn row_key_has_null(&self, row: &Row) -> bool {
         self.columns.iter().any(|&i| row[i].is_null())
+    }
+
+    /// Do two rows carry the same key under this index? Compares the key
+    /// columns in place, with the index map's own equality.
+    fn same_key(&self, a: &Row, b: &Row) -> bool {
+        self.columns.iter().all(|&i| a[i] == b[i])
+    }
+
+    /// Does `row` carry `key` under this index? [`Index::same_key`]
+    /// against an already-built key.
+    fn carries_key(&self, row: &Row, key: &SortKey) -> bool {
+        self.columns.iter().zip(&key.0).all(|(&i, k)| row[i] == *k)
     }
 
     fn add_entry(&mut self, row: &Row, id: RowId) {
@@ -328,19 +345,68 @@ impl Index {
     }
 }
 
-/// Remove the dropped row's index entries unless another retained
-/// version of the same chain still carries the same key. (Every index
-/// entry must be backed by at least one retained version — lookups rely
-/// on that invariant to skip the key re-check on single-version chains.)
-fn unindex_unless_retained(indexes: &mut [Index], chain: &Chain, id: RowId, dropped: &Row) {
+/// Remove the dropped row's index entries unless a `retained` version of
+/// the same chain still carries the same key. (Every index entry must be
+/// backed by at least one retained version — lookups rely on that
+/// invariant to skip the key re-check on single-version chains.)
+fn unindex_unless_retained(
+    indexes: &mut [Index],
+    retained: &[RowVersion],
+    id: RowId,
+    dropped: &Row,
+) {
     for idx in indexes.iter_mut() {
-        let key = idx.key_of(dropped);
-        let retained = chain
-            .versions
+        let retained = retained
             .iter()
-            .any(|v| v.row.as_deref().is_some_and(|r| idx.key_of(r) == key));
+            .any(|v| v.row.as_deref().is_some_and(|r| idx.same_key(r, dropped)));
         if !retained {
-            idx.remove_entry(&key, id);
+            idx.remove_entry(&idx.key_of(dropped), id);
+        }
+    }
+}
+
+/// Keep `id`'s membership in a table's garbage list exact after its
+/// chain changed.
+fn track_garbage(garbage: &mut BTreeSet<RowId>, id: RowId, chain: &Chain) {
+    if chain.is_garbage() {
+        garbage.insert(id);
+    } else {
+        garbage.remove(&id);
+    }
+}
+
+/// A snapshot walk over a table's chains in row-id order. It counts the
+/// multi-version chains it resolves and adds them to
+/// [`MvccShared::chains_walked`] in one step, when the walk is dropped.
+struct Walk<'t, 's> {
+    chains: std::collections::btree_map::Iter<'t, RowId, Chain>,
+    snap: &'s Snapshot,
+    mvcc: &'t MvccShared,
+    walked: u64,
+}
+
+impl<'t> Iterator for Walk<'t, '_> {
+    type Item = (RowId, &'t Arc<Row>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        for (id, chain) in self.chains.by_ref() {
+            if chain.versions.len() > 1 {
+                self.walked += 1;
+            }
+            if let Some(row) = chain.visible(self.snap) {
+                return Some((*id, row));
+            }
+        }
+        None
+    }
+}
+
+impl Drop for Walk<'_, '_> {
+    fn drop(&mut self) {
+        if self.walked > 0 {
+            self.mvcc
+                .chains_walked
+                .fetch_add(self.walked, AtomicOrd::Relaxed);
         }
     }
 }
@@ -359,14 +425,12 @@ fn trim_chain(indexes: &mut [Index], id: RowId, chain: &mut Chain, floor: u64) -
     if anchor == 0 {
         return 0;
     }
-    let removed: Vec<RowVersion> = chain.versions.drain(..anchor).collect();
-    let dropped = removed.len() as u64;
-    for v in removed {
-        if let Some(r) = v.row {
-            unindex_unless_retained(indexes, chain, id, &r);
-        }
+    let (removed, retained) = chain.versions.split_at(anchor);
+    for r in removed.iter().filter_map(|v| v.row.as_deref()) {
+        unindex_unless_retained(indexes, retained, id, r);
     }
-    dropped
+    chain.versions.drain(..anchor);
+    anchor as u64
 }
 
 /// A stored table: schema + versioned rows + indexes.
@@ -380,6 +444,10 @@ pub struct Table {
     next_row_id: RowId,
     indexes: Vec<Index>,
     mvcc: Arc<MvccShared>,
+    /// Exactly the row ids whose chain is garbage (more than one version,
+    /// or a tombstone on top): what the next sweep visits. Writes add to
+    /// it, sweeps drain it, and the physical primitives keep it exact.
+    garbage: BTreeSet<RowId>,
 }
 
 impl Table {
@@ -393,6 +461,7 @@ impl Table {
             next_row_id: 1,
             indexes: Vec::new(),
             mvcc: Arc::new(MvccShared::default()),
+            garbage: BTreeSet::new(),
             schema,
         };
         let pk = t.schema.primary_key_cols();
@@ -455,9 +524,12 @@ impl Table {
         &'t self,
         snap: &'s Snapshot,
     ) -> impl Iterator<Item = (RowId, &'t Arc<Row>)> + use<'t, 's> {
-        self.rows
-            .iter()
-            .filter_map(move |(id, chain)| self.resolve(snap, chain).map(|r| (*id, r)))
+        Walk {
+            chains: self.rows.iter(),
+            snap,
+            mvcc: &self.mvcc,
+            walked: 0,
+        }
     }
 
     /// Iterate row data in row-id order *by reference* — the batch
@@ -469,9 +541,7 @@ impl Table {
         &'t self,
         snap: &'s Snapshot,
     ) -> impl Iterator<Item = &'t Arc<Row>> + use<'t, 's> {
-        self.rows
-            .values()
-            .filter_map(move |chain| self.resolve(snap, chain))
+        self.iter(snap).map(|(_, row)| row)
     }
 
     /// Fetch one row's newest version — the *physical* latest, whatever
@@ -506,7 +576,7 @@ impl Table {
             let Some(row) = self.resolve(snap, chain) else {
                 continue;
             };
-            if multi && idx.key_of(row) != *key {
+            if multi && !idx.carries_key(row, key) {
                 continue;
             }
             out.push((id, row));
@@ -541,7 +611,7 @@ impl Table {
                 let Some(row) = self.resolve(snap, chain) else {
                     continue;
                 };
-                if multi && idx.key_of(row) != *key {
+                if multi && !idx.carries_key(row, key) {
                     continue;
                 }
                 out.push((id, row));
@@ -570,21 +640,27 @@ impl Table {
                 row.len()
             )));
         }
-        for (i, col) in self.schema.columns.iter().enumerate() {
-            if row[i].is_null() {
+        for (cell, col) in row.iter_mut().zip(&self.schema.columns) {
+            if cell.is_null() {
                 if let Some(d) = &col.default {
-                    row[i] = d.clone();
+                    *cell = d.clone();
                 }
             }
-            if row[i].is_null() && (col.not_null || col.primary_key) {
-                return Err(SqlError::Constraint(format!(
-                    "column '{}' of table '{}' is NOT NULL",
-                    col.name, self.schema.name
-                )));
+            // A cell already of the column's type stays as it is.
+            match cell.data_type() {
+                None if col.not_null || col.primary_key => {
+                    return Err(SqlError::Constraint(format!(
+                        "column '{}' of table '{}' is NOT NULL",
+                        col.name, self.schema.name
+                    )));
+                }
+                Some(ty) if ty != col.ty => {
+                    *cell = cell
+                        .coerce(col.ty)
+                        .map_err(|m| SqlError::Semantic(format!("column '{}': {m}", col.name)))?;
+                }
+                _ => {}
             }
-            row[i] = row[i]
-                .coerce(col.ty)
-                .map_err(|m| SqlError::Semantic(format!("column '{}': {m}", col.name)))?;
         }
         Ok(row)
     }
@@ -593,7 +669,7 @@ impl Table {
     /// enforcing unique indexes. Returns its id.
     pub fn insert(&mut self, snap: &Snapshot, row: Row) -> SqlResult<RowId> {
         let row = self.normalize_row(row)?;
-        self.check_unique(&row, None)?;
+        self.check_unique(&row, None, |_| false)?;
         let id = self.next_row_id;
         self.next_row_id += 1;
         for idx in &mut self.indexes {
@@ -610,6 +686,7 @@ impl Table {
     /// with one bootstrap-stamped version.
     pub fn restore(&mut self, id: RowId, row: Row) {
         self.drop_chain_entries(id);
+        self.garbage.remove(&id);
         let was_live = self.rows.get(&id).is_some_and(Chain::top_is_live);
         for idx in &mut self.indexes {
             idx.add_entry(&row, id);
@@ -638,34 +715,45 @@ impl Table {
         }
     }
 
-    /// Replace the row at `id` visible to `snap`. Returns that row. The
-    /// new version is stamped with `snap`'s stamp; the old one stays for
-    /// concurrent readers until a trim or GC sweep drops it.
-    pub fn update(&mut self, snap: &Snapshot, id: RowId, row: Row) -> SqlResult<Row> {
+    /// Replace the row at `id` visible to `snap`. Returns that row, the
+    /// superseded version itself (shared, not copied). The new version is
+    /// stamped with `snap`'s stamp; the old one stays for concurrent
+    /// readers until a trim or GC sweep drops it.
+    ///
+    /// When the visible version is the chain's newest, an index whose key
+    /// columns the update leaves equal is left alone: the newest version
+    /// already holds that key's entry and passed its unique check, and no
+    /// other chain's newest version can hold the key. A newer version the
+    /// snapshot cannot see (another writer's) voids that argument, so
+    /// then every index is checked and entered as usual.
+    pub fn update(&mut self, snap: &Snapshot, id: RowId, row: Row) -> SqlResult<Arc<Row>> {
         let row = self.normalize_row(row)?;
-        let Some(old) = self
-            .rows
-            .get(&id)
-            .and_then(|c| self.resolve(snap, c))
-            .cloned()
-        else {
+        let Some((old, newest)) = self.rows.get(&id).and_then(|c| {
+            let old = self.resolve(snap, c)?;
+            let newest = c.latest().is_some_and(|top| Arc::ptr_eq(top, old));
+            Some((Arc::clone(old), newest))
+        }) else {
             return Err(SqlError::NotFound(format!(
                 "row {id} in table '{}'",
                 self.schema.name
             )));
         };
-        self.check_unique(&row, Some(id))?;
+        let stable = |idx: &Index| newest && idx.same_key(&old, &row);
+        self.check_unique(&row, Some(id), stable)?;
         let floor = self.mvcc.floor.load(AtomicOrd::Acquire);
         let Table {
             rows,
             indexes,
             mvcc,
             live,
+            garbage,
             ..
         } = self;
         let chain = rows.get_mut(&id).expect("chain exists: resolved above");
         for idx in indexes.iter_mut() {
-            idx.add_entry(&row, id);
+            if !stable(idx) {
+                idx.add_entry(&row, id);
+            }
         }
         let was_live = chain.top_is_live();
         chain.versions.push(RowVersion {
@@ -679,7 +767,8 @@ impl Table {
         if gced > 0 {
             mvcc.versions_gced.fetch_add(gced, AtomicOrd::Relaxed);
         }
-        Ok(unshare_row(old))
+        track_garbage(garbage, id, chain);
+        Ok(old)
     }
 
     /// Replace the row at `id` without constraint checks or normalization.
@@ -687,6 +776,7 @@ impl Table {
     /// known-valid. Physical: replaces the whole chain.
     pub fn raw_replace(&mut self, id: RowId, row: Row) {
         self.drop_chain_entries(id);
+        self.garbage.remove(&id);
         let was_live = self.rows.get(&id).is_some_and(Chain::top_is_live);
         let absent = !self.rows.contains_key(&id);
         for idx in &mut self.indexes {
@@ -703,15 +793,16 @@ impl Table {
     /// versions (redo of delete, undo of insert). Leaves no tombstone.
     pub fn remove(&mut self, id: RowId) {
         self.drop_chain_entries(id);
+        self.garbage.remove(&id);
         if self.rows.remove(&id).is_some_and(|c| c.top_is_live()) {
             self.live -= 1;
         }
     }
 
-    /// Delete the row at `id` visible to `snap`, returning it. Pushes a
-    /// tombstone stamped with `snap`'s stamp so concurrent snapshots keep
-    /// reading the old version.
-    pub fn delete(&mut self, snap: &Snapshot, id: RowId) -> SqlResult<Row> {
+    /// Delete the row at `id` visible to `snap`, returning it (shared,
+    /// not copied). Pushes a tombstone stamped with `snap`'s stamp so
+    /// concurrent snapshots keep reading the old version.
+    pub fn delete(&mut self, snap: &Snapshot, id: RowId) -> SqlResult<Arc<Row>> {
         let Some(old) = self
             .rows
             .get(&id)
@@ -729,6 +820,7 @@ impl Table {
             indexes,
             mvcc,
             live,
+            garbage,
             ..
         } = self;
         let chain = rows.get_mut(&id).expect("chain exists: resolved above");
@@ -744,7 +836,8 @@ impl Table {
         if gced > 0 {
             mvcc.versions_gced.fetch_add(gced, AtomicOrd::Relaxed);
         }
-        Ok(unshare_row(old))
+        garbage.insert(id);
+        Ok(old)
     }
 
     /// Undo one insert, update or delete of `id` made under `stamp`:
@@ -757,6 +850,7 @@ impl Table {
             rows,
             indexes,
             live,
+            garbage,
             ..
         } = self;
         let Some(chain) = rows.get_mut(&id) else {
@@ -772,11 +866,14 @@ impl Table {
         };
         let removed = chain.versions.remove(pos);
         if let Some(r) = &removed.row {
-            unindex_unless_retained(indexes, chain, id, r);
+            unindex_unless_retained(indexes, &chain.versions, id, r);
         }
         let now_live = chain.top_is_live();
         if chain.versions.is_empty() {
             rows.remove(&id);
+            garbage.remove(&id);
+        } else {
+            track_garbage(garbage, id, chain);
         }
         match (was_live, now_live) {
             (true, false) => *live -= 1,
@@ -788,29 +885,43 @@ impl Table {
     /// Drop versions superseded before the `floor` watermark (oldest
     /// active snapshot timestamp; `u64::MAX` when no snapshot is active)
     /// and physically remove rows whose only remaining version is a
-    /// committed tombstone at or before it. Returns versions dropped.
+    /// committed tombstone at or before it. Visits only the garbage list;
+    /// a chain the floor cannot trim yet stays on it. Returns versions
+    /// dropped.
     pub fn gc_versions(&mut self, floor: u64) -> u64 {
         let Table {
             rows,
             indexes,
             mvcc,
+            garbage,
             ..
         } = self;
+        let visited = garbage.len() as u64;
+        if visited == 0 {
+            return 0;
+        }
         let mut dropped = 0u64;
-        let mut dead: Vec<RowId> = Vec::new();
-        for (id, chain) in rows.iter_mut() {
-            dropped += trim_chain(indexes, *id, chain, floor);
-            if chain.versions.len() == 1 && chain.versions[0].row.is_none() {
-                let ts = chain.versions[0].committed_at();
-                if ts != 0 && ts <= floor {
-                    dead.push(*id);
+        garbage.retain(|&id| {
+            let Some(chain) = rows.get_mut(&id) else {
+                return false;
+            };
+            dropped += trim_chain(indexes, id, chain, floor);
+            let dead = match chain.versions.as_slice() {
+                [only] if only.row.is_none() => {
+                    let ts = only.committed_at();
+                    ts != 0 && ts <= floor
                 }
+                _ => false,
+            };
+            if dead {
+                rows.remove(&id);
+                dropped += 1;
+                return false;
             }
-        }
-        for id in dead {
-            rows.remove(&id);
-            dropped += 1;
-        }
+            chain.is_garbage()
+        });
+        mvcc.gc_chains_visited
+            .fetch_add(visited, AtomicOrd::Relaxed);
         if dropped > 0 {
             mvcc.versions_gced.fetch_add(dropped, AtomicOrd::Relaxed);
         }
@@ -823,9 +934,16 @@ impl Table {
         self.rows.values().map(|c| c.versions.len()).sum()
     }
 
-    fn check_unique(&self, row: &Row, exclude: Option<RowId>) -> SqlResult<()> {
+    /// Check `row` against every unique index except those `skip`
+    /// names, ignoring the chain `exclude` (the row being updated).
+    fn check_unique(
+        &self,
+        row: &Row,
+        exclude: Option<RowId>,
+        skip: impl Fn(&Index) -> bool,
+    ) -> SqlResult<()> {
         for idx in &self.indexes {
-            if !idx.unique {
+            if !idx.unique || skip(idx) {
                 continue;
             }
             // Keys containing NULL never clash (SQL convention); checking
@@ -841,7 +959,7 @@ impl Table {
                 Some(id) != exclude
                     && self.rows.get(&id).is_some_and(|c| {
                         c.latest()
-                            .is_some_and(|r| c.versions.len() == 1 || idx.key_of(r) == key)
+                            .is_some_and(|r| c.versions.len() == 1 || idx.carries_key(r, &key))
                     })
             });
             if clash {
@@ -975,6 +1093,26 @@ impl Table {
 }
 
 #[cfg(test)]
+impl Table {
+    /// The sweep's oracle: list every chain as garbage, then sweep, so
+    /// the sweep walks the whole table as it did before the list existed.
+    pub(crate) fn gc_versions_full_walk(&mut self, floor: u64) -> u64 {
+        let Table { rows, garbage, .. } = self;
+        garbage.extend(rows.keys().copied());
+        self.gc_versions(floor)
+    }
+
+    /// Is the garbage list exactly the chains a sweep has work on?
+    pub(crate) fn garbage_is_exact(&self) -> bool {
+        self.rows
+            .iter()
+            .filter(|(_, c)| c.is_garbage())
+            .map(|(id, _)| *id)
+            .eq(self.garbage.iter().copied())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Column;
@@ -1089,7 +1227,7 @@ mod tests {
         let id = t.insert(&s, row(1, "a", 1)).unwrap();
         let old = t.delete(&s, id).unwrap();
         assert_eq!(t.len(), 0);
-        t.restore(id, old);
+        t.restore(id, Row::clone(&old));
         assert_eq!(t.get(id).unwrap()[0], Value::Int(1));
         assert!(t.insert(&s, row(1, "again", 9)).is_err());
     }
@@ -1100,7 +1238,7 @@ mod tests {
         let mut t = table();
         let id = t.insert(&s, row(1, "a", 1)).unwrap();
         let old = t.delete(&s, id).unwrap();
-        t.restore(id, old);
+        t.restore(id, Row::clone(&old));
         let id2 = t.insert(&s, row(2, "b", 2)).unwrap();
         assert_ne!(id, id2);
     }

@@ -17,6 +17,8 @@
 //! (WAL recovery never builds an `UndoLog`: it undoes losers from the
 //! log's own before-images.)
 
+use std::sync::Arc;
+
 use crate::catalog::{Catalog, Procedure, Sequence, View};
 use crate::storage::{Index, Row, RowId, Table, TxnStamp};
 
@@ -29,17 +31,19 @@ use crate::storage::{Index, Row, RowId, Table, TxnStamp};
 pub enum UndoOp {
     /// A row was inserted → undo deletes it.
     Insert { table: String, row_id: RowId },
-    /// A row was deleted → undo restores it.
+    /// A row was deleted → undo restores it. `row` is the deleted
+    /// version itself, shared with the table's chain.
     Delete {
         table: String,
         row_id: RowId,
-        row: Row,
+        row: Arc<Row>,
     },
-    /// A row was updated → undo restores the old image.
+    /// A row was updated → undo restores the old image. `old` is the
+    /// superseded version itself, shared with the table's chain.
     Update {
         table: String,
         row_id: RowId,
-        old: Row,
+        old: Arc<Row>,
     },
     /// A table was created → undo drops it.
     CreateTable { name: String },

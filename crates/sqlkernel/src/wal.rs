@@ -1027,7 +1027,7 @@ pub fn ops_from_undo(catalog: &Catalog, snap: &Snapshot, undo_ops: &[UndoOp]) ->
                     out.push(WalOp::Update {
                         table: table.clone(),
                         row_id: *row_id,
-                        before: old.clone(),
+                        before: Row::clone(old),
                         after,
                     });
                 }
@@ -1039,7 +1039,7 @@ pub fn ops_from_undo(catalog: &Catalog, snap: &Snapshot, undo_ops: &[UndoOp]) ->
                 out.push(WalOp::Delete {
                     table: table.clone(),
                     row_id: *row_id,
-                    before: row.clone(),
+                    before: Row::clone(row),
                 });
             }
             UndoOp::CreateTable { name } => {
@@ -1174,8 +1174,8 @@ pub fn ops_from_undo_on(table: &Table, undo_ops: &[UndoOp]) -> Vec<WalOp> {
                     out.push(WalOp::Update {
                         table: name.clone(),
                         row_id: *row_id,
-                        before: old.clone(),
-                        after: (**after).clone(),
+                        before: Row::clone(old),
+                        after: Row::clone(after),
                     });
                 }
             }
@@ -1187,7 +1187,7 @@ pub fn ops_from_undo_on(table: &Table, undo_ops: &[UndoOp]) -> Vec<WalOp> {
                 out.push(WalOp::Delete {
                     table: name.clone(),
                     row_id: *row_id,
-                    before: row.clone(),
+                    before: Row::clone(row),
                 });
             }
             _ => debug_assert!(false, "fast-path undo log holds only row ops"),

@@ -13,7 +13,9 @@
 //! asserts equal results and equal end states.
 
 use sqlkernel::parser::parse_statement;
-use sqlkernel::{Connection, Database, QueryResult, StatementResult, Value};
+use std::sync::Arc;
+
+use sqlkernel::{Connection, Database, MemLogStore, QueryResult, StatementResult, Value};
 
 fn setup() -> (Database, Connection) {
     let db = Database::new("plan");
@@ -822,5 +824,74 @@ fn differential_parameterized_statements() {
             assert_eq!(a, b, "case {case}: {sql}");
             assert_eq!(a, c, "case {case}: {sql}");
         }
+    }
+}
+
+/// Compiled UPDATE/DELETE test a comparison-only WHERE in place, as
+/// column/constant conjuncts; the interpreter walks the expression tree.
+/// Over NULL cells, Int vs Float keys, text ranges and a missing `?`
+/// binding, both must change the same rows, record the same undo — seen
+/// as the redo log derived from it and as the state ROLLBACK restores —
+/// and fail with the same message.
+#[test]
+fn comparison_only_dml_filters_match_interpreter() {
+    let setup = "CREATE TABLE c (id INT PRIMARY KEY, a INT, f FLOAT, s TEXT);
+         INSERT INTO c VALUES (1, NULL, 1.5, 'apple'), (2, 2, NULL, 'Banana'),
+           (3, 3, 3.0, NULL), (4, 4, 2.5, 'cherry'), (5, NULL, NULL, 'banana'),
+           (6, 6, 6.0, 'b');";
+    let cases: &[(&str, &[Value])] = &[
+        ("UPDATE c SET a = 0 WHERE a = NULL", &[]),
+        ("UPDATE c SET a = 0 WHERE a <> 2", &[]),
+        ("UPDATE c SET s = 'x' WHERE f >= 2", &[]),
+        ("DELETE FROM c WHERE a = 3.0", &[]),
+        ("UPDATE c SET s = 'x' WHERE f = ?", &[Value::Int(3)]),
+        ("UPDATE c SET s = 'x' WHERE a = ?", &[Value::Float(4.0)]),
+        (
+            "UPDATE c SET a = a + 1 WHERE a < ? AND f > ?",
+            &[Value::Float(4.5), Value::Int(2)],
+        ),
+        ("UPDATE c SET s = NULL WHERE f > ?", &[Value::Null]),
+        ("DELETE FROM c WHERE s < 'banana'", &[]),
+        ("UPDATE c SET a = 9 WHERE s >= 'b' AND s < 'c'", &[]),
+        ("UPDATE c SET a = 9 WHERE 'b' <= s", &[]),
+        (
+            "DELETE FROM c WHERE s > ? AND id < ?",
+            &[Value::text("b"), Value::Int(6)],
+        ),
+        ("UPDATE c SET a = 1 WHERE a = ?", &[]),
+        ("DELETE FROM c WHERE a > ? AND f < ?", &[Value::Int(1)]),
+    ];
+    let open = |name: &str| {
+        let log = MemLogStore::new();
+        let db = Database::recover(name, Arc::new(log.clone())).unwrap();
+        db.connect().execute_script(setup).unwrap();
+        (db, log)
+    };
+    let state = |conn: &Connection| conn.query("SELECT * FROM c ORDER BY id", &[]).unwrap();
+    for (sql, params) in cases {
+        let stmt = parse_statement(sql).unwrap();
+        let (cdb, clog) = open("cmp_compiled");
+        let (idb, ilog) = open("cmp_interpreted");
+        let (cc, ic) = (cdb.connect(), idb.connect());
+        let initial = state(&cc);
+        // Inside a transaction, then rolled back: the undo both recorded
+        // must restore the same state.
+        for conn in [&cc, &ic] {
+            conn.execute("BEGIN", &[]).unwrap();
+        }
+        let c = cc.execute(sql, params).map_err(|e| e.to_string());
+        let i = ic.execute_ast(&stmt, params).map_err(|e| e.to_string());
+        assert_eq!(c, i, "{sql}");
+        assert_eq!(state(&cc), state(&ic), "{sql}");
+        for conn in [&cc, &ic] {
+            conn.execute("ROLLBACK", &[]).unwrap();
+            assert_eq!(state(conn), initial, "{sql}: rollback");
+        }
+        // Autocommit: same rows changed, same redo derived from the undo.
+        let c = cc.execute(sql, params).map_err(|e| e.to_string());
+        let i = ic.execute_ast(&stmt, params).map_err(|e| e.to_string());
+        assert_eq!(c, i, "{sql}");
+        assert_eq!(state(&cc), state(&ic), "{sql}");
+        assert_eq!(clog.bytes(), ilog.bytes(), "{sql}: logs differ");
     }
 }

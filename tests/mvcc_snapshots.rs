@@ -19,7 +19,7 @@ use flowsql::bis::DataSourceRegistry;
 use flowsql::patterns::chaos::{crash_storm, db_fingerprint, scripted_storm};
 use flowsql::soa::SoaEnvironment;
 use flowsql::sqlkernel::{
-    Database, LogStore, MemLogStore, MemPageStore, PageStore, SqlResult, Value,
+    Connection, Database, LogStore, MemLogStore, MemPageStore, PageStore, SqlResult, Value,
 };
 use flowsql::wf::WfHost;
 
@@ -480,6 +480,178 @@ fn index_scans_track_moved_keys() {
         conn.query("SELECT COUNT(*) FROM items", &[]).unwrap().rows,
         vec![vec![Value::Int(4)]]
     );
+}
+
+// ---------------------------------------------------------------------------
+// Index-stable updates: an UPDATE that leaves an index's key columns equal
+// skips that index's unique check and entry, but only when the version it
+// replaces is the chain's newest.
+// ---------------------------------------------------------------------------
+
+/// Another transaction holds an uncommitted newer version that moved
+/// key 1 away, and a new row that took key 1 over. A key-preserving
+/// UPDATE through the older snapshot replaces a version that is not the
+/// newest, so it still meets the unique check and fails.
+#[test]
+fn key_preserving_update_behind_a_newer_version_is_checked() {
+    let db = counter_db("hot_newer");
+    let holder = db.connect();
+    holder
+        .execute_script(
+            "BEGIN;
+             UPDATE t SET id = 5 WHERE id = 1;
+             INSERT INTO t VALUES (1, 99);",
+        )
+        .unwrap();
+    let conn = db.connect();
+    let err = conn
+        .execute("UPDATE t SET v = 11 WHERE id = 1", &[])
+        .unwrap_err();
+    assert_eq!(err.class(), "constraint");
+    assert!(
+        err.to_string().contains("duplicate key (id) = (1)"),
+        "{err}"
+    );
+    holder.execute("ROLLBACK", &[]).unwrap();
+    // With the newer versions gone, the same update is index-stable.
+    assert_eq!(
+        conn.execute("UPDATE t SET v = 11 WHERE id = 1", &[])
+            .unwrap()
+            .affected(),
+        Some(1)
+    );
+    assert_eq!(read_v(&db, 1), 11);
+}
+
+/// An UPDATE that changes a unique key still meets the unique check,
+/// also on a chain whose newest version an index-stable update wrote.
+#[test]
+fn key_changing_update_still_checks_uniqueness() {
+    let db = Database::new("hot_moves");
+    let conn = db.connect();
+    conn.execute_script(
+        "CREATE TABLE u (id INT PRIMARY KEY, code TEXT UNIQUE, v INT);
+         INSERT INTO u VALUES (1, 'a', 0);
+         INSERT INTO u VALUES (2, 'b', 0);
+         UPDATE u SET v = 1 WHERE id = 1;",
+    )
+    .unwrap();
+    for sql in [
+        "UPDATE u SET code = 'b' WHERE id = 1",
+        "UPDATE u SET id = 2 WHERE id = 1",
+        "UPDATE u SET id = 2, code = 'a' WHERE code = 'a'",
+    ] {
+        let err = conn.execute(sql, &[]).unwrap_err();
+        assert_eq!(err.class(), "constraint", "{sql}");
+    }
+    // Moving both keys to free values works, and frees the old ones.
+    conn.execute("UPDATE u SET id = 3, code = 'c' WHERE id = 1", &[])
+        .unwrap();
+    conn.execute("INSERT INTO u VALUES (1, 'a', 0)", &[])
+        .unwrap();
+    assert_eq!(
+        conn.query("SELECT id, code, v FROM u ORDER BY id", &[])
+            .unwrap()
+            .rows,
+        vec![
+            vec![Value::Int(1), Value::text("a"), Value::Int(0)],
+            vec![Value::Int(2), Value::text("b"), Value::Int(0)],
+            vec![Value::Int(3), Value::text("c"), Value::Int(1)],
+        ]
+    );
+}
+
+/// A snapshot taken before index-stable updates still finds the old row
+/// through the key index and a secondary index, and a fresh one finds
+/// the new row under the same keys.
+#[test]
+fn snapshot_before_key_preserving_updates_reads_the_old_row() {
+    let db = counter_db("hot_snapshot");
+    db.connect()
+        .execute("CREATE INDEX t_v ON t (v)", &[])
+        .unwrap();
+    let reader = db.connect();
+    reader.execute("BEGIN", &[]).unwrap();
+    assert_eq!(read_in(&reader, "SELECT v FROM t WHERE id = 1"), 10);
+    let writer = db.connect();
+    for v in [11, 12] {
+        writer
+            .execute("UPDATE t SET v = ? WHERE id = 1", &[Value::Int(v)])
+            .unwrap();
+    }
+    writer
+        .execute("UPDATE t SET v = v WHERE v = 20", &[])
+        .unwrap();
+    assert_eq!(read_in(&reader, "SELECT v FROM t WHERE id = 1"), 10);
+    assert_eq!(read_in(&reader, "SELECT id FROM t WHERE v = 10"), 1);
+    assert_eq!(read_in(&reader, "SELECT id FROM t WHERE v = 20"), 2);
+    reader.execute("COMMIT", &[]).unwrap();
+    assert_eq!(read_v(&db, 1), 12);
+    assert_eq!(read_in(&reader, "SELECT id FROM t WHERE v = 20"), 2);
+    assert!(reader
+        .query("SELECT id FROM t WHERE v = 10", &[])
+        .unwrap()
+        .is_empty());
+}
+
+/// The single integer a query on `conn` returns.
+fn read_in(conn: &Connection, sql: &str) -> i64 {
+    match conn.query(sql, &[]).unwrap().single_value().unwrap() {
+        Value::Int(v) => *v,
+        other => panic!("expected int, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// GC sweeps visit only garbage: chains with a superseded version or a
+// tombstone on top, however large the table.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn gc_sweep_visits_only_the_garbage_whatever_the_table_size() {
+    for rows in [10i64, 5_000] {
+        let db = Database::new("gc_visits");
+        let conn = db.connect();
+        conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)", &[])
+            .unwrap();
+        let values: Vec<String> = (0..rows).map(|i| format!("({i}, 0)")).collect();
+        conn.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")), &[])
+            .unwrap();
+        let sweep = |db: &Database| {
+            let before = db.stats();
+            db.checkpoint().unwrap();
+            let after = db.stats();
+            (
+                after.gc_chains_visited - before.gc_chains_visited,
+                after.versions_gced - before.versions_gced,
+            )
+        };
+        // Inserts leave no garbage.
+        assert_eq!(sweep(&db), (0, 0), "{rows} rows");
+
+        // A reader's snapshot pins the floor: the sweep visits the six
+        // written chains, can trim none, and keeps them listed.
+        let reader = db.connect();
+        reader.execute("BEGIN", &[]).unwrap();
+        assert_eq!(read_in(&reader, "SELECT COUNT(*) FROM t"), rows);
+        conn.execute("UPDATE t SET v = 1 WHERE id < 4", &[])
+            .unwrap();
+        conn.execute("DELETE FROM t WHERE id >= 8 AND id < 10", &[])
+            .unwrap();
+        conn.execute("DELETE FROM t WHERE id = 7", &[]).unwrap();
+        conn.execute("UPDATE t SET v = 2 WHERE id = 0", &[])
+            .unwrap();
+        assert_eq!(sweep(&db), (7, 0), "{rows} rows, floor pinned");
+
+        // Floor released: the same chains are visited once more, and
+        // every superseded version (2 of row 0, 1 each of rows 1-3) and
+        // deleted row (its live version and its tombstone) goes.
+        reader.execute("COMMIT", &[]).unwrap();
+        assert_eq!(sweep(&db), (7, 5 + 3 * 2), "{rows} rows");
+        assert_eq!(sweep(&db), (0, 0), "{rows} rows, after the sweep");
+        assert_eq!(read_in(&conn, "SELECT COUNT(*) FROM t"), rows - 3);
+        assert_eq!(read_in(&conn, "SELECT v FROM t WHERE id = 0"), 2);
+    }
 }
 
 // ---------------------------------------------------------------------------

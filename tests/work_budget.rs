@@ -53,7 +53,7 @@ type Counter = (&'static str, fn(&DbStats) -> u64);
 
 /// The counters the budget pins, by `DbStats` field name. `pool_misses`
 /// is the number of pages read from the page store.
-const COUNTERS: [Counter; 13] = [
+const COUNTERS: [Counter; 14] = [
     ("full_scans", |s| s.full_scans),
     ("index_scans", |s| s.index_scans),
     ("range_scans", |s| s.range_scans),
@@ -65,6 +65,7 @@ const COUNTERS: [Counter; 13] = [
     ("wal_commits", |s| s.wal_commits),
     ("version_chains_walked", |s| s.version_chains_walked),
     ("versions_gced", |s| s.versions_gced),
+    ("gc_chains_visited", |s| s.gc_chains_visited),
     ("pool_misses", |s| s.pool_misses),
     ("pages_written", |s| s.pages_written),
 ];
