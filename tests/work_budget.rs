@@ -21,6 +21,16 @@
 //! `checkpoint`; the durable modes add `reopen`, the counters of the
 //! database recovered from the stores right after it opened.
 //!
+//! Beside the counters, every row records the heap allocations the
+//! phase made and the bytes they asked for, counted on the measuring
+//! thread by this binary's own global allocator (a `realloc` counts as
+//! one allocation of its new size). Counters do not see copies;
+//! allocations do. The durable modes' `steady` and `checkpoint` rows
+//! also pin an FNV-1a digest of the whole log, so the log's content is
+//! pinned and not only its length. Allocation counts depend on the
+//! standard library, so the file names the `rustc` it was recorded
+//! with.
+//!
 //! A change that alters the work re-records the file and explains the
 //! diff in its change notes:
 //!
@@ -28,6 +38,8 @@
 //! WORK_RECORD=1 cargo test --test work_budget
 //! ```
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use flowsql::adapter;
@@ -38,7 +50,7 @@ use flowsql::flowcore::{Engine, FlowResult, VarValue, Variables};
 use flowsql::patterns::chaos::db_fingerprint;
 use flowsql::patterns::probe::{aggregation_query, seed_orders, ProbeEnv};
 use flowsql::soa;
-use flowsql::sqlkernel::{Database, DbStats, MemLogStore, MemPageStore, Value};
+use flowsql::sqlkernel::{wal, Database, DbStats, MemLogStore, MemPageStore, Value};
 use flowsql::wf;
 use flowsql::xmlval;
 
@@ -47,6 +59,69 @@ const BUDGET: &str = "docs/outputs/WORK_running_example.json";
 const REGENERATE: &str = "WORK_RECORD=1 cargo test --test work_budget";
 
 const DB_NAME: &str = "orders_db";
+
+// ------------------------------------------------------------ allocations
+
+/// The system allocator, counting each thread's allocations.
+struct Counting;
+
+thread_local! {
+    /// Allocations made by this thread and the bytes they asked for.
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn note_alloc(bytes: usize) {
+    // `try_with`: a thread tearing down its locals may still free and
+    // allocate; those are not measured.
+    let _ = ALLOCATED.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments;
+// the counting touches only a `const` thread-local `Cell`, which never
+// allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocated() -> (u64, u64) {
+    ALLOCATED.with(Cell::get)
+}
+
+/// The `rustc` release that built this test (`rustc --version`'s second
+/// word), or `unknown`.
+fn rustc_release() -> String {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|v| v.split_whitespace().nth(1).map(str::to_owned))
+        .unwrap_or_else(|| "unknown".into())
+}
 
 /// A `DbStats` field the budget pins, with its name.
 type Counter = (&'static str, fn(&DbStats) -> u64);
@@ -70,14 +145,23 @@ const COUNTERS: [Counter; 14] = [
     ("pages_written", |s| s.pages_written),
 ];
 
-/// One measured phase: counter deltas plus the flowcore audit events
-/// the phase recorded (0 where no audited process ran).
+/// What one phase did: counter deltas and the allocations it made.
+struct Work {
+    counters: Vec<u64>,
+    allocs: u64,
+    alloc_bytes: u64,
+}
+
+/// One measured phase: its work plus the flowcore audit events it
+/// recorded (0 where no audited process ran) and, where taken, the
+/// digest of the log after it.
 struct Row {
     mode: &'static str,
     stack: &'static str,
     phase: &'static str,
-    counters: Vec<u64>,
+    work: Work,
     audit_events: usize,
+    log_fnv: Option<u64>,
 }
 
 impl Row {
@@ -86,10 +170,17 @@ impl Row {
             "{{\"mode\": \"{}\", \"stack\": \"{}\", \"phase\": \"{}\"",
             self.mode, self.stack, self.phase
         );
-        for ((name, _), value) in COUNTERS.iter().zip(&self.counters) {
+        for ((name, _), value) in COUNTERS.iter().zip(&self.work.counters) {
             out.push_str(&format!(", \"{name}\": {value}"));
         }
-        out.push_str(&format!(", \"audit_events\": {}}}", self.audit_events));
+        out.push_str(&format!(
+            ", \"allocs\": {}, \"alloc_bytes\": {}, \"audit_events\": {}",
+            self.work.allocs, self.work.alloc_bytes, self.audit_events
+        ));
+        if let Some(fnv) = self.log_fnv {
+            out.push_str(&format!(", \"log_fnv\": \"{fnv:016x}\""));
+        }
+        out.push('}');
         out
     }
 }
@@ -98,13 +189,19 @@ fn read_counters(s: &DbStats) -> Vec<u64> {
     COUNTERS.iter().map(|(_, get)| get(s)).collect()
 }
 
-/// Counter deltas of `db` over `f`.
-fn measure<T>(db: &Database, f: impl FnOnce() -> T) -> (Vec<u64>, T) {
+/// Counter deltas of `db` and this thread's allocations over `f`.
+fn measure<T>(db: &Database, f: impl FnOnce() -> T) -> (Work, T) {
     let before = read_counters(&db.snapshot());
+    let (allocs, bytes) = allocated();
     let out = f();
+    let (allocs_after, bytes_after) = allocated();
     let after = read_counters(&db.snapshot());
-    let delta = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-    (delta, out)
+    let work = Work {
+        counters: after.iter().zip(&before).map(|(a, b)| a - b).collect(),
+        allocs: allocs_after - allocs,
+        alloc_bytes: bytes_after - bytes,
+    };
+    (work, out)
 }
 
 // ---------------------------------------------------------------- memory
@@ -125,24 +222,25 @@ fn memory_rows(rows: &mut Vec<Row>) {
             _ => adapter::sample_process_via_adapter("ds"),
         };
         for phase in ["first", "steady"] {
-            let (counters, inst) =
-                measure(&env.db, || engine.run(&process, Variables::new()).unwrap());
+            let (work, inst) = measure(&env.db, || engine.run(&process, Variables::new()).unwrap());
             assert!(inst.is_completed(), "{stack}: {:?}", inst.outcome);
             rows.push(Row {
                 mode: "memory",
                 stack,
                 phase,
-                counters,
+                work,
                 audit_events: inst.audit.events().len(),
+                log_fnv: None,
             });
         }
-        let (counters, ()) = measure(&env.db, || env.db.checkpoint().unwrap());
+        let (work, ()) = measure(&env.db, || env.db.checkpoint().unwrap());
         rows.push(Row {
             mode: "memory",
             stack,
             phase: "checkpoint",
-            counters,
+            work,
             audit_events: 0,
+            log_fnv: None,
         });
     }
 }
@@ -245,34 +343,44 @@ fn durable_rows(rows: &mut Vec<Row>, mode: &'static str) {
                 ),
             }
         };
+        let log_fnv = || wal::checksum(&log.bytes());
         for (phase, key) in [("first", "i1"), ("steady", "i2")] {
-            let (counters, result) = measure(&db, || run(key).unwrap());
+            let (work, result) = measure(&db, || run(key).unwrap());
             assert_eq!(result.steps_executed, 3, "{mode}/{stack}/{phase}");
             rows.push(Row {
                 mode,
                 stack,
                 phase,
-                counters,
+                work,
                 audit_events: 0,
+                log_fnv: (phase == "steady").then(log_fnv),
             });
         }
-        let (counters, ()) = measure(&db, || db.checkpoint().unwrap());
+        let (work, ()) = measure(&db, || db.checkpoint().unwrap());
         rows.push(Row {
             mode,
             stack,
             phase: "checkpoint",
-            counters,
+            work,
             audit_events: 0,
+            log_fnv: Some(log_fnv()),
         });
         let fingerprint = db_fingerprint(&db);
         drop((deployment, wf_service, db));
+        let (allocs, bytes) = allocated();
         let reopened = open(&log, pages.as_ref());
+        let (allocs_after, bytes_after) = allocated();
         rows.push(Row {
             mode,
             stack,
             phase: "reopen",
-            counters: read_counters(&reopened.snapshot()),
+            work: Work {
+                counters: read_counters(&reopened.snapshot()),
+                allocs: allocs_after - allocs,
+                alloc_bytes: bytes_after - bytes,
+            },
             audit_events: 0,
+            log_fnv: None,
         });
         assert_eq!(
             db_fingerprint(&reopened),
@@ -282,11 +390,17 @@ fn durable_rows(rows: &mut Vec<Row>, mode: &'static str) {
     }
 }
 
-fn render(rows: &[Row]) -> String {
+/// The budget file's line naming the `rustc` release.
+fn rustc_line(release: &str) -> String {
+    format!("  \"rustc\": \"{release}\",")
+}
+
+fn render(rows: &[Row], rustc: &str) -> String {
     let body: Vec<String> = rows.iter().map(|r| format!("    {}", r.render())).collect();
     format!(
-        "{{\n  \"workload\": \"running_example\",\n  \"regenerate\": \"{REGENERATE}\",\n  \
+        "{{\n  \"workload\": \"running_example\",\n  \"regenerate\": \"{REGENERATE}\",\n{}\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
+        rustc_line(rustc),
         body.join(",\n")
     )
 }
@@ -297,24 +411,42 @@ fn running_example_work_matches_the_committed_budget() {
     memory_rows(&mut rows);
     durable_rows(&mut rows, "log");
     durable_rows(&mut rows, "paged");
-    let actual = render(&rows);
+    let rustc = rustc_release();
+    let actual = render(&rows, &rustc);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(BUDGET);
     if std::env::var("WORK_RECORD").is_ok() {
         std::fs::write(&path, &actual).unwrap();
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_default();
-    if actual != expected {
+    // The rustc line alone is no failure: the rows decide.
+    let recorded = expected
+        .lines()
+        .find_map(|l| l.strip_prefix("  \"rustc\": \"")?.strip_suffix("\","))
+        .unwrap_or("unknown");
+    let rows_of = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| !l.starts_with("  \"rustc\""))
+            .map(str::to_owned)
+            .collect()
+    };
+    let (want_rows, got_rows) = (rows_of(&expected), rows_of(&actual));
+    if want_rows != got_rows {
         let mut diff = String::new();
-        for (want, got) in expected.lines().zip(actual.lines()) {
+        for (want, got) in want_rows.iter().zip(&got_rows) {
             if want != got {
                 diff.push_str(&format!("- {want}\n+ {got}\n"));
             }
         }
-        let (want, got) = (expected.lines().count(), actual.lines().count());
+        let (want, got) = (want_rows.len(), got_rows.len());
         if want != got {
             diff.push_str(&format!("({want} committed lines, {got} measured)\n"));
         }
-        panic!("the running example's work changed; re-record with `{REGENERATE}` and explain the diff:\n{diff}");
+        panic!(
+            "the running example's work changed (budget recorded with rustc {recorded}, \
+             measured with rustc {rustc}; allocation counts move with the standard library, \
+             so compare on the recorded release first); re-record with `{REGENERATE}` and \
+             explain the diff:\n{diff}"
+        );
     }
 }
