@@ -72,7 +72,9 @@ pub fn drop_table(
         return Err(SqlError::NotFound(format!("table '{name}'")));
     }
     let table = catalog.remove_table(name)?;
-    undo.record(UndoOp::DropTable { table });
+    undo.record(UndoOp::DropTable {
+        table: Box::new(table),
+    });
     Ok(true)
 }
 
@@ -125,7 +127,7 @@ pub fn drop_index(
     catalog.unregister_index(name);
     undo.record(UndoOp::DropIndex {
         table: owner,
-        index,
+        index: Box::new(index),
     });
     Ok(true)
 }
@@ -166,7 +168,7 @@ pub fn drop_sequence(
         return Err(SqlError::NotFound(format!("sequence '{name}'")));
     }
     let seq = catalog.remove_sequence(name)?;
-    undo.record(UndoOp::DropSequence { seq });
+    undo.record(UndoOp::DropSequence { seq: Box::new(seq) });
     Ok(true)
 }
 
@@ -229,7 +231,9 @@ pub fn drop_procedure(
         return Err(SqlError::NotFound(format!("procedure '{name}'")));
     }
     let proc = catalog.remove_procedure(name)?;
-    undo.record(UndoOp::DropProcedure { proc });
+    undo.record(UndoOp::DropProcedure {
+        proc: Box::new(proc),
+    });
     Ok(true)
 }
 
@@ -277,7 +281,9 @@ pub fn drop_view(
         return Err(SqlError::NotFound(format!("view '{name}'")));
     }
     let view = catalog.remove_view(name)?;
-    undo.record(UndoOp::DropView { view });
+    undo.record(UndoOp::DropView {
+        view: Box::new(view),
+    });
     Ok(true)
 }
 

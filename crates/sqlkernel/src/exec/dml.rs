@@ -24,6 +24,7 @@
 //! catalog-shape write lock to make the guard gap invisible.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ast::*;
 use crate::catalog::Catalog;
@@ -136,13 +137,13 @@ fn apply_insert(
     rows: Vec<Vec<Value>>,
     undo: &mut UndoLog,
 ) -> SqlResult<usize> {
-    let table_name = table.schema.name.clone();
     let mut n = 0;
     for row in rows {
-        let id = table.insert(snap, row)?;
+        let (row_id, row) = table.insert(snap, row)?;
         undo.record(UndoOp::Insert {
-            table: table_name.clone(),
-            row_id: id,
+            table: Arc::clone(&table.schema),
+            row_id,
+            row,
         });
         n += 1;
         catalog.fault_row_applied()?;
@@ -218,17 +219,20 @@ fn apply_changes(
     changes: Vec<(RowId, RowChange)>,
     undo: &mut UndoLog,
 ) -> SqlResult<usize> {
-    let table_name = table.schema.name.clone();
     let n = changes.len();
     for (row_id, change) in changes {
         let op = match change {
-            RowChange::Update(new_row) => UndoOp::Update {
-                table: table_name.clone(),
-                row_id,
-                old: table.update(snap, row_id, new_row)?,
-            },
+            RowChange::Update(new_row) => {
+                let (old, new) = table.update(snap, row_id, new_row)?;
+                UndoOp::Update {
+                    table: Arc::clone(&table.schema),
+                    row_id,
+                    old,
+                    new,
+                }
+            }
             RowChange::Delete => UndoOp::Delete {
-                table: table_name.clone(),
+                table: Arc::clone(&table.schema),
                 row_id,
                 row: table.delete(snap, row_id)?,
             },

@@ -1022,7 +1022,7 @@ impl PagedEngine {
             }
             let (stream_len, pages) = packer.finish()?;
             new_dir.push(TableEntry {
-                schema: table.schema.clone(),
+                schema: TableSchema::clone(&table.schema),
                 next_row_id: table.next_row_id(),
                 indexes: wal::index_defs_of(catalog, &table),
                 stream_len,

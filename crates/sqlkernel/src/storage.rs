@@ -436,7 +436,9 @@ fn trim_chain(indexes: &mut [Index], id: RowId, chain: &mut Chain, floor: u64) -
 /// A stored table: schema + versioned rows + indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
-    pub schema: TableSchema,
+    /// Shared, so undo entries and the log can name the table (and know
+    /// whether it is temporary) without a catalog lookup.
+    pub schema: Arc<TableSchema>,
     rows: BTreeMap<RowId, Chain>,
     /// Number of chains whose newest version is a live row (the physical
     /// `len()`); maintained incrementally by every mutation.
@@ -462,7 +464,7 @@ impl Table {
             indexes: Vec::new(),
             mvcc: Arc::new(MvccShared::default()),
             garbage: BTreeSet::new(),
-            schema,
+            schema: Arc::new(schema),
         };
         let pk = t.schema.primary_key_cols();
         if !pk.is_empty() {
@@ -666,8 +668,9 @@ impl Table {
     }
 
     /// Insert a normalized row as a version stamped with `snap`'s stamp,
-    /// enforcing unique indexes. Returns its id.
-    pub fn insert(&mut self, snap: &Snapshot, row: Row) -> SqlResult<RowId> {
+    /// enforcing unique indexes. Returns its id and the installed version
+    /// (shared with the chain).
+    pub fn insert(&mut self, snap: &Snapshot, row: Row) -> SqlResult<(RowId, Arc<Row>)> {
         let row = self.normalize_row(row)?;
         self.check_unique(&row, None, |_| false)?;
         let id = self.next_row_id;
@@ -675,10 +678,11 @@ impl Table {
         for idx in &mut self.indexes {
             idx.add_entry(&row, id);
         }
+        let row = Arc::new(row);
         self.rows
-            .insert(id, Chain::single(Arc::clone(&snap.stamp), Arc::new(row)));
+            .insert(id, Chain::single(Arc::clone(&snap.stamp), Arc::clone(&row)));
         self.live += 1;
-        Ok(id)
+        Ok((id, row))
     }
 
     /// Re-insert a row under a specific id (redo of insert, undo of
@@ -716,7 +720,8 @@ impl Table {
     }
 
     /// Replace the row at `id` visible to `snap`. Returns that row, the
-    /// superseded version itself (shared, not copied). The new version is
+    /// superseded version itself, and the installed version (both
+    /// shared, not copied). The new version is
     /// stamped with `snap`'s stamp; the old one stays for concurrent
     /// readers until a trim or GC sweep drops it.
     ///
@@ -726,7 +731,12 @@ impl Table {
     /// other chain's newest version can hold the key. A newer version the
     /// snapshot cannot see (another writer's) voids that argument, so
     /// then every index is checked and entered as usual.
-    pub fn update(&mut self, snap: &Snapshot, id: RowId, row: Row) -> SqlResult<Arc<Row>> {
+    pub fn update(
+        &mut self,
+        snap: &Snapshot,
+        id: RowId,
+        row: Row,
+    ) -> SqlResult<(Arc<Row>, Arc<Row>)> {
         let row = self.normalize_row(row)?;
         let Some((old, newest)) = self.rows.get(&id).and_then(|c| {
             let old = self.resolve(snap, c)?;
@@ -756,9 +766,10 @@ impl Table {
             }
         }
         let was_live = chain.top_is_live();
+        let row = Arc::new(row);
         chain.versions.push(RowVersion {
             begin: Arc::clone(&snap.stamp),
-            row: Some(Arc::new(row)),
+            row: Some(Arc::clone(&row)),
         });
         if !was_live {
             *live += 1;
@@ -768,7 +779,7 @@ impl Table {
             mvcc.versions_gced.fetch_add(gced, AtomicOrd::Relaxed);
         }
         track_garbage(garbage, id, chain);
-        Ok(old)
+        Ok((old, row))
     }
 
     /// Replace the row at `id` without constraint checks or normalization.
@@ -1144,7 +1155,7 @@ mod tests {
     fn insert_and_get() {
         let s = Snapshot::committed();
         let mut t = table();
-        let id = t.insert(&s, row(1, "a", 10)).unwrap();
+        let (id, _) = t.insert(&s, row(1, "a", 10)).unwrap();
         assert_eq!(t.get(id).unwrap()[1], Value::text("a"));
         assert_eq!(t.len(), 1);
     }
@@ -1179,7 +1190,7 @@ mod tests {
     fn coercion_on_insert() {
         let s = Snapshot::committed();
         let mut t = table();
-        let id = t
+        let (id, _) = t
             .insert(&s, vec![Value::text("7"), Value::Int(5), Value::Float(3.0)])
             .unwrap();
         let r = t.get(id).unwrap();
@@ -1192,7 +1203,7 @@ mod tests {
     fn update_moves_index_entries() {
         let s = Snapshot::committed();
         let mut t = table();
-        let id = t.insert(&s, row(1, "a", 10)).unwrap();
+        let (id, _) = t.insert(&s, row(1, "a", 10)).unwrap();
         t.update(&s, id, row(2, "a", 10)).unwrap();
         // old key free again
         t.insert(&s, row(1, "c", 1)).unwrap();
@@ -1204,7 +1215,7 @@ mod tests {
     fn update_to_conflicting_pk_fails() {
         let s = Snapshot::committed();
         let mut t = table();
-        let a = t.insert(&s, row(1, "a", 1)).unwrap();
+        let (a, _) = t.insert(&s, row(1, "a", 1)).unwrap();
         t.insert(&s, row(2, "b", 2)).unwrap();
         assert!(t.update(&s, a, row(2, "a", 1)).is_err());
         // a unchanged
@@ -1215,7 +1226,7 @@ mod tests {
     fn update_same_key_allowed() {
         let s = Snapshot::committed();
         let mut t = table();
-        let a = t.insert(&s, row(1, "a", 1)).unwrap();
+        let (a, _) = t.insert(&s, row(1, "a", 1)).unwrap();
         t.update(&s, a, row(1, "a2", 2)).unwrap();
         assert_eq!(t.get(a).unwrap()[1], Value::text("a2"));
     }
@@ -1224,7 +1235,7 @@ mod tests {
     fn delete_frees_key_and_restore_brings_back() {
         let s = Snapshot::committed();
         let mut t = table();
-        let id = t.insert(&s, row(1, "a", 1)).unwrap();
+        let (id, _) = t.insert(&s, row(1, "a", 1)).unwrap();
         let old = t.delete(&s, id).unwrap();
         assert_eq!(t.len(), 0);
         t.restore(id, Row::clone(&old));
@@ -1236,10 +1247,10 @@ mod tests {
     fn restore_bumps_next_row_id() {
         let s = Snapshot::committed();
         let mut t = table();
-        let id = t.insert(&s, row(1, "a", 1)).unwrap();
+        let (id, _) = t.insert(&s, row(1, "a", 1)).unwrap();
         let old = t.delete(&s, id).unwrap();
         t.restore(id, Row::clone(&old));
-        let id2 = t.insert(&s, row(2, "b", 2)).unwrap();
+        let (id2, _) = t.insert(&s, row(2, "b", 2)).unwrap();
         assert_ne!(id, id2);
     }
 
@@ -1314,7 +1325,7 @@ mod tests {
         )
         .unwrap();
         let mut t = Table::new(schema);
-        let id = t.insert(&s, vec![Value::Int(1), Value::Null]).unwrap();
+        let (id, _) = t.insert(&s, vec![Value::Int(1), Value::Null]).unwrap();
         assert_eq!(t.get(id).unwrap()[1], Value::Int(42));
     }
 
@@ -1357,7 +1368,7 @@ mod tests {
         let mut t = table();
         t.create_index("u", &["name".into(), "qty".into()], true)
             .unwrap();
-        let id = t
+        let (id, _) = t
             .insert(&s, vec![Value::Int(1), Value::Null, Value::Int(5)])
             .unwrap();
 
@@ -1390,10 +1401,10 @@ mod tests {
         let mut t = table();
         t.create_index("u", &["name".into(), "qty".into()], true)
             .unwrap();
-        let a = t
+        let (a, _) = t
             .insert(&s, vec![Value::Int(1), Value::Null, Value::Int(5)])
             .unwrap();
-        let b = t
+        let (b, _) = t
             .insert(&s, vec![Value::Int(2), Value::Null, Value::Int(5)])
             .unwrap();
         t.delete(&s, a).unwrap();
@@ -1423,7 +1434,7 @@ mod tests {
     fn committed_snapshot_skips_unstamped_versions() {
         let mut t = table();
         let committed = Snapshot::committed();
-        let id = t.insert(&committed, row(1, "a", 10)).unwrap();
+        let (id, _) = t.insert(&committed, row(1, "a", 10)).unwrap();
         // An open writer pushes an unstamped version and a new row.
         let (w, _) = snap(5);
         t.update(&w, id, row(1, "a", 20)).unwrap();
@@ -1439,7 +1450,7 @@ mod tests {
     #[test]
     fn versioned_update_preserves_old_version_for_older_snapshot() {
         let mut t = table();
-        let id = t.insert(&Snapshot::committed(), row(1, "a", 10)).unwrap(); // ts=1
+        let (id, _) = t.insert(&Snapshot::committed(), row(1, "a", 10)).unwrap(); // ts=1
 
         // Writer at snapshot ts=5 updates; not yet committed.
         let (w, wstamp) = snap(5);
@@ -1461,7 +1472,7 @@ mod tests {
     #[test]
     fn versioned_delete_is_tombstone_until_gc() {
         let mut t = table();
-        let id = t.insert(&Snapshot::committed(), row(1, "a", 10)).unwrap();
+        let (id, _) = t.insert(&Snapshot::committed(), row(1, "a", 10)).unwrap();
         let (w, wstamp) = snap(5);
         t.delete(&w, id).unwrap();
         assert!(t.get_visible(&w, id).is_none()); // own delete visible
@@ -1479,9 +1490,9 @@ mod tests {
     #[test]
     fn stamped_undo_restores_exact_state() {
         let mut t = table();
-        let a = t.insert(&Snapshot::committed(), row(1, "a", 10)).unwrap();
+        let (a, _) = t.insert(&Snapshot::committed(), row(1, "a", 10)).unwrap();
         let (w, wstamp) = snap(5);
-        let b = t.insert(&w, row(2, "b", 20)).unwrap();
+        let (b, _) = t.insert(&w, row(2, "b", 20)).unwrap();
         t.update(&w, a, row(1, "a", 99)).unwrap();
         t.delete(&w, a).unwrap();
         // Roll all three back (reverse order, as the undo log would).
@@ -1500,7 +1511,7 @@ mod tests {
     fn index_entries_follow_visibility() {
         let mut t = table();
         let committed = Snapshot::committed();
-        let id = t.insert(&committed, row(1, "a", 10)).unwrap();
+        let (id, _) = t.insert(&committed, row(1, "a", 10)).unwrap();
         t.insert(&committed, row(2, "b", 20)).unwrap();
         t.create_index("t_name", &["name".into()], false).unwrap();
 
@@ -1538,7 +1549,7 @@ mod tests {
     #[test]
     fn stale_index_entries_do_not_block_unique_inserts() {
         let mut t = table();
-        let id = t.insert(&Snapshot::committed(), row(1, "a", 10)).unwrap();
+        let (id, _) = t.insert(&Snapshot::committed(), row(1, "a", 10)).unwrap();
         let (w, wstamp) = snap(5);
         // Move pk 1 -> 7; the historical pk-1 entry must not block a
         // fresh insert of pk 1, and pk 7 must now clash.
@@ -1557,7 +1568,7 @@ mod tests {
         let shared = Arc::new(MvccShared::default());
         shared.floor.store(1, AtomicOrd::Release);
         t.attach_mvcc(Arc::clone(&shared));
-        let id = t.insert(&Snapshot::committed(), row(1, "a", 0)).unwrap();
+        let (id, _) = t.insert(&Snapshot::committed(), row(1, "a", 0)).unwrap();
         for (i, commit_ts) in [(1i64, 10u64), (2, 20), (3, 30)] {
             let (w, wstamp) = snap(commit_ts - 1);
             t.update(&w, id, row(1, "a", i)).unwrap();
@@ -1580,7 +1591,7 @@ mod tests {
     #[test]
     fn inline_trim_bounds_chain_growth() {
         let mut t = table();
-        let id = t.insert(&Snapshot::committed(), row(1, "a", 0)).unwrap();
+        let (id, _) = t.insert(&Snapshot::committed(), row(1, "a", 0)).unwrap();
         // Repeated committed autocommit updates with no active snapshots
         // (floor = MAX): chains must not grow without bound.
         for i in 1..100i64 {
@@ -1595,7 +1606,7 @@ mod tests {
     fn physical_remove_leaves_no_tombstone() {
         let mut t = table();
         let committed = Snapshot::committed();
-        let a = t.insert(&committed, row(1, "a", 1)).unwrap();
+        let (a, _) = t.insert(&committed, row(1, "a", 1)).unwrap();
         t.insert(&committed, row(2, "b", 2)).unwrap();
         t.remove(a);
         assert_eq!(t.len(), 1);

@@ -20,39 +20,49 @@
 use std::sync::Arc;
 
 use crate::catalog::{Catalog, Procedure, Sequence, View};
+use crate::schema::TableSchema;
 use crate::storage::{Index, Row, RowId, Table, TxnStamp};
 
 /// One compensation entry.
 ///
-/// `DropTable` dominates the size; undo logs are short-lived and rare on
-/// the DDL path, so boxing is not worth the indirection.
+/// A row entry names its table by the table's shared schema and holds
+/// the row images the write installed or superseded, shared with the
+/// table's chain: the WAL frames its redo record straight from the
+/// entry, with no catalog lookup and no row copy. The rare DDL entries
+/// that carry whole objects are boxed, so a row entry stays narrow.
 #[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
 pub enum UndoOp {
-    /// A row was inserted → undo deletes it.
-    Insert { table: String, row_id: RowId },
+    /// A row was inserted → undo deletes it. `row` is the inserted
+    /// version itself.
+    Insert {
+        table: Arc<TableSchema>,
+        row_id: RowId,
+        row: Arc<Row>,
+    },
     /// A row was deleted → undo restores it. `row` is the deleted
     /// version itself, shared with the table's chain.
     Delete {
-        table: String,
+        table: Arc<TableSchema>,
         row_id: RowId,
         row: Arc<Row>,
     },
     /// A row was updated → undo restores the old image. `old` is the
-    /// superseded version itself, shared with the table's chain.
+    /// superseded version and `new` the version the update installed,
+    /// both shared with the table's chain.
     Update {
-        table: String,
+        table: Arc<TableSchema>,
         row_id: RowId,
         old: Arc<Row>,
+        new: Arc<Row>,
     },
     /// A table was created → undo drops it.
     CreateTable { name: String },
     /// A table was dropped → undo restores it wholesale.
-    DropTable { table: Table },
+    DropTable { table: Box<Table> },
     /// An index was created → undo drops it.
     CreateIndex { table: String, index: String },
     /// An index was dropped → undo re-attaches it.
-    DropIndex { table: String, index: Index },
+    DropIndex { table: String, index: Box<Index> },
     /// A sequence was created → undo removes it.
     CreateSequence { name: String },
     /// A `NEXTVAL` draw by a statement that later joined this log → undo
@@ -60,15 +70,15 @@ pub enum UndoOp {
     /// intervened), so a rolled-back transaction's retry redraws it.
     SequenceDraw { name: String, drawn: i64 },
     /// A sequence was dropped → undo restores it (current value included).
-    DropSequence { seq: Sequence },
+    DropSequence { seq: Box<Sequence> },
     /// A procedure was created → undo removes it.
     CreateProcedure { name: String },
     /// A procedure was dropped → undo restores it.
-    DropProcedure { proc: Procedure },
+    DropProcedure { proc: Box<Procedure> },
     /// A view was created → undo removes it.
     CreateView { name: String },
     /// A view was dropped → undo restores it.
-    DropView { view: View },
+    DropView { view: Box<View> },
 }
 
 /// An ordered list of compensation entries.
@@ -141,10 +151,10 @@ impl UndoLog {
         let stamp = &self.stamp;
         for op in self.ops.into_iter().rev() {
             match op {
-                UndoOp::Insert { table, row_id }
+                UndoOp::Insert { table, row_id, .. }
                 | UndoOp::Delete { table, row_id, .. }
                 | UndoOp::Update { table, row_id, .. } => {
-                    if let Ok(mut t) = catalog.table_mut(&table) {
+                    if let Ok(mut t) = catalog.table_mut(&table.name) {
                         t.undo_write(row_id, stamp);
                     }
                 }
@@ -154,7 +164,7 @@ impl UndoLog {
                 UndoOp::DropTable { table } => {
                     let name = table.schema.name.clone();
                     let index_names = table.index_names();
-                    if catalog.add_table(table).is_ok() {
+                    if catalog.add_table(*table).is_ok() {
                         for idx in index_names {
                             // pk/unique backing indexes were never registered;
                             // re-registering is idempotent-by-ignore here.
@@ -171,7 +181,7 @@ impl UndoLog {
                 UndoOp::DropIndex { table, index } => {
                     let _ = catalog.register_index(&index.name, &table);
                     if let Ok(mut t) = catalog.table_mut(&table) {
-                        t.restore_index(index);
+                        t.restore_index(*index);
                     }
                 }
                 UndoOp::CreateSequence { name } => {
@@ -183,19 +193,19 @@ impl UndoLog {
                     }
                 }
                 UndoOp::DropSequence { seq } => {
-                    let _ = catalog.add_sequence(seq);
+                    let _ = catalog.add_sequence(*seq);
                 }
                 UndoOp::CreateProcedure { name } => {
                     let _ = catalog.remove_procedure(&name);
                 }
                 UndoOp::DropProcedure { proc } => {
-                    let _ = catalog.add_procedure(proc);
+                    let _ = catalog.add_procedure(*proc);
                 }
                 UndoOp::CreateView { name } => {
                     let _ = catalog.remove_view(&name);
                 }
                 UndoOp::DropView { view } => {
-                    let _ = catalog.add_view(view);
+                    let _ = catalog.add_view(*view);
                 }
             }
         }
@@ -244,21 +254,23 @@ mod tests {
             .unwrap()
             .insert(&Snapshot::committed(), vec![Value::Int(1), Value::text(v)])
             .unwrap()
+            .0
     }
 
     #[test]
     fn rollback_insert() {
         let mut c = catalog_with_table();
         let (snap, mut log) = txn();
-        let id = c
-            .table_mut("t")
-            .unwrap()
+        let mut t = c.table_mut("t").unwrap();
+        let (row_id, row) = t
             .insert(&snap, vec![Value::Int(1), Value::text("a")])
             .unwrap();
         log.record(UndoOp::Insert {
-            table: "t".into(),
-            row_id: id,
+            table: Arc::clone(&t.schema),
+            row_id,
+            row,
         });
+        drop(t);
         log.rollback(&mut c);
         assert_eq!(c.table("t").unwrap().len(), 0);
         assert_eq!(c.table("t").unwrap().version_count(), 0);
@@ -269,12 +281,14 @@ mod tests {
         let mut c = catalog_with_table();
         let id = committed_row(&mut c, "a");
         let (snap, mut log) = txn();
-        let row = c.table_mut("t").unwrap().delete(&snap, id).unwrap();
+        let mut t = c.table_mut("t").unwrap();
+        let row = t.delete(&snap, id).unwrap();
         log.record(UndoOp::Delete {
-            table: "t".into(),
+            table: Arc::clone(&t.schema),
             row_id: id,
             row,
         });
+        drop(t);
         log.rollback(&mut c);
         let t = c.table("t").unwrap();
         assert_eq!(t.get(id).unwrap()[1], Value::text("a"));
@@ -286,16 +300,19 @@ mod tests {
         let mut c = catalog_with_table();
         let id = committed_row(&mut c, "old");
         let (snap, mut log) = txn();
-        let old = c
-            .table_mut("t")
-            .unwrap()
+        let mut t = c.table_mut("t").unwrap();
+        let (old, new) = t
             .update(&snap, id, vec![Value::Int(1), Value::text("new")])
             .unwrap();
+        // The entry shares the installed version with the chain.
+        assert!(Arc::ptr_eq(&new, t.get(id).unwrap()));
         log.record(UndoOp::Update {
-            table: "t".into(),
+            table: Arc::clone(&t.schema),
             row_id: id,
             old,
+            new,
         });
+        drop(t);
         log.rollback(&mut c);
         assert_eq!(
             c.table("t").unwrap().get(id).unwrap()[1],
@@ -309,24 +326,26 @@ mod tests {
         let mut c = catalog_with_table();
         let (snap, mut log) = txn();
         let mut t = c.table_mut("t").unwrap();
-        let id = t
+        let (id, row) = t
             .insert(&snap, vec![Value::Int(9), Value::text("x")])
             .unwrap();
         log.record(UndoOp::Insert {
-            table: "t".into(),
+            table: Arc::clone(&t.schema),
             row_id: id,
+            row,
         });
-        let old = t
+        let (old, new) = t
             .update(&snap, id, vec![Value::Int(9), Value::text("y")])
             .unwrap();
         log.record(UndoOp::Update {
-            table: "t".into(),
+            table: Arc::clone(&t.schema),
             row_id: id,
             old,
+            new,
         });
         let row = t.delete(&snap, id).unwrap();
         log.record(UndoOp::Delete {
-            table: "t".into(),
+            table: Arc::clone(&t.schema),
             row_id: id,
             row,
         });
@@ -344,12 +363,13 @@ mod tests {
         let (other, _other_log) = txn();
         let (snap, mut log) = txn();
         let mut t = c.table_mut("t").unwrap();
-        let mine = t
+        let (mine, row) = t
             .insert(&snap, vec![Value::Int(2), Value::text("mine")])
             .unwrap();
         log.record(UndoOp::Insert {
-            table: "t".into(),
+            table: Arc::clone(&t.schema),
             row_id: mine,
+            row,
         });
         t.update(&other, id, vec![Value::Int(1), Value::text("theirs")])
             .unwrap();
@@ -357,6 +377,13 @@ mod tests {
         assert!(t.get(mine).is_none());
         assert_eq!(t.get(id).unwrap()[1], Value::text("theirs"));
         assert_eq!(t.version_count(), 2);
+    }
+
+    #[test]
+    fn row_entries_stay_narrow() {
+        // Boxed DDL payloads keep an entry at two `String`s and a tag,
+        // not the width of a whole `Table`.
+        assert!(std::mem::size_of::<UndoOp>() <= 56);
     }
 
     #[test]
@@ -378,7 +405,7 @@ mod tests {
         let mut c = catalog_with_table();
         committed_row(&mut c, "keep");
         let (_, mut log) = txn();
-        let table = c.remove_table("t").unwrap();
+        let table = Box::new(c.remove_table("t").unwrap());
         log.record(UndoOp::DropTable { table });
         log.rollback(&mut c);
         assert_eq!(c.table("t").unwrap().len(), 1);
