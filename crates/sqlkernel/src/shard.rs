@@ -457,6 +457,26 @@ mod tests {
         (sdb, stores, coord)
     }
 
+    /// Placement is pinned, not only stable within a run: rows already
+    /// stored under these keys must keep their shard across releases.
+    #[test]
+    fn routing_matches_pinned_placements_at_four_shards() {
+        let pinned = [
+            ("", 1),
+            ("i1", 3),
+            ("i2", 2),
+            ("key-0", 1),
+            ("key-1", 2),
+            ("key-2", 3),
+            ("key-3", 0),
+            ("inst-41", 3),
+            ("order-7", 3),
+        ];
+        for (key, shard) in pinned {
+            assert_eq!(shard_of(key, 4), shard, "key {key:?}");
+        }
+    }
+
     #[test]
     fn routing_is_stable_and_covers_all_shards() {
         let keys: Vec<String> = (0..64).map(|i| format!("key-{i}")).collect();
