@@ -132,10 +132,14 @@ fn sort_topk_indexorder(rows: usize, report: &mut Report) -> [Database; 2] {
     let topk = time_us(|| {
         std::hint::black_box(c_plain.query(Q_TOPK, &[]).unwrap());
     });
+    let before = indexed.stats();
     let index_order = time_us(|| {
         std::hint::black_box(c_indexed.query(Q_TOPK, &[]).unwrap());
     });
+    let after = indexed.stats();
     assert!(plain.stats().topk_sorts > 0, "top-K path must be taken");
+    assert!(after.range_scans > before.range_scans, "index order walk");
+    assert_eq!(after.topk_sorts, before.topk_sorts, "no top-K fallback");
     push_pair(
         report,
         "order_by",

@@ -104,9 +104,9 @@ pub struct BatchScratch {
 
 /// Materialize the access path as *borrowed* rows, in exactly the
 /// physical order the interpreter's scan would produce, ticking the
-/// same scan counters. `pushdown` truncates an `IndexOrder` walk to the
-/// first N ids (callers establish the no-filter / order-served / no-
-/// distinct conditions that make this safe).
+/// same scan counters. `pushdown` stops the walk after N rows (callers
+/// establish the no-filter / order-served / no-distinct conditions that
+/// make this safe).
 fn gather_rows<'t>(
     catalog: &Catalog,
     table: &'t Table,
@@ -115,22 +115,11 @@ fn gather_rows<'t>(
     evals: &mut Evals,
     pushdown: Option<usize>,
 ) -> SqlResult<Vec<&'t [Value]>> {
-    let probe = access.probe(ctx, evals)?;
-    if let Probe::Full = probe {
-        catalog.note_full_scan();
-        let rows: Vec<&[Value]> = table.scan(ctx.snap).map(|r| r.as_slice()).collect();
-        catalog.note_full_scan_rows(rows.len() as u64);
-        return Ok(rows);
-    }
-    let mut rows: Vec<&[Value]> = probe
-        .index_entries(catalog, ctx.snap, table)
-        .into_iter()
+    let rows = access.probe(ctx, evals)?.rows(catalog, ctx.snap, table);
+    Ok(rows
         .map(|(_, row)| row.as_slice())
-        .collect();
-    if let (Access::IndexOrder { .. }, Some(n)) = (access, pushdown) {
-        rows.truncate(n);
-    }
-    Ok(rows)
+        .take(pushdown.unwrap_or(usize::MAX))
+        .collect())
 }
 
 /// Gather one join side as *borrowed* rows in rowid order — the order
@@ -150,26 +139,17 @@ fn gather_side<'t>(
 ) -> SqlResult<Vec<&'t [Value]>> {
     let keep = |row: &[Value]| side.prefilter.iter().all(|c| c.passes(row));
     let probe = side.access.probe(ctx, evals)?;
-    if let Probe::Full = probe {
-        catalog.note_full_scan();
-        let mut walked = 0u64;
-        let rows: Vec<&[Value]> = table
-            .scan(ctx.snap)
-            .map(|r| r.as_slice())
-            .inspect(|_| walked += 1)
-            .filter(|r| keep(r))
-            .collect();
-        catalog.note_full_scan_rows(walked);
-        return Ok(rows);
+    let key_major = matches!(probe, Probe::Range { .. });
+    let rows = probe
+        .rows(catalog, ctx.snap, table)
+        .map(|(id, row)| (id, row.as_slice()))
+        .filter(|(_, r)| keep(r));
+    if !key_major {
+        return Ok(rows.map(|(_, r)| r).collect());
     }
     // A range walk is key-major; re-sort to rowid order so the side is
     // indistinguishable from the interpreter's scan.
-    let mut entries: Vec<(RowId, &[Value])> = probe
-        .index_entries(catalog, ctx.snap, table)
-        .into_iter()
-        .map(|(id, row)| (id, row.as_slice()))
-        .filter(|(_, r)| keep(r))
-        .collect();
+    let mut entries: Vec<(RowId, &[Value])> = rows.collect();
     entries.sort_unstable_by_key(|(id, _)| *id);
     Ok(entries.into_iter().map(|(_, r)| r).collect())
 }
@@ -290,10 +270,11 @@ fn join_emit<I: IntoIterator<Item = u32>>(
 }
 
 /// Index nested-loop step: probe the new side's B-tree index once per
-/// accumulated-left row instead of scanning it. `index_eq_entries` is
-/// visibility-aware (MVCC) and compares keys with the same total order
-/// `Value`'s `Eq`/`Hash` use, and its entries arrive rowid-ascending —
-/// so the emitted rows are indistinguishable from the hash path's.
+/// accumulated-left row instead of scanning it. [`Table::index_eq`] is
+/// visibility-aware (MVCC), compares keys with the same total order
+/// `Value`'s `Eq`/`Hash` use, matches nothing for a NULL key, and yields
+/// rowid-ascending — so the emitted rows are indistinguishable from the
+/// hash path's. The candidate buffers are reused across left rows.
 fn inl_join(
     catalog: &Catalog,
     step: &JoinStep,
@@ -310,47 +291,30 @@ fn inl_join(
     let skip_residual = step.residual.is_empty();
     let mut out: Vec<Vec<Value>> = Vec::new();
     let mut probe = SortKey(vec![Value::Null]);
+    let (mut right, mut right_matched) = (Vec::new(), Vec::new());
     for l in left {
-        let key = &l[lcol];
-        let mut matched = false;
-        if !key.is_null() {
-            probe.0[0] = key.clone();
-            for (_, r) in table.index_eq_entries(ctx.snap, index, &probe) {
-                let r: &[Value] = r;
-                if !side.prefilter.iter().all(|c| c.passes(r)) {
-                    continue;
-                }
-                let mut row = Vec::with_capacity(l.len() + side.width);
-                row.extend_from_slice(l);
-                row.extend_from_slice(r);
-                let ok = if skip_residual {
-                    true
-                } else {
-                    let rc = BoundCtx {
-                        row: Some(&row),
-                        ..*ctx
-                    };
-                    let mut pass = true;
-                    for cond in &step.residual {
-                        if !evals.pred(cond, &rc)? {
-                            pass = false;
-                            break;
-                        }
-                    }
-                    pass
-                };
-                if ok {
-                    matched = true;
-                    out.push(row);
-                }
-            }
-        }
-        if !matched && step.kind == JoinKind::Left {
-            let mut row = Vec::with_capacity(l.len() + side.width);
-            row.extend_from_slice(l);
-            row.extend(std::iter::repeat_n(Value::Null, side.width));
-            out.push(row);
-        }
+        probe.0[0] = l[lcol].clone();
+        right.clear();
+        right.extend(
+            table
+                .index_eq(ctx.snap, index, &probe)
+                .map(|(_, r)| r.as_slice())
+                .filter(|r| side.prefilter.iter().all(|c| c.passes(r))),
+        );
+        right_matched.clear();
+        right_matched.resize(right.len(), false);
+        join_emit(
+            step,
+            l,
+            0..right.len() as u32,
+            &right,
+            side.width,
+            skip_residual,
+            ctx,
+            evals,
+            &mut right_matched,
+            &mut out,
+        )?;
     }
     Ok(out)
 }
@@ -1243,13 +1207,13 @@ pub fn run_agg_plan(
                 _ => None,
             };
             if let Some((c, tmpl)) = streamable {
-                catalog.note_full_scan();
+                let rows = access.probe(&ctx, &mut evals)?.rows(catalog, snap, &table);
                 let mut groups: FxMap<Value, usize> = FxMap::default();
                 // (representative base row, accumulators), first-seen order.
                 let mut sgroups: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
                 let mut walked = 0u64;
                 let mut kept = 0u64;
-                for row in table.scan(snap) {
+                for (_, row) in rows {
                     walked += 1;
                     let row: &[Value] = row;
                     if !cmps.iter().all(|m| m.passes(row)) {
@@ -1269,7 +1233,6 @@ pub fn run_agg_plan(
                         a.update(row);
                     }
                 }
-                catalog.note_full_scan_rows(walked);
                 catalog.note_batched_rows(walked);
                 catalog.note_hash_agg();
                 if plan.filter.is_some() {

@@ -174,22 +174,15 @@ fn for_each_candidate(
     probe: Probe,
     mut visit: impl FnMut(RowId, &Row) -> SqlResult<()>,
 ) -> SqlResult<()> {
-    if let Probe::Full = probe {
-        let mut walked = 0u64;
-        for (id, row) in table.iter(snap) {
-            walked += 1;
-            visit(id, row)?;
-        }
-        catalog.note_full_scan_rows(walked);
-        return Ok(());
+    let key_major = matches!(probe, Probe::Range { .. });
+    let mut rows = probe.rows(catalog, snap, table);
+    if !key_major {
+        return rows.try_for_each(|(id, row)| visit(id, row));
     }
-    let mut entries = probe.index_entries(catalog, snap, table);
     // A range walk is key-major; re-sort to row id order.
+    let mut entries: Vec<_> = rows.collect();
     entries.sort_unstable_by_key(|(id, _)| *id);
-    for (id, row) in entries {
-        visit(id, row)?;
-    }
-    Ok(())
+    entries.into_iter().try_for_each(|(id, row)| visit(id, row))
 }
 
 /// Phase 1 of an `UPDATE`/`DELETE`: the changes, in ascending row id.
@@ -301,14 +294,8 @@ impl DmlEval for AstDml<'_> {
                 .map(|(col, _)| table.schema.resolve(col))
                 .collect::<SqlResult<_>>()?;
         }
-        self.schema = RowSchema::new(
-            table
-                .schema
-                .columns
-                .iter()
-                .map(|c| (Some(binding.clone()), c.name.clone()))
-                .collect(),
-        );
+        self.schema =
+            RowSchema::for_binding(&binding, table.schema.columns.iter().map(|c| &c.name));
         let mut conjuncts = Vec::new();
         if let Some(pred) = self.where_clause {
             flatten_and(pred, &mut conjuncts);

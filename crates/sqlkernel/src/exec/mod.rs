@@ -18,7 +18,7 @@ use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::db::StatementResult;
 use crate::error::{SqlError, SqlResult};
-use crate::storage::{Row, RowId, Snapshot, SortKey, Table};
+use crate::storage::{IndexCursor, Row, RowId, Snapshot, SortKey, Table, Walk};
 use crate::txn::UndoLog;
 use crate::types::Value;
 
@@ -43,27 +43,30 @@ pub(crate) enum Probe {
 }
 
 impl Probe {
-    /// The rows an index probe selects, in key order (row ids ascending
-    /// within a key), resolved through `snap` — an entry
-    /// whose visible version no longer carries its key is skipped. Ticks
-    /// `index_scans` or `range_scans`. Callers walk `Full` probes
-    /// themselves.
-    pub(crate) fn index_entries<'t>(
+    /// The rows the probe selects, resolved through `snap` one at a time:
+    /// a full walk in row id order, or an index walk in key order with
+    /// row ids ascending within a key (see [`IndexCursor`]). Ticks
+    /// `full_scans`, `index_scans` or `range_scans` now, and a full
+    /// walk's `full_scan_rows` (the rows it yielded) when it is dropped.
+    pub(crate) fn rows<'t, 'a>(
         self,
-        catalog: &Catalog,
-        snap: &Snapshot,
+        catalog: &'a Catalog,
+        snap: &'a Snapshot,
         table: &'t Table,
-    ) -> Vec<(RowId, &'t Arc<Row>)> {
+    ) -> ProbeRows<'t, 'a> {
         let index = |col: usize| table.find_index(&[col]).expect("probe implies index");
         match self {
-            Probe::Full => unreachable!("full scans walk the table"),
+            Probe::Full => {
+                catalog.note_full_scan();
+                ProbeRows::Full {
+                    walk: table.iter(snap),
+                    catalog,
+                    yielded: 0,
+                }
+            }
             Probe::Eq { col, key } => {
                 catalog.note_index_scan();
-                // `col = NULL` is never true.
-                if key.is_null() {
-                    return Vec::new();
-                }
-                table.index_eq_entries(snap, index(col), &SortKey(vec![key]))
+                ProbeRows::Index(table.index_eq(snap, index(col), &SortKey(vec![key])))
             }
             Probe::Range {
                 col,
@@ -73,15 +76,52 @@ impl Probe {
                 nulls,
             } => {
                 catalog.note_range_scan();
-                table.index_range_entries(
+                ProbeRows::Index(table.index_range(
                     snap,
                     index(col),
                     lower.as_ref().map(|(v, i)| (v, *i)),
                     upper.as_ref().map(|(v, i)| (v, *i)),
                     rev,
                     nulls,
-                )
+                ))
             }
+        }
+    }
+}
+
+/// The lazy walk [`Probe::rows`] returns.
+pub(crate) enum ProbeRows<'t, 'a> {
+    Full {
+        walk: Walk<'t, 'a>,
+        catalog: &'a Catalog,
+        yielded: u64,
+    },
+    Index(IndexCursor<'t, 'a>),
+}
+
+impl<'t> Iterator for ProbeRows<'t, '_> {
+    type Item = (RowId, &'t Arc<Row>);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            ProbeRows::Full { walk, yielded, .. } => {
+                let next = walk.next();
+                *yielded += next.is_some() as u64;
+                next
+            }
+            ProbeRows::Index(cursor) => cursor.next(),
+        }
+    }
+}
+
+impl Drop for ProbeRows<'_, '_> {
+    fn drop(&mut self) {
+        if let ProbeRows::Full {
+            catalog, yielded, ..
+        } = self
+        {
+            catalog.note_full_scan_rows(*yielded);
         }
     }
 }

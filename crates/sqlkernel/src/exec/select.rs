@@ -474,14 +474,7 @@ fn try_index_scan(
     if let Some(pred) = where_clause {
         flatten_and(pred, &mut conjuncts);
     }
-    let schema = RowSchema::new(
-        table
-            .schema
-            .columns
-            .iter()
-            .map(|c| (Some(binding.clone()), c.name.clone()))
-            .collect(),
-    );
+    let schema = RowSchema::for_binding(&binding, table.schema.columns.iter().map(|c| &c.name));
 
     let order_hint = naive_order_hint(order_by, &binding, &table);
     let probe = match index_probe(&conjuncts, &binding, &table, order_hint, ctx)? {
@@ -506,8 +499,7 @@ fn try_index_scan(
         _ => None,
     };
     let rows: Vec<Arc<Row>> = probe
-        .index_entries(catalog, ctx.snap, &table)
-        .into_iter()
+        .rows(catalog, ctx.snap, &table)
         .map(|(_, row)| Arc::clone(row))
         .collect();
     Ok(Some((Rows { schema, rows }, served)))
@@ -826,12 +818,7 @@ fn scan_table_ref(catalog: &Catalog, tref: &TableRef, ctx: &EvalCtx<'_>) -> SqlR
                 let _guard = catalog.enter_view()?;
                 let rs = run_select(catalog, ctx.snap, &view.query, ctx.params, ctx.named_params)?;
                 let binding = tref.binding_name().unwrap_or(name).to_string();
-                let schema = RowSchema::new(
-                    rs.columns
-                        .iter()
-                        .map(|c| (Some(binding.clone()), c.clone()))
-                        .collect(),
-                );
+                let schema = RowSchema::for_binding(&binding, &rs.columns);
                 return Ok(Rows {
                     schema,
                     rows: rs.rows.into_iter().map(Arc::new).collect(),
@@ -839,18 +826,13 @@ fn scan_table_ref(catalog: &Catalog, tref: &TableRef, ctx: &EvalCtx<'_>) -> SqlR
             }
             let table = catalog.table(name)?;
             let binding = tref.binding_name().unwrap_or(name).to_string();
-            let schema = RowSchema::new(
-                table
-                    .schema
-                    .columns
-                    .iter()
-                    .map(|c| (Some(binding.clone()), c.name.clone()))
-                    .collect(),
-            );
-            catalog.note_full_scan();
+            let schema =
+                RowSchema::for_binding(&binding, table.schema.columns.iter().map(|c| &c.name));
             // Arc clones: the scan shares stored rows, no deep copy.
-            let rows: Vec<Arc<Row>> = table.iter(ctx.snap).map(|(_, r)| Arc::clone(r)).collect();
-            catalog.note_full_scan_rows(rows.len() as u64);
+            let rows: Vec<Arc<Row>> = Probe::Full
+                .rows(catalog, ctx.snap, &table)
+                .map(|(_, r)| Arc::clone(r))
+                .collect();
             Ok(Rows { schema, rows })
         }
         TableSource::Subquery(sub) => {
@@ -859,12 +841,7 @@ fn scan_table_ref(catalog: &Catalog, tref: &TableRef, ctx: &EvalCtx<'_>) -> SqlR
                 .alias
                 .clone()
                 .expect("parser enforces derived-table alias");
-            let schema = RowSchema::new(
-                rs.columns
-                    .iter()
-                    .map(|c| (Some(binding.clone()), c.clone()))
-                    .collect(),
-            );
+            let schema = RowSchema::for_binding(&binding, &rs.columns);
             Ok(Rows {
                 schema,
                 rows: rs.rows.into_iter().map(Arc::new).collect(),

@@ -32,6 +32,18 @@ impl RowSchema {
         RowSchema { cols }
     }
 
+    /// Every column of one table or derived table, under its `binding`.
+    pub fn for_binding<'c>(
+        binding: &str,
+        names: impl IntoIterator<Item = &'c String>,
+    ) -> RowSchema {
+        let cols = names.into_iter();
+        RowSchema::new(
+            cols.map(|c| (Some(binding.to_string()), c.clone()))
+                .collect(),
+        )
+    }
+
     /// Append a column.
     pub fn push(&mut self, binding: Option<String>, name: String) {
         self.cols.push((binding, name));

@@ -38,7 +38,8 @@
 //! not the table size.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, btree_set, BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
 use std::sync::{Arc, OnceLock};
 
@@ -259,8 +260,8 @@ impl Index {
 
     /// Row ids matching an exact key. Under MVCC the result may include
     /// ids whose *visible* version carries a different key (stale or
-    /// future entries) — use [`Table::index_eq_entries`] for
-    /// visibility-aware lookups.
+    /// future entries) — use [`Table::index_eq`] for visibility-aware
+    /// lookups.
     pub fn lookup(&self, key: &SortKey) -> impl Iterator<Item = RowId> + '_ {
         self.map.get(key).into_iter().flatten().copied()
     }
@@ -268,80 +269,6 @@ impl Index {
     /// Number of distinct keys.
     pub fn key_count(&self) -> usize {
         self.map.len()
-    }
-
-    /// Translate `lookup_range`-style bounds into `BTreeMap::range`
-    /// bounds, or `None` when the range is provably empty.
-    fn range_bounds(
-        lower: Option<(&Value, bool)>,
-        upper: Option<(&Value, bool)>,
-        include_null_keys: bool,
-    ) -> Option<(std::ops::Bound<SortKey>, std::ops::Bound<SortKey>)> {
-        use std::ops::Bound;
-        if lower.is_some_and(|(v, _)| v.is_null()) || upper.is_some_and(|(v, _)| v.is_null()) {
-            return None;
-        }
-        // BTreeMap::range panics on inverted bounds (and on equal bounds
-        // with either end excluded); such ranges are simply empty.
-        if let (Some((lo, lo_inc)), Some((hi, hi_inc))) = (lower, upper) {
-            match lo.total_cmp(hi) {
-                Ordering::Greater => return None,
-                Ordering::Equal if !(lo_inc && hi_inc) => return None,
-                _ => {}
-            }
-        }
-        let start: Bound<SortKey> = match lower {
-            Some((v, true)) => Bound::Included(SortKey(vec![v.clone()])),
-            Some((v, false)) => Bound::Excluded(SortKey(vec![v.clone()])),
-            None if include_null_keys => Bound::Unbounded,
-            // NULL sorts before every non-NULL value, so excluding the
-            // NULL key is the same as starting just past it.
-            None => Bound::Excluded(SortKey(vec![Value::Null])),
-        };
-        let end: Bound<SortKey> = match upper {
-            Some((v, true)) => Bound::Included(SortKey(vec![v.clone()])),
-            Some((v, false)) => Bound::Excluded(SortKey(vec![v.clone()])),
-            None => Bound::Unbounded,
-        };
-        Some((start, end))
-    }
-
-    /// Row ids whose (single-column) key falls within the given bounds,
-    /// emitted in key order — descending when `rev`. Each bound is
-    /// `(value, inclusive)`; `None` means unbounded on that side.
-    ///
-    /// SQL comparison semantics: a NULL bound compares UNKNOWN against
-    /// every key, so the range is empty. NULL *keys* never satisfy a
-    /// comparison predicate either, so an unbounded-from-below range
-    /// excludes them — unless `include_null_keys` is set, which the
-    /// executor uses for pure ORDER BY (no range predicate) walks where
-    /// NULL keys must appear in their NULLS-first sort position.
-    ///
-    /// Within one key, row ids come out ascending even when `rev`: the
-    /// interpreted path's stable sort preserves scan order (ascending row
-    /// id) among equal keys, and index emission must match it exactly.
-    pub fn lookup_range(
-        &self,
-        lower: Option<(&Value, bool)>,
-        upper: Option<(&Value, bool)>,
-        rev: bool,
-        include_null_keys: bool,
-    ) -> Vec<RowId> {
-        let Some(bounds) = Index::range_bounds(lower, upper, include_null_keys) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let entries = self.map.range(bounds);
-        if rev {
-            for (_, ids) in entries.rev() {
-                out.extend(ids.iter().copied());
-            }
-        } else {
-            for (_, ids) in entries {
-                out.extend(ids.iter().copied());
-            }
-        }
-        out
     }
 }
 
@@ -375,14 +302,42 @@ fn track_garbage(garbage: &mut BTreeSet<RowId>, id: RowId, chain: &Chain) {
     }
 }
 
-/// A snapshot walk over a table's chains in row-id order. It counts the
-/// multi-version chains it resolves and adds them to
-/// [`MvccShared::chains_walked`] in one step, when the walk is dropped.
-struct Walk<'t, 's> {
-    chains: std::collections::btree_map::Iter<'t, RowId, Chain>,
-    snap: &'s Snapshot,
+/// The multi-version chains one read resolves, added to
+/// [`MvccShared::chains_walked`] in one step when the read is done
+/// (dropped).
+struct ChainTally<'t> {
     mvcc: &'t MvccShared,
     walked: u64,
+}
+
+impl ChainTally<'_> {
+    /// Resolve `chain` under `snap`, counting it if it has more than one
+    /// version.
+    fn resolve<'c>(&mut self, snap: &Snapshot, chain: &'c Chain) -> Option<&'c Arc<Row>> {
+        if chain.versions.len() > 1 {
+            self.walked += 1;
+        }
+        chain.visible(snap)
+    }
+}
+
+impl Drop for ChainTally<'_> {
+    fn drop(&mut self) {
+        if self.walked > 0 {
+            self.mvcc
+                .chains_walked
+                .fetch_add(self.walked, AtomicOrd::Relaxed);
+        }
+    }
+}
+
+/// A snapshot walk over a table's rows in row-id order
+/// ([`Table::iter`]). Multi-version chains it resolves are added to
+/// [`MvccShared::chains_walked`] when the walk is dropped.
+pub struct Walk<'t, 's> {
+    chains: btree_map::Iter<'t, RowId, Chain>,
+    snap: &'s Snapshot,
+    tally: ChainTally<'t>,
 }
 
 impl<'t> Iterator for Walk<'t, '_> {
@@ -390,10 +345,7 @@ impl<'t> Iterator for Walk<'t, '_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         for (id, chain) in self.chains.by_ref() {
-            if chain.versions.len() > 1 {
-                self.walked += 1;
-            }
-            if let Some(row) = chain.visible(self.snap) {
+            if let Some(row) = self.tally.resolve(self.snap, chain) {
                 return Some((*id, row));
             }
         }
@@ -401,12 +353,53 @@ impl<'t> Iterator for Walk<'t, '_> {
     }
 }
 
-impl Drop for Walk<'_, '_> {
-    fn drop(&mut self) {
-        if self.walked > 0 {
-            self.mvcc
-                .chains_walked
-                .fetch_add(self.walked, AtomicOrd::Relaxed);
+/// A snapshot walk over one index ([`Table::index_eq`],
+/// [`Table::index_range`]): keys in key order, backwards when `rev`; row
+/// ids ascending within a key even then — the order a stable sort of a
+/// full scan gives equal keys. Each entry resolves through the snapshot,
+/// and on a multi-version chain it is kept only if the visible version
+/// still carries the entry's key, so a row whose key moved neither
+/// vanishes nor appears twice. Rows are resolved one `next` at a time:
+/// a walk stopped early has resolved (and counted into
+/// [`MvccShared::chains_walked`]) only the entries it reached.
+pub struct IndexCursor<'t, 's> {
+    rows: &'t BTreeMap<RowId, Chain>,
+    index: &'t Index,
+    snap: &'s Snapshot,
+    /// The keys still to visit; `None` for a point lookup.
+    keys: Option<btree_map::Range<'t, SortKey, BTreeSet<RowId>>>,
+    rev: bool,
+    /// The key being visited and its ids not yet visited.
+    current: Option<(&'t SortKey, btree_set::Iter<'t, RowId>)>,
+    tally: ChainTally<'t>,
+}
+
+impl<'t> Iterator for IndexCursor<'t, '_> {
+    type Item = (RowId, &'t Arc<Row>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some((key, ids)) = &mut self.current {
+                for &id in ids.by_ref() {
+                    let Some(chain) = self.rows.get(&id) else {
+                        continue;
+                    };
+                    let Some(row) = self.tally.resolve(self.snap, chain) else {
+                        continue;
+                    };
+                    if chain.versions.len() > 1 && !self.index.carries_key(row, key) {
+                        continue;
+                    }
+                    return Some((id, row));
+                }
+            }
+            let keys = self.keys.as_mut()?;
+            let (key, ids) = if self.rev {
+                keys.next_back()
+            } else {
+                keys.next()
+            }?;
+            self.current = Some((key, ids.iter()));
         }
     }
 }
@@ -511,39 +504,24 @@ impl Table {
         self.live == 0
     }
 
-    /// Resolve a chain under `snap`, ticking the chain-walk counter for
-    /// multi-version chains.
-    fn resolve<'t>(&'t self, snap: &Snapshot, chain: &'t Chain) -> Option<&'t Arc<Row>> {
-        if chain.versions.len() > 1 {
-            self.mvcc.chains_walked.fetch_add(1, AtomicOrd::Relaxed);
-        }
-        chain.visible(snap)
-    }
-
-    /// Iterate the rows visible to `snap` in row-id order. Rows come out
-    /// as shared `Arc`s so a scan can retain them without deep-copying.
-    pub fn iter<'t, 's>(
-        &'t self,
-        snap: &'s Snapshot,
-    ) -> impl Iterator<Item = (RowId, &'t Arc<Row>)> + use<'t, 's> {
-        Walk {
-            chains: self.rows.iter(),
-            snap,
+    /// A count of the chains one read resolves, shared with the database.
+    fn tally(&self) -> ChainTally<'_> {
+        ChainTally {
             mvcc: &self.mvcc,
             walked: 0,
         }
     }
 
-    /// Iterate row data in row-id order *by reference* — the batch
-    /// executor's scan primitive. Unlike [`Table::iter`] the `Arc` is
-    /// never cloned: the borrow pins each row to the caller's table
-    /// guard, so a whole-table scan costs zero refcount traffic and
-    /// zero per-row allocation. Snapshot-filtered like [`Table::iter`].
-    pub fn scan<'t, 's>(
-        &'t self,
-        snap: &'s Snapshot,
-    ) -> impl Iterator<Item = &'t Arc<Row>> + use<'t, 's> {
-        self.iter(snap).map(|(_, row)| row)
+    /// Iterate the rows visible to `snap` in row-id order. Rows come out
+    /// borrowed from the table, so a walk costs no refcount traffic and
+    /// no per-row allocation; a caller that keeps a row past its table
+    /// guard clones the `Arc`.
+    pub fn iter<'t, 's>(&'t self, snap: &'s Snapshot) -> Walk<'t, 's> {
+        Walk {
+            chains: self.rows.iter(),
+            snap,
+            tally: self.tally(),
+        }
     }
 
     /// Fetch one row's newest version — the *physical* latest, whatever
@@ -555,81 +533,93 @@ impl Table {
 
     /// Fetch the version of one row visible to `snap`.
     pub fn get_visible(&self, snap: &Snapshot, id: RowId) -> Option<&Arc<Row>> {
-        self.rows.get(&id).and_then(|c| self.resolve(snap, c))
+        self.rows
+            .get(&id)
+            .and_then(|c| self.tally().resolve(snap, c))
     }
 
-    /// Visibility-aware exact-key index lookup: resolves each candidate
-    /// id against `snap` and keeps it only if the visible version
-    /// actually carries the probe key (historical entries for other keys
-    /// are skipped). Ids come out ascending, matching scan order among
-    /// equal keys.
-    pub fn index_eq_entries<'t>(
+    /// The rows visible to `snap` whose key under `index` is `key`, row
+    /// ids ascending. A key containing NULL matches nothing: SQL
+    /// equality is never true against NULL.
+    pub fn index_eq<'t, 's>(
         &'t self,
-        snap: &Snapshot,
-        idx: &'t Index,
+        snap: &'s Snapshot,
+        index: &'t Index,
         key: &SortKey,
-    ) -> Vec<(RowId, &'t Arc<Row>)> {
-        let mut out = Vec::new();
-        for id in idx.lookup(key) {
-            let Some(chain) = self.rows.get(&id) else {
-                continue;
-            };
-            let multi = chain.versions.len() > 1;
-            let Some(row) = self.resolve(snap, chain) else {
-                continue;
-            };
-            if multi && !idx.carries_key(row, key) {
-                continue;
-            }
-            out.push((id, row));
+    ) -> IndexCursor<'t, 's> {
+        let mut cursor = self.index_cursor(snap, index);
+        if !Index::key_has_null(key) {
+            cursor.current = index.map.get_key_value(key).map(|(k, ids)| (k, ids.iter()));
         }
-        out
+        cursor
     }
 
-    /// Visibility-aware range walk over a (single-column) index: bounds
-    /// and ordering exactly as [`Index::lookup_range`], but each candidate
-    /// resolves through `snap` and must carry the entry key it was found
-    /// under (so a row whose key changed after the snapshot neither
-    /// vanishes nor appears twice).
-    pub fn index_range_entries<'t>(
+    /// The rows visible to `snap` whose key under the single-column
+    /// `index` falls within the bounds, in key order — descending when
+    /// `rev`. Each bound is `(value, inclusive)`; `None` means unbounded
+    /// on that side.
+    ///
+    /// SQL comparison semantics: a NULL bound compares UNKNOWN against
+    /// every key, so the walk is empty, and so is an inverted range. NULL
+    /// *keys* never satisfy a comparison predicate either, so an
+    /// unbounded-from-below walk excludes them — unless
+    /// `include_null_keys` is set, which the executor uses for pure
+    /// ORDER BY (no range predicate) walks where NULL keys must appear in
+    /// their NULLS-first sort position.
+    pub fn index_range<'t, 's>(
         &'t self,
-        snap: &Snapshot,
-        idx: &'t Index,
+        snap: &'s Snapshot,
+        index: &'t Index,
         lower: Option<(&Value, bool)>,
         upper: Option<(&Value, bool)>,
         rev: bool,
         include_null_keys: bool,
-    ) -> Vec<(RowId, &'t Arc<Row>)> {
-        let Some(bounds) = Index::range_bounds(lower, upper, include_null_keys) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut emit = |key: &SortKey, ids: &BTreeSet<RowId>| {
-            for &id in ids {
-                let Some(chain) = self.rows.get(&id) else {
-                    continue;
-                };
-                let multi = chain.versions.len() > 1;
-                let Some(row) = self.resolve(snap, chain) else {
-                    continue;
-                };
-                if multi && !idx.carries_key(row, key) {
-                    continue;
-                }
-                out.push((id, row));
-            }
-        };
-        let entries = idx.map.range(bounds);
-        if rev {
-            for (key, ids) in entries.rev() {
-                emit(key, ids);
-            }
-        } else {
-            for (key, ids) in entries {
-                emit(key, ids);
+    ) -> IndexCursor<'t, 's> {
+        let mut cursor = self.index_cursor(snap, index);
+        cursor.rev = rev;
+        if lower.is_some_and(|(v, _)| v.is_null()) || upper.is_some_and(|(v, _)| v.is_null()) {
+            return cursor;
+        }
+        // BTreeMap::range panics on inverted bounds (and on equal bounds
+        // with either end excluded); such ranges are simply empty.
+        if let (Some((lo, lo_inc)), Some((hi, hi_inc))) = (lower, upper) {
+            match lo.total_cmp(hi) {
+                Ordering::Greater => return cursor,
+                Ordering::Equal if !(lo_inc && hi_inc) => return cursor,
+                _ => {}
             }
         }
-        out
+        let bound = |(v, inclusive): (&Value, bool)| {
+            let key = SortKey(vec![v.clone()]);
+            if inclusive {
+                Bound::Included(key)
+            } else {
+                Bound::Excluded(key)
+            }
+        };
+        let start = match lower {
+            Some(b) => bound(b),
+            None if include_null_keys => Bound::Unbounded,
+            // NULL sorts before every non-NULL value, so excluding the
+            // NULL key is the same as starting just past it.
+            None => Bound::Excluded(SortKey(vec![Value::Null])),
+        };
+        let end = upper.map_or(Bound::Unbounded, bound);
+        cursor.keys = Some(index.map.range((start, end)));
+        cursor
+    }
+
+    /// An empty walk over `index` under `snap`.
+    fn index_cursor<'t, 's>(&'t self, snap: &'s Snapshot, index: &'t Index) -> IndexCursor<'t, 's> {
+        IndexCursor {
+            rows: &self.rows,
+            index,
+            snap,
+            keys: None,
+            rev: false,
+            current: None,
+            tally: self.tally(),
+        }
     }
 
     /// Validate a row against NOT NULL constraints and coerce cell types.
@@ -739,7 +729,7 @@ impl Table {
     ) -> SqlResult<(Arc<Row>, Arc<Row>)> {
         let row = self.normalize_row(row)?;
         let Some((old, newest)) = self.rows.get(&id).and_then(|c| {
-            let old = self.resolve(snap, c)?;
+            let old = self.tally().resolve(snap, c)?;
             let newest = c.latest().is_some_and(|top| Arc::ptr_eq(top, old));
             Some((Arc::clone(old), newest))
         }) else {
@@ -817,7 +807,7 @@ impl Table {
         let Some(old) = self
             .rows
             .get(&id)
-            .and_then(|c| self.resolve(snap, c))
+            .and_then(|c| self.tally().resolve(snap, c))
             .cloned()
         else {
             return Err(SqlError::NotFound(format!(
@@ -1508,7 +1498,7 @@ mod tests {
     }
 
     #[test]
-    fn index_entries_follow_visibility() {
+    fn index_cursors_follow_visibility() {
         let mut t = table();
         let committed = Snapshot::committed();
         let (id, _) = t.insert(&committed, row(1, "a", 10)).unwrap();
@@ -1522,28 +1512,39 @@ mod tests {
         // Old snapshot: sees the row under its old key, not the new one.
         let (old_r, _) = snap(5);
         let idx = t.find_index(&[1]).unwrap();
-        let a_hits = t.index_eq_entries(&old_r, idx, &SortKey(vec![Value::text("a")]));
+        let eq = |s: &Snapshot, k: &str| -> Vec<(RowId, &Arc<Row>)> {
+            t.index_eq(s, idx, &SortKey(vec![Value::text(k)])).collect()
+        };
+        let a_hits = eq(&old_r, "a");
         assert_eq!(a_hits.len(), 1);
         assert_eq!(a_hits[0].1[2], Value::Int(10));
-        assert!(t
-            .index_eq_entries(&old_r, idx, &SortKey(vec![Value::text("z")]))
-            .is_empty());
+        assert!(eq(&old_r, "z").is_empty());
         // Range walk emits each visible row exactly once.
-        let all = t.index_range_entries(&old_r, idx, None, None, false, true);
-        assert_eq!(all.len(), 2);
+        let all = t.index_range(&old_r, idx, None, None, false, true);
+        assert_eq!(all.count(), 2);
 
         // New snapshot: new key only.
         let (new_r, _) = snap(6);
-        assert!(t
-            .index_eq_entries(&new_r, idx, &SortKey(vec![Value::text("a")]))
-            .is_empty());
+        assert!(eq(&new_r, "a").is_empty());
+        assert_eq!(eq(&new_r, "z").len(), 1);
+        let all = t.index_range(&new_r, idx, None, None, false, true);
+        assert_eq!(all.count(), 2);
+
+        // A reverse walk stopped after one row ("z", a two-version
+        // chain) counts that chain only; run out, it also resolves the
+        // stale "a" entry of the same chain and skips it.
+        let walked = || t.mvcc.chains_walked.load(AtomicOrd::Relaxed);
+        let before = walked();
+        let mut rev = t.index_range(&new_r, idx, None, None, true, true);
+        assert_eq!(rev.next().unwrap().1[1], Value::text("z"));
+        drop(rev);
+        assert_eq!(walked() - before, 1);
+        let before = walked();
         assert_eq!(
-            t.index_eq_entries(&new_r, idx, &SortKey(vec![Value::text("z")]))
-                .len(),
-            1
+            t.index_range(&new_r, idx, None, None, true, true).count(),
+            2
         );
-        let all = t.index_range_entries(&new_r, idx, None, None, false, true);
-        assert_eq!(all.len(), 2);
+        assert_eq!(walked() - before, 2);
     }
 
     #[test]

@@ -118,14 +118,21 @@ fn range_delete_walks_the_index() {
 
 #[test]
 fn non_indexed_predicate_stays_a_full_scan() {
-    let db = keyed("full_scan", 2_000);
-    let conn = db.connect();
-    let d = delta(&db, || {
-        conn.execute("UPDATE t SET v = 0 WHERE v = ?", &[Value::Int(7)])
-            .unwrap();
-    });
-    assert_eq!(d.full_scan_rows, 2_000);
-    assert_eq!(d.index_scans + d.range_scans, 0);
+    for interpreted in [false, true] {
+        let db = keyed("full_scan", 2_000);
+        let conn = db.connect();
+        let d = delta(&db, || {
+            run_both_ways(
+                &conn,
+                "UPDATE t SET v = 0 WHERE v = ?",
+                &[Value::Int(7)],
+                interpreted,
+            );
+        });
+        assert_eq!(d.full_scan_rows, 2_000);
+        assert_eq!(d.index_scans + d.range_scans, 0);
+        assert_eq!(d.full_scans, 1, "interpreted: {interpreted}");
+    }
 }
 
 #[test]

@@ -304,6 +304,50 @@ fn limit_expression_evaluates_once_per_statement() {
     );
 }
 
+/// The version chains one compiled `ORDER BY k LIMIT 10` resolves over a
+/// `rows`-row table whose every row has two versions: a reader's open
+/// transaction holds the snapshot from before a full-table `UPDATE`.
+fn limit_walk_chains(rows: i64) -> u64 {
+    let db = Database::new("limit_walk");
+    let writer = db.connect();
+    writer
+        .execute("CREATE TABLE t (k INT PRIMARY KEY, v INT)", &[])
+        .unwrap();
+    let sets: Vec<Vec<Value>> = (0..rows)
+        .map(|i| vec![Value::Int(i), Value::Int(i)])
+        .collect();
+    writer
+        .execute_batch("INSERT INTO t VALUES (?, ?)", &sets)
+        .unwrap();
+    let reader = db.connect();
+    reader.execute("BEGIN", &[]).unwrap();
+    reader.query("SELECT v FROM t WHERE k = 0", &[]).unwrap();
+    writer.execute("UPDATE t SET v = v + 1", &[]).unwrap();
+
+    let sql = "SELECT k FROM t ORDER BY k LIMIT 10";
+    writer.query(sql, &[]).unwrap();
+    let before = db.stats();
+    let rs = writer.query(sql, &[]).unwrap();
+    let after = db.stats();
+    assert_eq!(ids(&rs), (0..10).collect::<Vec<_>>());
+    assert_eq!(after.plan_binds, before.plan_binds, "the cached plan ran");
+    assert!(
+        after.range_scans > before.range_scans,
+        "an index order walk"
+    );
+    assert_eq!(after.topk_sorts, before.topk_sorts, "no top-K sort");
+    reader.execute("COMMIT", &[]).unwrap();
+    after.version_chains_walked - before.version_chains_walked
+}
+
+#[test]
+fn limit_index_walk_stops_at_offset_plus_limit() {
+    let small = limit_walk_chains(2_000);
+    let large = limit_walk_chains(20_000);
+    assert_eq!(small, large, "the walk must not grow with the table");
+    assert!((1..=10).contains(&small), "walked {small} chains");
+}
+
 // ---------------------------------------------------------------- differential
 
 /// SplitMix64, as in `tests/proptests.rs` — deterministic, dependency-free.
