@@ -198,6 +198,9 @@ pub struct Catalog {
     /// How many rows full table scans have walked (for rows/sec
     /// reporting; `full_scans` counts scans, this counts their rows).
     full_scan_rows: AtomicU64,
+    /// How many compiled walks took OFFSET + LIMIT as a stop: the walk
+    /// (and any comparison-only WHERE) ends once that many rows passed.
+    limit_pushdowns: AtomicU64,
     /// How many compiled join steps executed as a vectorized hash join.
     hash_joins: AtomicU64,
     /// How many compiled join steps executed as an index nested-loop
@@ -492,6 +495,16 @@ impl Catalog {
     /// Number of hash-aggregated statements so far.
     pub fn hash_aggs(&self) -> u64 {
         self.hash_aggs.load(Ordering::Relaxed)
+    }
+
+    /// Record that a compiled walk took OFFSET + LIMIT as its stop.
+    pub fn note_limit_pushdown(&self) {
+        self.limit_pushdowns.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Number of compiled walks that took OFFSET + LIMIT as their stop.
+    pub fn limit_pushdowns(&self) -> u64 {
+        self.limit_pushdowns.load(Ordering::Relaxed)
     }
 
     /// Record `n` rows walked by a full table scan. A batched scan counts

@@ -188,6 +188,10 @@ pub struct DbStats {
     /// Rows walked by full table scans (`full_scans` counts scans once
     /// each; this counts their rows, for rows/sec reporting).
     pub full_scan_rows: u64,
+    /// Compiled single-table walks that stopped at OFFSET + LIMIT rows:
+    /// the walk served the output order (an order-serving index walk or
+    /// no ORDER BY) and its WHERE, if any, ran during the walk.
+    pub limit_pushdowns: u64,
     /// Compiled join steps executed as a vectorized hash join.
     pub hash_joins: u64,
     /// Compiled join steps executed as an index nested-loop probe.
@@ -946,6 +950,7 @@ impl Database {
             batched_rows: catalog.batched_rows(),
             hash_aggs: catalog.hash_aggs(),
             full_scan_rows: catalog.full_scan_rows(),
+            limit_pushdowns: catalog.limit_pushdowns(),
             hash_joins: catalog.hash_joins(),
             index_nl_joins: catalog.index_nl_joins(),
             join_build_rows: catalog.join_build_rows(),

@@ -29,7 +29,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::ast::JoinKind;
-use crate::bound::{eval_bound_batch, filter_bound_batch, BoundCtx, BoundExpr};
+use crate::bound::{eval_bound_batch, filter_bound_batch, flatten_col_cmps, BoundCtx, BoundExpr};
 use crate::catalog::Catalog;
 use crate::db::QueryResult;
 use crate::error::SqlResult;
@@ -104,22 +104,19 @@ pub struct BatchScratch {
 
 /// Materialize the access path as *borrowed* rows, in exactly the
 /// physical order the interpreter's scan would produce, ticking the
-/// same scan counters. `pushdown` stops the walk after N rows (callers
-/// establish the no-filter / order-served / no-distinct conditions that
-/// make this safe).
+/// same scan counters and `batched_rows`.
 fn gather_rows<'t>(
     catalog: &Catalog,
     table: &'t Table,
     access: &Access,
     ctx: &BoundCtx<'_>,
     evals: &mut Evals,
-    pushdown: Option<usize>,
 ) -> SqlResult<Vec<&'t [Value]>> {
-    let rows = access.probe(ctx, evals)?.rows(catalog, ctx.snap, table);
-    Ok(rows
-        .map(|(_, row)| row.as_slice())
-        .take(pushdown.unwrap_or(usize::MAX))
-        .collect())
+    let rows: Vec<&[Value]> = (access.probe(ctx, evals)?.rows(catalog, ctx.snap, table))
+        .map(|(_, row)| &**row)
+        .collect();
+    catalog.note_batched_rows(rows.len() as u64);
+    Ok(rows)
 }
 
 /// Gather one join side as *borrowed* rows in rowid order — the order
@@ -142,7 +139,7 @@ fn gather_side<'t>(
     let key_major = matches!(probe, Probe::Range { .. });
     let rows = probe
         .rows(catalog, ctx.snap, table)
-        .map(|(id, row)| (id, row.as_slice()))
+        .map(|(id, row)| (id, &**row))
         .filter(|(_, r)| keep(r));
     if !key_major {
         return Ok(rows.map(|(_, r)| r).collect());
@@ -298,7 +295,7 @@ fn inl_join(
         right.extend(
             table
                 .index_eq(ctx.snap, index, &probe)
-                .map(|(_, r)| r.as_slice())
+                .map(|(_, r)| &**r)
                 .filter(|r| side.prefilter.iter().all(|c| c.passes(r))),
         );
         right_matched.clear();
@@ -522,7 +519,7 @@ fn run_join(
 /// Returns the number of filter passes. With no filter the selection is
 /// the identity — every gathered row, in arrival order.
 fn fill_selection(
-    filter: &Option<BoundExpr>,
+    filter: Option<&BoundExpr>,
     ctx: &BoundCtx<'_>,
     rows: &[&[Value]],
     evals: &mut Evals,
@@ -861,49 +858,85 @@ pub fn run_select_batched(
         InputPlan::Single { table, access } => {
             let table = catalog.table(table)?;
 
-            // Limit pushdown into an order-serving index walk: with no
-            // filter the id→row mapping is 1:1, so rows past
-            // OFFSET+LIMIT can never reach the output.
-            let pushdown = if plan.filter.is_none() && plan.order_served && !plan.distinct {
-                limit.map(|n| n.saturating_add(offset.unwrap_or(0)))
-            } else {
-                None
+            // Limit pushdown into the walk: when only the first
+            // OFFSET+LIMIT rows that pass the WHERE can reach the output,
+            // a WHERE of infallible comparisons runs during the walk and
+            // the walk stops at the last of those rows. Any other WHERE
+            // runs over every row after the walk, as in the interpreter,
+            // so its errors surface on the same row.
+            let mut cmps = Vec::new();
+            let stop = match limit {
+                Some(n)
+                    if plan.limit_cuts_input()
+                        && (plan.filter.as_ref())
+                            .is_none_or(|p| flatten_col_cmps(p, &ctx, &mut cmps)) =>
+                {
+                    Some(n.saturating_add(offset.unwrap_or(0)))
+                }
+                _ => None,
             };
-
-            let rows = gather_rows(catalog, &table, access, &ctx, &mut evals, pushdown)?;
-            catalog.note_batched_rows(rows.len() as u64);
-            select_tail(catalog, plan, &ctx, evals, scratch, &rows, offset, limit)
+            if let Some(n) = stop {
+                catalog.note_limit_pushdown();
+                let mut walked = 0u64;
+                let rows: Vec<&[Value]> = (access.probe(&ctx, &mut evals)?)
+                    .rows(catalog, snap, &table)
+                    .inspect(|_| walked += 1)
+                    .map(|(_, row)| &**row)
+                    .filter(|row| cmps.iter().all(|m| m.passes(row)))
+                    .take(n)
+                    .collect();
+                catalog.note_batched_rows(walked);
+                let mut passes = 0;
+                if plan.filter.is_some() {
+                    evals.0 += walked;
+                    passes = walked.div_ceil(BATCH_SIZE as u64);
+                }
+                return select_tail(
+                    catalog, plan, &ctx, evals, passes, scratch, &rows, None, offset, limit,
+                );
+            }
+            let rows = gather_rows(catalog, &table, access, &ctx, &mut evals)?;
+            let filter = plan.filter.as_ref();
+            select_tail(
+                catalog, plan, &ctx, evals, 0, scratch, &rows, filter, offset, limit,
+            )
         }
         InputPlan::Join(jp) => {
             let joined = run_join(catalog, jp, &ctx, &mut evals)?;
             catalog.note_batched_rows(joined.len() as u64);
             let rows: Vec<&[Value]> = joined.iter().map(Vec::as_slice).collect();
-            select_tail(catalog, plan, &ctx, evals, scratch, &rows, offset, limit)
+            let filter = plan.filter.as_ref();
+            select_tail(
+                catalog, plan, &ctx, evals, 0, scratch, &rows, filter, offset, limit,
+            )
         }
     }
 }
 
 /// The shared `SELECT` tail over gathered (or joined) input rows:
-/// WHERE selection → fused projection/ORDER-key pass (optionally into a
-/// top-K heap) → DISTINCT/sort/OFFSET/LIMIT. Joined inputs never have
-/// `order_served` set, so the truncate and top-K conditions degrade to
-/// the plain paths for them.
+/// `filter` selection (the WHERE, unless the walk already ran it) →
+/// fused projection/ORDER-key pass (optionally into a top-K heap) →
+/// DISTINCT/sort/OFFSET/LIMIT. `passes` are the batch passes the input
+/// already cost. Joined inputs never have `order_served` set, so the
+/// top-K condition degrades to the plain path for them.
 #[allow(clippy::too_many_arguments)]
 fn select_tail(
     catalog: &Catalog,
     plan: &SelectPlan,
     ctx: &BoundCtx<'_>,
     mut evals: Evals,
+    mut passes: u64,
     scratch: &mut BatchScratch,
     rows: &[&[Value]],
+    filter: Option<&BoundExpr>,
     offset: Option<usize>,
     limit: Option<usize>,
 ) -> SqlResult<QueryResult> {
-    let mut passes = fill_selection(&plan.filter, ctx, rows, &mut evals, &mut scratch.sel)?;
+    passes += fill_selection(filter, ctx, rows, &mut evals, &mut scratch.sel)?;
 
     // Post-filter limit pushdown (mirrors the interpreter's truncate of
-    // the kept set when the walk serves the order).
-    if plan.order_served && !plan.distinct {
+    // the kept set when the input is in output order).
+    if plan.limit_cuts_input() {
         if let Some(n) = limit {
             scratch.sel.truncate(n.saturating_add(offset.unwrap_or(0)));
         }
@@ -993,7 +1026,7 @@ fn run_agg_staged(
     single_col: Option<usize>,
 ) -> SqlResult<Vec<Vec<Value>>> {
     let one_pass = inline.is_some();
-    *passes += fill_selection(&plan.filter, ctx, rows, evals, &mut scratch.sel)?;
+    *passes += fill_selection(plan.filter.as_ref(), ctx, rows, evals, &mut scratch.sel)?;
 
     // Pass 1 — group keys over the selection, row-major, groups kept in
     // first-seen order.
@@ -1168,17 +1201,17 @@ pub fn run_agg_plan(
     let mut cmps = Vec::new();
     let tight_filter = match &plan.filter {
         None => true,
-        Some(p) => crate::bound::flatten_col_cmps(p, &ctx, &mut cmps),
+        Some(p) => flatten_col_cmps(p, &ctx, &mut cmps),
     };
     let mut passes = 0u64;
 
-    // Fully-streamed specialization (single-table full scans only):
-    // full scan + comparison-only filter + single stored-column key +
-    // inline accumulators means the whole aggregation folds in ONE walk
-    // over the table — no gathered row vector, no selection vector.
-    // Fusing the stages is unobservable because every per-row step here
-    // is infallible (comparisons and column loads cannot error;
-    // accumulation defers its sole error to finalization), so no
+    // Streamed specialization (single-table full scans only): full scan
+    // + comparison-only filter + single stored-column key + inline
+    // accumulators means the whole aggregation folds in ONE walk over
+    // the table, `BATCH_SIZE` rows at a time — no whole-table row
+    // vector. Fusing the stages is unobservable because every per-row
+    // step here is infallible (comparisons and column loads cannot
+    // error; accumulation defers its sole error to finalization), so no
     // cross-stage error precedence exists to disturb, and groups still
     // appear in first-seen scan order.
     let mut vrows: Vec<Vec<Value>> = match &plan.input {
@@ -1207,30 +1240,50 @@ pub fn run_agg_plan(
                 _ => None,
             };
             if let Some((c, tmpl)) = streamable {
-                let rows = access.probe(&ctx, &mut evals)?.rows(catalog, snap, &table);
+                let mut rows = access.probe(&ctx, &mut evals)?.rows(catalog, snap, &table);
                 let mut groups: FxMap<Value, usize> = FxMap::default();
                 // (representative base row, accumulators), first-seen order.
                 let mut sgroups: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
                 let mut walked = 0u64;
                 let mut kept = 0u64;
-                for (_, row) in rows {
-                    walked += 1;
-                    let row: &[Value] = row;
-                    if !cmps.iter().all(|m| m.passes(row)) {
-                        continue;
+                // Gather a batch of rows, filter it, then fold the rows
+                // that passed: the loads of different rows' payloads
+                // overlap instead of waiting on each other row by row.
+                // The buffers live on the stack: connections are often
+                // opened per statement, so per-connection scratch would
+                // allocate again each time.
+                let mut batch: [&[Value]; BATCH_SIZE] = [&[]; BATCH_SIZE];
+                let mut sel = [0u32; BATCH_SIZE];
+                loop {
+                    let mut n = 0;
+                    for (slot, (_, row)) in batch.iter_mut().zip(rows.by_ref()) {
+                        *slot = row;
+                        n += 1;
                     }
-                    kept += 1;
-                    let g = match groups.get(&row[c]) {
-                        Some(&g) => g,
-                        None => {
-                            let g = sgroups.len();
-                            groups.insert(row[c].clone(), g);
-                            sgroups.push((row.to_vec(), tmpl.clone()));
-                            g
+                    if n == 0 {
+                        break;
+                    }
+                    let mut passed = 0;
+                    for (i, row) in batch[..n].iter().enumerate() {
+                        sel[passed] = i as u32;
+                        passed += cmps.iter().all(|m| m.passes(row)) as usize;
+                    }
+                    walked += n as u64;
+                    kept += passed as u64;
+                    for &i in &sel[..passed] {
+                        let row = batch[i as usize];
+                        let g = match groups.get(&row[c]) {
+                            Some(&g) => g,
+                            None => {
+                                let g = sgroups.len();
+                                groups.insert(row[c].clone(), g);
+                                sgroups.push((row.to_vec(), tmpl.clone()));
+                                g
+                            }
+                        };
+                        for a in &mut sgroups[g].1 {
+                            a.update(row);
                         }
-                    };
-                    for a in &mut sgroups[g].1 {
-                        a.update(row);
                     }
                 }
                 catalog.note_batched_rows(walked);
@@ -1256,8 +1309,7 @@ pub fn run_agg_plan(
                 }
                 vrows
             } else {
-                let rows = gather_rows(catalog, &table, access, &ctx, &mut evals, None)?;
-                catalog.note_batched_rows(rows.len() as u64);
+                let rows = gather_rows(catalog, &table, access, &ctx, &mut evals)?;
                 run_agg_staged(
                     catalog,
                     plan,

@@ -172,7 +172,7 @@ fn for_each_candidate(
     snap: &Snapshot,
     table: &Table,
     probe: Probe,
-    mut visit: impl FnMut(RowId, &Row) -> SqlResult<()>,
+    mut visit: impl FnMut(RowId, &[Value]) -> SqlResult<()>,
 ) -> SqlResult<()> {
     let key_major = matches!(probe, Probe::Range { .. });
     let mut rows = probe.rows(catalog, snap, table);

@@ -12,13 +12,12 @@ pub mod dml;
 pub mod select;
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::db::StatementResult;
 use crate::error::{SqlError, SqlResult};
-use crate::storage::{IndexCursor, Row, RowId, Snapshot, SortKey, Table, Walk};
+use crate::storage::{IndexCursor, RowId, Snapshot, SortKey, StoredRow, Table, Walk};
 use crate::txn::UndoLog;
 use crate::types::Value;
 
@@ -100,7 +99,7 @@ pub(crate) enum ProbeRows<'t, 'a> {
 }
 
 impl<'t> Iterator for ProbeRows<'t, '_> {
-    type Item = (RowId, &'t Arc<Row>);
+    type Item = (RowId, &'t StoredRow);
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {

@@ -17,13 +17,13 @@ use crate::db::QueryResult;
 use crate::error::{SqlError, SqlResult};
 use crate::exec::Probe;
 use crate::expr::{aggregate_key, eval, eval_predicate, is_aggregate_name, EvalCtx, RowSchema};
-use crate::storage::{Row, Snapshot};
+use crate::storage::{Snapshot, StoredRow};
 use crate::types::Value;
 
 /// One logical row to project: the source row plus its pre-computed
 /// aggregate values (grouped queries only). The source row is shared with
 /// the pipeline input, so grouping never deep-copies row data.
-type GroupedRow = (Arc<Row>, Option<HashMap<String, Value>>);
+type GroupedRow = (StoredRow, Option<HashMap<String, Value>>);
 
 /// A materialized intermediate row set. Rows are `Arc`-shared: a base
 /// table scan hands out pointers to stored rows, and derived rows (joins,
@@ -31,7 +31,7 @@ type GroupedRow = (Arc<Row>, Option<HashMap<String, Value>>);
 #[derive(Debug, Clone)]
 pub(crate) struct Rows {
     pub schema: RowSchema,
-    pub rows: Vec<Arc<Row>>,
+    pub rows: Vec<StoredRow>,
 }
 
 /// Run a `SELECT` and materialize its result.
@@ -87,7 +87,7 @@ pub fn run_select(
         None => (
             Rows {
                 schema: RowSchema::empty(),
-                rows: vec![Arc::new(Vec::new())],
+                rows: vec![StoredRow::from(Vec::new())],
             },
             None,
         ),
@@ -165,11 +165,12 @@ pub fn run_select(
         });
 
     // Limit pushdown: once WHERE/HAVING/grouping have run, nothing below
-    // drops or reorders rows when the scan already serves the ORDER BY
-    // (and DISTINCT is absent), so only the first OFFSET+LIMIT candidates
-    // can reach the output.
+    // drops or reorders rows when the scan already serves the ORDER BY,
+    // or an ungrouped statement has none (and DISTINCT is absent), so
+    // only the first OFFSET+LIMIT candidates can reach the output.
     let mut groups = groups;
-    if order_served && !stmt.distinct {
+    let input_ordered = order_served || (!needs_grouping && stmt.order_by.is_empty());
+    if input_ordered && !stmt.distinct {
         if let Some(n) = limit {
             groups.truncate(n.saturating_add(offset.unwrap_or(0)));
         }
@@ -498,7 +499,7 @@ fn try_index_scan(
         Probe::Range { col, rev, .. } => Some((*col, *rev)),
         _ => None,
     };
-    let rows: Vec<Arc<Row>> = probe
+    let rows: Vec<StoredRow> = probe
         .rows(catalog, ctx.snap, &table)
         .map(|(_, row)| Arc::clone(row))
         .collect();
@@ -821,7 +822,7 @@ fn scan_table_ref(catalog: &Catalog, tref: &TableRef, ctx: &EvalCtx<'_>) -> SqlR
                 let schema = RowSchema::for_binding(&binding, &rs.columns);
                 return Ok(Rows {
                     schema,
-                    rows: rs.rows.into_iter().map(Arc::new).collect(),
+                    rows: rs.rows.into_iter().map(StoredRow::from).collect(),
                 });
             }
             let table = catalog.table(name)?;
@@ -829,7 +830,7 @@ fn scan_table_ref(catalog: &Catalog, tref: &TableRef, ctx: &EvalCtx<'_>) -> SqlR
             let schema =
                 RowSchema::for_binding(&binding, table.schema.columns.iter().map(|c| &c.name));
             // Arc clones: the scan shares stored rows, no deep copy.
-            let rows: Vec<Arc<Row>> = Probe::Full
+            let rows: Vec<StoredRow> = Probe::Full
                 .rows(catalog, ctx.snap, &table)
                 .map(|(_, r)| Arc::clone(r))
                 .collect();
@@ -844,7 +845,7 @@ fn scan_table_ref(catalog: &Catalog, tref: &TableRef, ctx: &EvalCtx<'_>) -> SqlR
             let schema = RowSchema::for_binding(&binding, &rs.columns);
             Ok(Rows {
                 schema,
-                rows: rs.rows.into_iter().map(Arc::new).collect(),
+                rows: rs.rows.into_iter().map(StoredRow::from).collect(),
             })
         }
     }
@@ -931,7 +932,7 @@ fn join_rows(left: Rows, right: Rows, join: &Join, ctx: &EvalCtx<'_>) -> SqlResu
                     let mut row = Vec::with_capacity(left_width + right_width);
                     row.extend(l.iter().cloned());
                     row.extend(r.iter().cloned());
-                    out.push(Arc::new(row));
+                    out.push(StoredRow::from(row));
                 }
             }
         }
@@ -1007,13 +1008,13 @@ fn join_rows(left: Rows, right: Rows, join: &Join, ctx: &EvalCtx<'_>) -> SqlResu
                     if ok {
                         matched = true;
                         right_matched[ri] = true;
-                        out.push(Arc::new(row));
+                        out.push(StoredRow::from(row));
                     }
                 }
                 if !matched && join.kind == JoinKind::Left {
                     let mut row: Vec<Value> = l.iter().cloned().collect();
                     row.extend(std::iter::repeat_n(Value::Null, right_width));
-                    out.push(Arc::new(row));
+                    out.push(StoredRow::from(row));
                 }
             }
             if join.kind == JoinKind::Right {
@@ -1022,7 +1023,7 @@ fn join_rows(left: Rows, right: Rows, join: &Join, ctx: &EvalCtx<'_>) -> SqlResu
                         let mut row: Vec<Value> =
                             std::iter::repeat_n(Value::Null, left_width).collect();
                         row.extend(right.rows[ri].iter().cloned());
-                        out.push(Arc::new(row));
+                        out.push(StoredRow::from(row));
                     }
                 }
             }
@@ -1119,7 +1120,7 @@ fn group_rows(stmt: &SelectStmt, input: &Rows, ctx: &EvalCtx<'_>) -> SqlResult<V
         let repr = members
             .first()
             .map(|&i| input.rows[i].clone())
-            .unwrap_or_else(|| Arc::new(vec![Value::Null; input.schema.len()]));
+            .unwrap_or_else(|| StoredRow::from(vec![Value::Null; input.schema.len()]));
         out.push((repr, Some(aggs)));
     }
     Ok(out)

@@ -193,6 +193,16 @@ pub struct SelectPlan {
     pub(crate) offset: Option<BoundExpr>,
 }
 
+impl SelectPlan {
+    /// Are the first OFFSET + LIMIT rows that pass the WHERE, in input
+    /// order, exactly the rows the output is cut from? They are when the
+    /// input already is in output order (the access path serves the
+    /// ORDER BY, or there is none) and no DISTINCT can drop a row.
+    pub(crate) fn limit_cuts_input(&self) -> bool {
+        (self.order_served || self.order.is_empty()) && !self.distinct
+    }
+}
+
 /// One aggregate call site of an [`AggPlan`], argument pre-bound against
 /// the base row. `arg == None` encodes `COUNT(*)`; lowering declines
 /// `*` under any other aggregate so the interpreter raises its canonical

@@ -1,14 +1,17 @@
 //! Row storage: multi-versioned tables with stable row ids and B-tree
 //! secondary indexes.
 //!
-//! Rows live in a `BTreeMap<RowId, Chain>` where each chain is a short
-//! vector of row *versions* ordered oldest→newest. A version carries a
-//! commit stamp (an `Arc<AtomicU64>`; `0` = still uncommitted) and an
-//! optional `Arc<Row>` payload (`None` = deletion tombstone). Ids stay
-//! stable across deletes (the undo log and the indexes both key on
-//! [`RowId`]) and read paths *share* a row instead of deep-copying it:
-//! a scan hands out `Arc` clones, and mutation pushes a new version
-//! (copy-on-write at row granularity).
+//! Rows live in a row map: version chains indexed by row id, in chunks
+//! of `CHUNK_SLOTS` (64) consecutive ids. Each chain holds the row's
+//! *versions* ordered oldest→newest — inline when there is one (the
+//! common case), spilled to a vector when there are more. A version
+//! carries a commit stamp (an `Arc<AtomicU64>`; `0` = still uncommitted)
+//! and an optional [`StoredRow`] payload (`None` = deletion tombstone),
+//! whose refcounts and cells share one allocation. Ids stay stable
+//! across deletes (the undo log and the indexes both key on [`RowId`])
+//! and read paths *share* a row instead of deep-copying it: a scan
+//! borrows rows, the interpreter and undo entries clone the `Arc`, and
+//! mutation pushes a new version (copy-on-write at row granularity).
 //!
 //! One visibility rule: every read and write that depends on visibility
 //! takes an explicit [`Snapshot`]. A read resolves each chain newest
@@ -39,7 +42,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{btree_map, btree_set, BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::ops::{Bound, Deref};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
 use std::sync::{Arc, OnceLock};
 
@@ -50,8 +53,14 @@ use crate::types::Value;
 /// Stable identifier of a row within one table.
 pub type RowId = u64;
 
-/// A stored row; always has exactly `schema.columns.len()` values.
+/// An owned row: what inserts, updates and recovery hand the table.
+/// Always has exactly `schema.columns.len()` values once normalized.
 pub type Row = Vec<Value>;
+
+/// A stored row image, shared by its version chain, undo entries and
+/// interpreted scans. The refcounts and the cells share one allocation,
+/// so reaching a cell from the chain is one pointer hop.
+pub type StoredRow = Arc<[Value]>;
 
 /// A transaction/statement commit stamp. `0` means uncommitted; commit
 /// stores the commit timestamp, atomically publishing every version that
@@ -126,7 +135,7 @@ impl Default for MvccShared {
 #[derive(Debug, Clone)]
 struct RowVersion {
     begin: TxnStamp,
-    row: Option<Arc<Row>>,
+    row: Option<StoredRow>,
 }
 
 impl RowVersion {
@@ -135,53 +144,222 @@ impl RowVersion {
     }
 }
 
-/// A row's version chain, oldest first. Most chains hold one committed
-/// version; writes push, trims and GC sweeps drop.
-#[derive(Debug, Clone, Default)]
-struct Chain {
-    versions: Vec<RowVersion>,
+/// A row's version chain, oldest first, never empty. A chain with one
+/// version keeps it inline, so a scan reaches the row payload without
+/// a hop through a vector; writes spill it to [`Chain::Many`], and a
+/// trim or undo that leaves one version brings it back inline. Derefs
+/// to the versions as a slice.
+#[derive(Debug, Clone)]
+enum Chain {
+    One(RowVersion),
+    /// Two or more versions.
+    Many(Vec<RowVersion>),
+}
+
+impl Deref for Chain {
+    type Target = [RowVersion];
+
+    #[inline]
+    fn deref(&self) -> &[RowVersion] {
+        match self {
+            Chain::One(v) => std::slice::from_ref(v),
+            Chain::Many(vs) => vs,
+        }
+    }
 }
 
 impl Chain {
-    fn single(begin: TxnStamp, row: Arc<Row>) -> Chain {
-        Chain {
-            versions: vec![RowVersion {
-                begin,
-                row: Some(row),
-            }],
+    fn single(begin: TxnStamp, row: StoredRow) -> Chain {
+        Chain::One(RowVersion {
+            begin,
+            row: Some(row),
+        })
+    }
+
+    /// Append a newer version, spilling an inline chain.
+    fn push(&mut self, version: RowVersion) {
+        match self {
+            Chain::Many(vs) => vs.push(version),
+            Chain::One(_) => {
+                let Chain::One(first) = std::mem::replace(self, Chain::Many(Vec::new())) else {
+                    unreachable!("matched One above");
+                };
+                *self = Chain::Many(vec![first, version]);
+            }
+        }
+    }
+
+    /// Remove the version at `pos` from a chain of two or more, going
+    /// inline again when one is left.
+    fn remove(&mut self, pos: usize) -> RowVersion {
+        let Chain::Many(vs) = self else {
+            unreachable!("removing from a one-version chain empties it");
+        };
+        let removed = vs.remove(pos);
+        self.inline_if_single();
+        removed
+    }
+
+    /// Drop the `n` oldest versions, keeping at least one; go inline
+    /// again when one is left.
+    fn drop_oldest(&mut self, n: usize) {
+        if let Chain::Many(vs) = self {
+            vs.drain(..n);
+            self.inline_if_single();
+        }
+    }
+
+    fn inline_if_single(&mut self) {
+        if let Chain::Many(vs) = self {
+            if vs.len() == 1 {
+                let only = vs.pop().expect("one version");
+                *self = Chain::One(only);
+            }
         }
     }
 
     /// The newest version's payload — the "physical latest" row the WAL
     /// after-image derivation reads. `None` when the newest version is a
     /// tombstone.
-    fn latest(&self) -> Option<&Arc<Row>> {
-        self.versions.last().and_then(|v| v.row.as_ref())
+    fn latest(&self) -> Option<&StoredRow> {
+        self.last().and_then(|v| v.row.as_ref())
     }
 
     /// Is the newest version a live row (not a tombstone)?
     fn top_is_live(&self) -> bool {
-        self.versions.last().is_some_and(|v| v.row.is_some())
+        self.last().is_some_and(|v| v.row.is_some())
     }
 
     /// Does a sweep have work here: a superseded version or a tombstone?
     fn is_garbage(&self) -> bool {
-        self.versions.len() > 1 || !self.top_is_live()
+        self.len() > 1 || !self.top_is_live()
     }
 
     /// Resolve against a snapshot: newest first, first own-or-committed
     /// version wins; its tombstone means "not visible".
-    fn visible(&self, snap: &Snapshot) -> Option<&Arc<Row>> {
-        for v in self.versions.iter().rev() {
-            if Arc::ptr_eq(&v.begin, &snap.stamp) {
-                return v.row.as_ref();
-            }
-            let ts = v.committed_at();
-            if ts != 0 && ts <= snap.ts {
-                return v.row.as_ref();
-            }
+    #[inline]
+    fn visible(&self, snap: &Snapshot) -> Option<&StoredRow> {
+        self.iter()
+            .rev()
+            .find(|v| {
+                if Arc::ptr_eq(&v.begin, &snap.stamp) {
+                    return true;
+                }
+                let ts = v.committed_at();
+                ts != 0 && ts <= snap.ts
+            })
+            .and_then(|v| v.row.as_ref())
+    }
+}
+
+/// Row ids per [`RowMap`] chunk.
+const CHUNK_SLOTS: usize = 64;
+
+/// One chunk of a [`RowMap`]: slot `i` holds the chain of row
+/// `chunk * CHUNK_SLOTS + i`. The slot vector grows on demand up to
+/// [`CHUNK_SLOTS`], so a table of a few rows pays for a few slots.
+#[derive(Debug, Clone, Default)]
+struct Chunk {
+    slots: Vec<Option<Chain>>,
+    /// Occupied slots; the chunk is freed when the last one empties.
+    used: u32,
+}
+
+/// The chains of a table, indexed by row id: a `BTreeMap` from chunk
+/// number to a chunk of [`CHUNK_SLOTS`] slots. A lookup is one map
+/// lookup plus an array index, and a walk visits ids in ascending
+/// order, stepping through each chunk's slots in sequence. Ids are
+/// never compacted — WAL records and indexes name them — so memory is
+/// bounded instead by freeing a chunk with its last row: at most
+/// `CHUNK_SLOTS - 1` empty slots per live chain.
+#[derive(Debug, Clone, Default)]
+struct RowMap {
+    chunks: BTreeMap<u64, Chunk>,
+}
+
+/// The chunk number and slot of `id`.
+fn chunk_slot(id: RowId) -> (u64, usize) {
+    (id / CHUNK_SLOTS as u64, (id % CHUNK_SLOTS as u64) as usize)
+}
+
+impl RowMap {
+    fn get(&self, id: RowId) -> Option<&Chain> {
+        let (c, s) = chunk_slot(id);
+        self.chunks.get(&c)?.slots.get(s)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: RowId) -> Option<&mut Chain> {
+        let (c, s) = chunk_slot(id);
+        self.chunks.get_mut(&c)?.slots.get_mut(s)?.as_mut()
+    }
+
+    /// Put `chain` at `id`, returning the chain it replaced.
+    fn insert(&mut self, id: RowId, chain: Chain) -> Option<Chain> {
+        let (c, s) = chunk_slot(id);
+        let chunk = self.chunks.entry(c).or_default();
+        if chunk.slots.len() <= s {
+            chunk.slots.resize_with(s + 1, || None);
         }
-        None
+        let old = chunk.slots[s].replace(chain);
+        if old.is_none() {
+            chunk.used += 1;
+        }
+        old
+    }
+
+    /// Take the chain at `id` out, freeing its chunk if it was the last.
+    fn remove(&mut self, id: RowId) -> Option<Chain> {
+        let (c, s) = chunk_slot(id);
+        let btree_map::Entry::Occupied(mut entry) = self.chunks.entry(c) else {
+            return None;
+        };
+        let chain = entry.get_mut().slots.get_mut(s)?.take()?;
+        entry.get_mut().used -= 1;
+        if entry.get().used == 0 {
+            entry.remove();
+        }
+        Some(chain)
+    }
+
+    /// Every chain with its id, ids ascending.
+    fn iter(&self) -> Chains<'_> {
+        Chains {
+            chunks: self.chunks.iter(),
+            base: 0,
+            slots: [].iter().enumerate(),
+        }
+    }
+
+    /// Allocated chunks — test aid for the memory bound.
+    #[cfg(test)]
+    fn chunk_count(&self) -> usize {
+        self.chunks.len()
+    }
+}
+
+/// The chains of a [`RowMap`] in ascending id order ([`RowMap::iter`]).
+struct Chains<'t> {
+    chunks: btree_map::Iter<'t, u64, Chunk>,
+    /// The first id of the chunk being visited.
+    base: RowId,
+    slots: std::iter::Enumerate<std::slice::Iter<'t, Option<Chain>>>,
+}
+
+impl<'t> Iterator for Chains<'t> {
+    type Item = (RowId, &'t Chain);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            for (i, slot) in self.slots.by_ref() {
+                if let Some(chain) = slot {
+                    return Some((self.base + i as RowId, chain));
+                }
+            }
+            let (c, chunk) = self.chunks.next()?;
+            self.base = c * CHUNK_SLOTS as RowId;
+            self.slots = chunk.slots.iter().enumerate();
+        }
     }
 }
 
@@ -218,7 +396,7 @@ pub struct Index {
 }
 
 impl Index {
-    fn key_of(&self, row: &Row) -> SortKey {
+    fn key_of(&self, row: &[Value]) -> SortKey {
         SortKey(self.columns.iter().map(|&i| row[i].clone()).collect())
     }
 
@@ -228,23 +406,23 @@ impl Index {
 
     /// Does the row's index key contain a NULL? Borrowed counterpart of
     /// [`Index::key_has_null`], used to skip key construction entirely.
-    fn row_key_has_null(&self, row: &Row) -> bool {
+    fn row_key_has_null(&self, row: &[Value]) -> bool {
         self.columns.iter().any(|&i| row[i].is_null())
     }
 
     /// Do two rows carry the same key under this index? Compares the key
     /// columns in place, with the index map's own equality.
-    fn same_key(&self, a: &Row, b: &Row) -> bool {
+    fn same_key(&self, a: &[Value], b: &[Value]) -> bool {
         self.columns.iter().all(|&i| a[i] == b[i])
     }
 
     /// Does `row` carry `key` under this index? [`Index::same_key`]
     /// against an already-built key.
-    fn carries_key(&self, row: &Row, key: &SortKey) -> bool {
+    fn carries_key(&self, row: &[Value], key: &SortKey) -> bool {
         self.columns.iter().zip(&key.0).all(|(&i, k)| row[i] == *k)
     }
 
-    fn add_entry(&mut self, row: &Row, id: RowId) {
+    fn add_entry(&mut self, row: &[Value], id: RowId) {
         let key = self.key_of(row);
         self.map.entry(key).or_default().insert(id);
     }
@@ -280,7 +458,7 @@ fn unindex_unless_retained(
     indexes: &mut [Index],
     retained: &[RowVersion],
     id: RowId,
-    dropped: &Row,
+    dropped: &[Value],
 ) {
     for idx in indexes.iter_mut() {
         let retained = retained
@@ -313,8 +491,8 @@ struct ChainTally<'t> {
 impl ChainTally<'_> {
     /// Resolve `chain` under `snap`, counting it if it has more than one
     /// version.
-    fn resolve<'c>(&mut self, snap: &Snapshot, chain: &'c Chain) -> Option<&'c Arc<Row>> {
-        if chain.versions.len() > 1 {
+    fn resolve<'c>(&mut self, snap: &Snapshot, chain: &'c Chain) -> Option<&'c StoredRow> {
+        if chain.len() > 1 {
             self.walked += 1;
         }
         chain.visible(snap)
@@ -335,18 +513,19 @@ impl Drop for ChainTally<'_> {
 /// ([`Table::iter`]). Multi-version chains it resolves are added to
 /// [`MvccShared::chains_walked`] when the walk is dropped.
 pub struct Walk<'t, 's> {
-    chains: btree_map::Iter<'t, RowId, Chain>,
+    chains: Chains<'t>,
     snap: &'s Snapshot,
     tally: ChainTally<'t>,
 }
 
 impl<'t> Iterator for Walk<'t, '_> {
-    type Item = (RowId, &'t Arc<Row>);
+    type Item = (RowId, &'t StoredRow);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         for (id, chain) in self.chains.by_ref() {
             if let Some(row) = self.tally.resolve(self.snap, chain) {
-                return Some((*id, row));
+                return Some((id, row));
             }
         }
         None
@@ -363,7 +542,7 @@ impl<'t> Iterator for Walk<'t, '_> {
 /// a walk stopped early has resolved (and counted into
 /// [`MvccShared::chains_walked`]) only the entries it reached.
 pub struct IndexCursor<'t, 's> {
-    rows: &'t BTreeMap<RowId, Chain>,
+    rows: &'t RowMap,
     index: &'t Index,
     snap: &'s Snapshot,
     /// The keys still to visit; `None` for a point lookup.
@@ -375,19 +554,19 @@ pub struct IndexCursor<'t, 's> {
 }
 
 impl<'t> Iterator for IndexCursor<'t, '_> {
-    type Item = (RowId, &'t Arc<Row>);
+    type Item = (RowId, &'t StoredRow);
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             if let Some((key, ids)) = &mut self.current {
                 for &id in ids.by_ref() {
-                    let Some(chain) = self.rows.get(&id) else {
+                    let Some(chain) = self.rows.get(id) else {
                         continue;
                     };
                     let Some(row) = self.tally.resolve(self.snap, chain) else {
                         continue;
                     };
-                    if chain.versions.len() > 1 && !self.index.carries_key(row, key) {
+                    if chain.len() > 1 && !self.index.carries_key(row, key) {
                         continue;
                     }
                     return Some((id, row));
@@ -409,7 +588,7 @@ impl<'t> Iterator for IndexCursor<'t, '_> {
 /// future snapshot may still need it) and everything newer; drop all
 /// older versions. Returns how many versions were dropped.
 fn trim_chain(indexes: &mut [Index], id: RowId, chain: &mut Chain, floor: u64) -> u64 {
-    let Some(anchor) = chain.versions.iter().rposition(|v| {
+    let Some(anchor) = chain.iter().rposition(|v| {
         let ts = v.committed_at();
         ts != 0 && ts <= floor
     }) else {
@@ -418,11 +597,11 @@ fn trim_chain(indexes: &mut [Index], id: RowId, chain: &mut Chain, floor: u64) -
     if anchor == 0 {
         return 0;
     }
-    let (removed, retained) = chain.versions.split_at(anchor);
+    let (removed, retained) = chain.split_at(anchor);
     for r in removed.iter().filter_map(|v| v.row.as_deref()) {
         unindex_unless_retained(indexes, retained, id, r);
     }
-    chain.versions.drain(..anchor);
+    chain.drop_oldest(anchor);
     anchor as u64
 }
 
@@ -432,7 +611,7 @@ pub struct Table {
     /// Shared, so undo entries and the log can name the table (and know
     /// whether it is temporary) without a catalog lookup.
     pub schema: Arc<TableSchema>,
-    rows: BTreeMap<RowId, Chain>,
+    rows: RowMap,
     /// Number of chains whose newest version is a live row (the physical
     /// `len()`); maintained incrementally by every mutation.
     live: usize,
@@ -451,7 +630,7 @@ impl Table {
     /// for `UNIQUE` columns.
     pub fn new(schema: TableSchema) -> Table {
         let mut t = Table {
-            rows: BTreeMap::new(),
+            rows: RowMap::default(),
             live: 0,
             next_row_id: 1,
             indexes: Vec::new(),
@@ -527,14 +706,14 @@ impl Table {
     /// Fetch one row's newest version — the *physical* latest, whatever
     /// its stamp. WAL after-image derivation depends on this; snapshot
     /// readers use [`Table::get_visible`].
-    pub fn get(&self, id: RowId) -> Option<&Arc<Row>> {
-        self.rows.get(&id).and_then(|c| c.latest())
+    pub fn get(&self, id: RowId) -> Option<&StoredRow> {
+        self.rows.get(id).and_then(|c| c.latest())
     }
 
     /// Fetch the version of one row visible to `snap`.
-    pub fn get_visible(&self, snap: &Snapshot, id: RowId) -> Option<&Arc<Row>> {
+    pub fn get_visible(&self, snap: &Snapshot, id: RowId) -> Option<&StoredRow> {
         self.rows
-            .get(&id)
+            .get(id)
             .and_then(|c| self.tally().resolve(snap, c))
     }
 
@@ -660,7 +839,7 @@ impl Table {
     /// Insert a normalized row as a version stamped with `snap`'s stamp,
     /// enforcing unique indexes. Returns its id and the installed version
     /// (shared with the chain).
-    pub fn insert(&mut self, snap: &Snapshot, row: Row) -> SqlResult<(RowId, Arc<Row>)> {
+    pub fn insert(&mut self, snap: &Snapshot, row: Row) -> SqlResult<(RowId, StoredRow)> {
         let row = self.normalize_row(row)?;
         self.check_unique(&row, None, |_| false)?;
         let id = self.next_row_id;
@@ -668,7 +847,7 @@ impl Table {
         for idx in &mut self.indexes {
             idx.add_entry(&row, id);
         }
-        let row = Arc::new(row);
+        let row = StoredRow::from(row);
         self.rows
             .insert(id, Chain::single(Arc::clone(&snap.stamp), Arc::clone(&row)));
         self.live += 1;
@@ -681,14 +860,12 @@ impl Table {
     pub fn restore(&mut self, id: RowId, row: Row) {
         self.drop_chain_entries(id);
         self.garbage.remove(&id);
-        let was_live = self.rows.get(&id).is_some_and(Chain::top_is_live);
         for idx in &mut self.indexes {
             idx.add_entry(&row, id);
         }
         self.next_row_id = self.next_row_id.max(id + 1);
-        self.rows
-            .insert(id, Chain::single(bootstrap_stamp(), Arc::new(row)));
-        if !was_live {
+        let old = (self.rows).insert(id, Chain::single(bootstrap_stamp(), row.into()));
+        if !old.is_some_and(|c| c.top_is_live()) {
             self.live += 1;
         }
     }
@@ -696,10 +873,10 @@ impl Table {
     /// Remove every retained version's index entries for `id` (prelude
     /// to physically replacing the chain).
     fn drop_chain_entries(&mut self, id: RowId) {
-        let Some(chain) = self.rows.get(&id) else {
+        let Some(chain) = self.rows.get(id) else {
             return;
         };
-        for v in &chain.versions {
+        for v in chain.iter() {
             if let Some(r) = &v.row {
                 for idx in &mut self.indexes {
                     let key = idx.key_of(r);
@@ -726,9 +903,9 @@ impl Table {
         snap: &Snapshot,
         id: RowId,
         row: Row,
-    ) -> SqlResult<(Arc<Row>, Arc<Row>)> {
+    ) -> SqlResult<(StoredRow, StoredRow)> {
         let row = self.normalize_row(row)?;
-        let Some((old, newest)) = self.rows.get(&id).and_then(|c| {
+        let Some((old, newest)) = self.rows.get(id).and_then(|c| {
             let old = self.tally().resolve(snap, c)?;
             let newest = c.latest().is_some_and(|top| Arc::ptr_eq(top, old));
             Some((Arc::clone(old), newest))
@@ -749,15 +926,15 @@ impl Table {
             garbage,
             ..
         } = self;
-        let chain = rows.get_mut(&id).expect("chain exists: resolved above");
+        let chain = rows.get_mut(id).expect("chain exists: resolved above");
         for idx in indexes.iter_mut() {
             if !stable(idx) {
                 idx.add_entry(&row, id);
             }
         }
         let was_live = chain.top_is_live();
-        let row = Arc::new(row);
-        chain.versions.push(RowVersion {
+        let row = StoredRow::from(row);
+        chain.push(RowVersion {
             begin: Arc::clone(&snap.stamp),
             row: Some(Arc::clone(&row)),
         });
@@ -778,14 +955,11 @@ impl Table {
     pub fn raw_replace(&mut self, id: RowId, row: Row) {
         self.drop_chain_entries(id);
         self.garbage.remove(&id);
-        let was_live = self.rows.get(&id).is_some_and(Chain::top_is_live);
-        let absent = !self.rows.contains_key(&id);
         for idx in &mut self.indexes {
             idx.add_entry(&row, id);
         }
-        self.rows
-            .insert(id, Chain::single(bootstrap_stamp(), Arc::new(row)));
-        if !was_live || absent {
+        let old = (self.rows).insert(id, Chain::single(bootstrap_stamp(), row.into()));
+        if !old.is_some_and(|c| c.top_is_live()) {
             self.live += 1;
         }
     }
@@ -795,7 +969,7 @@ impl Table {
     pub fn remove(&mut self, id: RowId) {
         self.drop_chain_entries(id);
         self.garbage.remove(&id);
-        if self.rows.remove(&id).is_some_and(|c| c.top_is_live()) {
+        if self.rows.remove(id).is_some_and(|c| c.top_is_live()) {
             self.live -= 1;
         }
     }
@@ -803,10 +977,10 @@ impl Table {
     /// Delete the row at `id` visible to `snap`, returning it (shared,
     /// not copied). Pushes a tombstone stamped with `snap`'s stamp so
     /// concurrent snapshots keep reading the old version.
-    pub fn delete(&mut self, snap: &Snapshot, id: RowId) -> SqlResult<Arc<Row>> {
+    pub fn delete(&mut self, snap: &Snapshot, id: RowId) -> SqlResult<StoredRow> {
         let Some(old) = self
             .rows
-            .get(&id)
+            .get(id)
             .and_then(|c| self.tally().resolve(snap, c))
             .cloned()
         else {
@@ -824,9 +998,9 @@ impl Table {
             garbage,
             ..
         } = self;
-        let chain = rows.get_mut(&id).expect("chain exists: resolved above");
+        let chain = rows.get_mut(id).expect("chain exists: resolved above");
         let was_live = chain.top_is_live();
-        chain.versions.push(RowVersion {
+        chain.push(RowVersion {
             begin: Arc::clone(&snap.stamp),
             row: None,
         });
@@ -854,27 +1028,31 @@ impl Table {
             garbage,
             ..
         } = self;
-        let Some(chain) = rows.get_mut(&id) else {
+        let Some(chain) = rows.get_mut(id) else {
             return;
         };
         let was_live = chain.top_is_live();
-        let Some(pos) = chain
-            .versions
-            .iter()
-            .rposition(|v| Arc::ptr_eq(&v.begin, stamp))
-        else {
+        let Some(pos) = chain.iter().rposition(|v| Arc::ptr_eq(&v.begin, stamp)) else {
             return;
         };
-        let removed = chain.versions.remove(pos);
-        if let Some(r) = &removed.row {
-            unindex_unless_retained(indexes, &chain.versions, id, r);
-        }
-        let now_live = chain.top_is_live();
-        if chain.versions.is_empty() {
-            rows.remove(&id);
-            garbage.remove(&id);
+        let removed = if chain.len() > 1 {
+            chain.remove(pos)
         } else {
-            track_garbage(garbage, id, chain);
+            let Some(Chain::One(only)) = rows.remove(id) else {
+                unreachable!("a one-version chain is inline");
+            };
+            only
+        };
+        let chain = rows.get(id);
+        if let Some(r) = &removed.row {
+            unindex_unless_retained(indexes, chain.map_or(&[], |c| c), id, r);
+        }
+        let now_live = chain.is_some_and(Chain::top_is_live);
+        match chain {
+            Some(c) => track_garbage(garbage, id, c),
+            None => {
+                garbage.remove(&id);
+            }
         }
         match (was_live, now_live) {
             (true, false) => *live -= 1,
@@ -903,11 +1081,11 @@ impl Table {
         }
         let mut dropped = 0u64;
         garbage.retain(|&id| {
-            let Some(chain) = rows.get_mut(&id) else {
+            let Some(chain) = rows.get_mut(id) else {
                 return false;
             };
             dropped += trim_chain(indexes, id, chain, floor);
-            let dead = match chain.versions.as_slice() {
+            let dead = match &**chain {
                 [only] if only.row.is_none() => {
                     let ts = only.committed_at();
                     ts != 0 && ts <= floor
@@ -915,7 +1093,7 @@ impl Table {
                 _ => false,
             };
             if dead {
-                rows.remove(&id);
+                rows.remove(id);
                 dropped += 1;
                 return false;
             }
@@ -932,7 +1110,7 @@ impl Table {
     /// Total retained versions across all chains (tombstones included) —
     /// test/diagnostic aid for GC behavior.
     pub fn version_count(&self) -> usize {
-        self.rows.values().map(|c| c.versions.len()).sum()
+        self.rows.iter().map(|(_, c)| c.len()).sum()
     }
 
     /// Check `row` against every unique index except those `skip`
@@ -958,9 +1136,9 @@ impl Table {
             // versions don't constrain new writes).
             let clash = idx.lookup(&key).any(|id| {
                 Some(id) != exclude
-                    && self.rows.get(&id).is_some_and(|c| {
+                    && self.rows.get(id).is_some_and(|c| {
                         c.latest()
-                            .is_some_and(|r| c.versions.len() == 1 || idx.carries_key(r, &key))
+                            .is_some_and(|r| c.len() == 1 || idx.carries_key(r, &key))
                     })
             });
             if clash {
@@ -1011,7 +1189,7 @@ impl Table {
             unique,
             map: BTreeMap::new(),
         };
-        for (id, chain) in &self.rows {
+        for (id, chain) in self.rows.iter() {
             if let Some(row) = chain.latest() {
                 let key = idx.key_of(row);
                 if unique && !Index::key_has_null(&key) && idx.map.contains_key(&key) {
@@ -1020,17 +1198,17 @@ impl Table {
                         idx.name
                     )));
                 }
-                idx.map.entry(key).or_default().insert(*id);
+                idx.map.entry(key).or_default().insert(id);
             }
         }
         // Historical versions: index them too so snapshot readers keep
         // finding the rows they can see (no uniqueness constraint — only
         // the newest version constrains).
-        for (id, chain) in &self.rows {
-            if chain.versions.len() > 1 {
-                for v in &chain.versions {
+        for (id, chain) in self.rows.iter() {
+            if chain.len() > 1 {
+                for v in chain.iter() {
                     if let Some(r) = &v.row {
-                        idx.map.entry(idx.key_of(r)).or_default().insert(*id);
+                        idx.map.entry(idx.key_of(r)).or_default().insert(id);
                     }
                 }
             }
@@ -1099,7 +1277,7 @@ impl Table {
     /// the sweep walks the whole table as it did before the list existed.
     pub(crate) fn gc_versions_full_walk(&mut self, floor: u64) -> u64 {
         let Table { rows, garbage, .. } = self;
-        garbage.extend(rows.keys().copied());
+        garbage.extend(rows.iter().map(|(id, _)| id));
         self.gc_versions(floor)
     }
 
@@ -1108,7 +1286,7 @@ impl Table {
         self.rows
             .iter()
             .filter(|(_, c)| c.is_garbage())
-            .map(|(id, _)| *id)
+            .map(|(id, _)| id)
             .eq(self.garbage.iter().copied())
     }
 }
@@ -1228,7 +1406,7 @@ mod tests {
         let (id, _) = t.insert(&s, row(1, "a", 1)).unwrap();
         let old = t.delete(&s, id).unwrap();
         assert_eq!(t.len(), 0);
-        t.restore(id, Row::clone(&old));
+        t.restore(id, old.to_vec());
         assert_eq!(t.get(id).unwrap()[0], Value::Int(1));
         assert!(t.insert(&s, row(1, "again", 9)).is_err());
     }
@@ -1239,7 +1417,7 @@ mod tests {
         let mut t = table();
         let (id, _) = t.insert(&s, row(1, "a", 1)).unwrap();
         let old = t.delete(&s, id).unwrap();
-        t.restore(id, Row::clone(&old));
+        t.restore(id, old.to_vec());
         let (id2, _) = t.insert(&s, row(2, "b", 2)).unwrap();
         assert_ne!(id, id2);
     }
@@ -1512,7 +1690,7 @@ mod tests {
         // Old snapshot: sees the row under its old key, not the new one.
         let (old_r, _) = snap(5);
         let idx = t.find_index(&[1]).unwrap();
-        let eq = |s: &Snapshot, k: &str| -> Vec<(RowId, &Arc<Row>)> {
+        let eq = |s: &Snapshot, k: &str| -> Vec<(RowId, &StoredRow)> {
             t.index_eq(s, idx, &SortKey(vec![Value::text(k)])).collect()
         };
         let a_hits = eq(&old_r, "a");
@@ -1614,5 +1792,304 @@ mod tests {
         assert_eq!(t.version_count(), 1);
         // Its key is free again.
         t.insert(&committed, row(1, "again", 3)).unwrap();
+    }
+
+    // ---- chunked row map vs a BTreeMap model ----
+
+    /// The reference: every chain as a plain vector of versions in a
+    /// `BTreeMap`, with the visibility, trim and sweep rules written
+    /// out over it directly.
+    #[derive(Default)]
+    struct Model {
+        chains: BTreeMap<RowId, Vec<(TxnStamp, Option<Row>)>>,
+        next_row_id: RowId,
+    }
+
+    impl Model {
+        fn visible(&self, snap: &Snapshot, id: RowId) -> Option<&Row> {
+            let chain = self.chains.get(&id)?;
+            let v = chain.iter().rev().find(|(stamp, _)| {
+                let ts = stamp.load(AtomicOrd::Acquire);
+                Arc::ptr_eq(stamp, &snap.stamp) || (ts != 0 && ts <= snap.ts)
+            })?;
+            v.1.as_ref()
+        }
+
+        fn trim(&mut self, id: RowId, floor: u64) -> u64 {
+            let chain = self.chains.get_mut(&id).unwrap();
+            let anchor = chain.iter().rposition(|(stamp, _)| {
+                let ts = stamp.load(AtomicOrd::Acquire);
+                ts != 0 && ts <= floor
+            });
+            let n = anchor.unwrap_or(0);
+            chain.drain(..n);
+            n as u64
+        }
+
+        fn push(&mut self, snap: &Snapshot, id: RowId, row: Option<Row>, floor: u64) {
+            let chain = self.chains.get_mut(&id).unwrap();
+            chain.push((Arc::clone(&snap.stamp), row));
+            self.trim(id, floor);
+        }
+
+        fn gc(&mut self, floor: u64) -> u64 {
+            let ids: Vec<RowId> = self.chains.keys().copied().collect();
+            let mut dropped = 0;
+            for id in ids {
+                dropped += self.trim(id, floor);
+                if let [(stamp, None)] = self.chains[&id].as_slice() {
+                    let ts = stamp.load(AtomicOrd::Acquire);
+                    if ts != 0 && ts <= floor {
+                        self.chains.remove(&id);
+                        dropped += 1;
+                    }
+                }
+            }
+            dropped
+        }
+
+        fn undo(&mut self, id: RowId, stamp: &TxnStamp) {
+            let Some(chain) = self.chains.get_mut(&id) else {
+                return;
+            };
+            if let Some(pos) = chain.iter().rposition(|(s, _)| Arc::ptr_eq(s, stamp)) {
+                chain.remove(pos);
+            }
+            if chain.is_empty() {
+                self.chains.remove(&id);
+            }
+        }
+
+        fn live(&self) -> usize {
+            let top_live = |c: &Vec<(TxnStamp, Option<Row>)>| c.last().unwrap().1.is_some();
+            self.chains.values().filter(|c| top_live(c)).count()
+        }
+    }
+
+    fn model_table() -> Table {
+        let schema = TableSchema::new(
+            "m",
+            vec![
+                Column::new("a", DataType::Int),
+                Column::new("v", DataType::Int),
+            ],
+            false,
+        )
+        .unwrap();
+        let mut t = Table::new(schema);
+        t.create_index("m_v", &["v".into()], false).unwrap();
+        t
+    }
+
+    /// Everything a reader can observe, and the layout invariants: one
+    /// version inline, two or more spilled; no empty chunk; each chunk's
+    /// `used` counts its occupied slots.
+    fn assert_matches_model(t: &Table, m: &Model, snaps: &[Snapshot], ctx: &str) {
+        for snap in snaps {
+            let got: Vec<(RowId, Row)> = t.iter(snap).map(|(id, r)| (id, r.to_vec())).collect();
+            let want: Vec<(RowId, Row)> = (m.chains.keys())
+                .filter_map(|&id| Some((id, m.visible(snap, id)?.clone())))
+                .collect();
+            assert_eq!(got, want, "{ctx}: walk at ts {}", snap.ts);
+            for id in 0..=m.next_row_id {
+                let got = t.get_visible(snap, id).map(|r| r.to_vec());
+                assert_eq!(
+                    got.as_ref(),
+                    m.visible(snap, id),
+                    "{ctx}: get_visible({id})"
+                );
+            }
+            let idx = t.find_index(&[1]).unwrap();
+            for v in 0..4 {
+                let key = SortKey(vec![Value::Int(v)]);
+                let got: Vec<RowId> = t.index_eq(snap, idx, &key).map(|(id, _)| id).collect();
+                let want: Vec<RowId> = (want.iter())
+                    .filter(|(_, r)| r[1] == Value::Int(v))
+                    .map(|(id, _)| *id)
+                    .collect();
+                assert_eq!(got, want, "{ctx}: index_eq(v = {v}) at ts {}", snap.ts);
+            }
+        }
+        let versions: usize = m.chains.values().map(Vec::len).sum();
+        assert_eq!(t.version_count(), versions, "{ctx}: version_count");
+        assert_eq!(t.len(), m.live(), "{ctx}: live rows");
+        assert_eq!(t.next_row_id(), m.next_row_id, "{ctx}: next_row_id");
+        assert!(t.garbage_is_exact(), "{ctx}: garbage list");
+        for (id, chain) in t.rows.iter() {
+            let inline = matches!(chain, Chain::One(_));
+            assert_eq!(inline, chain.len() == 1, "{ctx}: chain {id} layout");
+        }
+        let chunks: BTreeSet<u64> = m.chains.keys().map(|&id| chunk_slot(id).0).collect();
+        assert!(t.rows.chunks.keys().copied().eq(chunks), "{ctx}: chunks");
+        for chunk in t.rows.chunks.values() {
+            let used = chunk.slots.iter().filter(|s| s.is_some()).count();
+            assert_eq!(chunk.used as usize, used, "{ctx}: chunk occupancy");
+            assert!(chunk.slots.len() <= CHUNK_SLOTS, "{ctx}: chunk width");
+        }
+    }
+
+    fn model_seeds() -> Vec<u64> {
+        let mut seeds: Vec<u64> = (1..=8).collect();
+        if let Some(seed) = std::env::var("CHAOS_SEED")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+        {
+            seeds.push(seed);
+        }
+        seeds
+    }
+
+    /// Random histories of every chain operation, over ids that cross
+    /// chunk boundaries, leave the chunked row map observably equal to a
+    /// `BTreeMap` of version vectors after every step. `CHAOS_SEED` adds
+    /// a history seed.
+    #[test]
+    fn chunked_chains_match_btreemap_model() {
+        for seed in model_seeds() {
+            let mut rng = crate::fault::SplitMix64::new(seed);
+            let mut t = model_table();
+            let shared = Arc::new(MvccShared::default());
+            t.attach_mvcc(Arc::clone(&shared));
+            let mut m = Model {
+                next_row_id: 1,
+                ..Model::default()
+            };
+            // Open transactions (snapshot + uncommitted stamp) and the
+            // commit clock.
+            let mut open: Vec<Snapshot> = Vec::new();
+            let mut clock = 1u64;
+            // Chunks whose last row went, as the model counts them.
+            let mut freed = 0;
+            for step in 0..600 {
+                let ctx = format!("seed {seed} step {step}");
+                let mut pick = |n: u64| rng.next_below(n);
+                let cell = |n: u64| Value::Int(n as i64);
+                // Half the time a row that exists, else any id near the
+                // allocator, so writes miss too.
+                let id = match m.chains.len() as u64 {
+                    n if n > 0 && pick(2) == 0 => *m.chains.keys().nth(pick(n) as usize).unwrap(),
+                    _ => pick(m.next_row_id + 8),
+                };
+                let writer = match open.len() {
+                    0 => Snapshot::committed(),
+                    n => open[pick(n as u64) as usize].clone(),
+                };
+                let floor = match pick(3) {
+                    0 => clock.saturating_sub(pick(4)),
+                    _ => u64::MAX,
+                };
+                shared.floor.store(floor, AtomicOrd::Release);
+                let chunks_before: BTreeSet<u64> =
+                    m.chains.keys().map(|&id| chunk_slot(id).0).collect();
+                match pick(20) {
+                    0..=3 => {
+                        let r = vec![cell(pick(100)), cell(pick(4))];
+                        let (got, _) = t.insert(&writer, r.clone()).unwrap();
+                        assert_eq!(got, m.next_row_id, "{ctx}: insert id");
+                        m.chains
+                            .insert(got, vec![(Arc::clone(&writer.stamp), Some(r))]);
+                        m.next_row_id += 1;
+                    }
+                    4..=6 => {
+                        let r = vec![cell(pick(100)), cell(pick(4))];
+                        let ok = t.update(&writer, id, r.clone()).is_ok();
+                        assert_eq!(ok, m.visible(&writer, id).is_some(), "{ctx}: update");
+                        if ok {
+                            m.push(&writer, id, Some(r), floor);
+                        }
+                    }
+                    7 | 8 => {
+                        let ok = t.delete(&writer, id).is_ok();
+                        assert_eq!(ok, m.visible(&writer, id).is_some(), "{ctx}: delete");
+                        if ok {
+                            m.push(&writer, id, None, floor);
+                        }
+                    }
+                    9 => {
+                        t.undo_write(id, &writer.stamp);
+                        m.undo(id, &writer.stamp);
+                    }
+                    10 => {
+                        // Sometimes a chunk or two past the allocator.
+                        let id = match pick(4) {
+                            0 => m.next_row_id + pick(2 * CHUNK_SLOTS as u64),
+                            _ => id,
+                        };
+                        let r = vec![cell(pick(100)), cell(pick(4))];
+                        t.restore(id, r.clone());
+                        m.chains.insert(id, vec![(bootstrap_stamp(), Some(r))]);
+                        m.next_row_id = m.next_row_id.max(id + 1);
+                    }
+                    11..=13 => {
+                        // The sliding-window purge: the oldest row goes.
+                        if let Some(&oldest) = m.chains.keys().next() {
+                            t.remove(oldest);
+                            m.chains.remove(&oldest);
+                        }
+                    }
+                    14 | 15 => {
+                        let floor = open.iter().map(|s| s.ts).min().unwrap_or(u64::MAX);
+                        assert_eq!(t.gc_versions(floor), m.gc(floor), "{ctx}: gc");
+                    }
+                    16 | 17 => {
+                        open.push(Snapshot {
+                            ts: clock,
+                            stamp: new_stamp(),
+                        });
+                    }
+                    _ => {
+                        if let Some(done) = open.pop() {
+                            clock += 1;
+                            done.stamp.store(clock, AtomicOrd::Release);
+                        }
+                    }
+                }
+                let chunks: BTreeSet<u64> = m.chains.keys().map(|&id| chunk_slot(id).0).collect();
+                freed += chunks_before.difference(&chunks).count();
+                let mut snaps = vec![Snapshot::committed(), snap(clock / 2).0];
+                snaps.extend(open.iter().cloned());
+                assert_matches_model(&t, &m, &snaps, &ctx);
+            }
+            assert!(
+                m.next_row_id > 2 * CHUNK_SLOTS as u64,
+                "seed {seed}: ids span chunks"
+            );
+            assert!(freed > 0, "seed {seed}: no chunk emptied");
+        }
+    }
+
+    /// A chain a sweep shortens to one version is inline again, and a
+    /// chunk whose last row goes is freed.
+    #[test]
+    fn swept_chains_go_inline_and_empty_chunks_are_freed() {
+        let mut t = model_table();
+        let committed = Snapshot::committed();
+        let ids: Vec<RowId> = (0..CHUNK_SLOTS as i64 + 2)
+            .map(|i| {
+                t.insert(&committed, vec![Value::Int(i), Value::Int(0)])
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        assert_eq!(t.rows.chunk_count(), 2);
+        let (w, wstamp) = snap(5);
+        t.update(&w, ids[0], vec![Value::Int(-1), Value::Int(1)])
+            .unwrap();
+        assert!(matches!(t.rows.get(ids[0]), Some(Chain::Many(_))));
+        wstamp.store(6, AtomicOrd::Release);
+        assert_eq!(t.gc_versions(u64::MAX), 1);
+        assert!(matches!(t.rows.get(ids[0]), Some(Chain::One(_))));
+        // Ids 1..=63 fill chunk 0; deleting them all frees it.
+        let first_chunk: Vec<RowId> = ids.iter().copied().filter(|&id| id < 64).collect();
+        for &id in &first_chunk {
+            t.delete(&committed, id).unwrap();
+        }
+        t.gc_versions(u64::MAX);
+        assert_eq!(t.rows.chunk_count(), 1);
+        assert_eq!(t.len(), ids.len() - first_chunk.len());
+        for &id in &ids[first_chunk.len()..] {
+            t.remove(id);
+        }
+        assert_eq!(t.rows.chunk_count(), 0);
     }
 }

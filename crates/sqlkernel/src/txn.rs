@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use crate::catalog::{Catalog, Procedure, Sequence, View};
 use crate::schema::TableSchema;
-use crate::storage::{Index, Row, RowId, Table, TxnStamp};
+use crate::storage::{Index, RowId, StoredRow, Table, TxnStamp};
 
 /// One compensation entry.
 ///
@@ -37,14 +37,14 @@ pub enum UndoOp {
     Insert {
         table: Arc<TableSchema>,
         row_id: RowId,
-        row: Arc<Row>,
+        row: StoredRow,
     },
     /// A row was deleted → undo restores it. `row` is the deleted
     /// version itself, shared with the table's chain.
     Delete {
         table: Arc<TableSchema>,
         row_id: RowId,
-        row: Arc<Row>,
+        row: StoredRow,
     },
     /// A row was updated → undo restores the old image. `old` is the
     /// superseded version and `new` the version the update installed,
@@ -52,8 +52,8 @@ pub enum UndoOp {
     Update {
         table: Arc<TableSchema>,
         row_id: RowId,
-        old: Arc<Row>,
-        new: Arc<Row>,
+        old: StoredRow,
+        new: StoredRow,
     },
     /// A table was created → undo drops it.
     CreateTable { name: String },

@@ -531,7 +531,7 @@ fn put_value(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
-pub(crate) fn put_row(buf: &mut Vec<u8>, row: &Row) {
+pub(crate) fn put_row(buf: &mut Vec<u8>, row: &[Value]) {
     put_u32(buf, row.len() as u32);
     for v in row {
         put_value(buf, v);
@@ -599,7 +599,7 @@ pub(crate) fn put_sequences(buf: &mut Vec<u8>, seqs: &[(String, i64, i64)]) {
 /// The body of a row op: what [`put_op`] writes for `Insert` (tag 1,
 /// `rows` = after), `Update` (2, before and after) and `Delete` (3,
 /// before), shared with the undo-log encoder so the two cannot drift.
-fn put_row_change(buf: &mut Vec<u8>, tag: u8, table: &str, row_id: RowId, rows: &[&Row]) {
+fn put_row_change(buf: &mut Vec<u8>, tag: u8, table: &str, row_id: RowId, rows: &[&[Value]]) {
     buf.push(tag);
     put_str(buf, table);
     put_u64(buf, row_id);
@@ -1202,7 +1202,7 @@ pub(crate) fn image_of(catalog: &Catalog, table: &Table) -> TableImage {
         next_row_id: table.next_row_id(),
         rows: table
             .iter(&Snapshot::committed())
-            .map(|(id, row)| (id, (**row).clone()))
+            .map(|(id, row)| (id, row.to_vec()))
             .collect(),
         indexes: index_defs_of(catalog, table),
     }
@@ -1284,7 +1284,7 @@ fn ddl_op(catalog: &Catalog, snap: &Snapshot, op: &UndoOp) -> Option<WalOp> {
                 next_row_id: table.next_row_id(),
                 rows: table
                     .iter(snap)
-                    .map(|(id, row)| (id, (**row).clone()))
+                    .map(|(id, row)| (id, row.to_vec()))
                     .collect(),
                 indexes: table
                     .index_iter()
@@ -2287,6 +2287,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::StoredRow;
 
     fn sample_ops() -> Vec<WalOp> {
         let schema = TableSchema::new(
@@ -2373,7 +2374,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let row = |cells: Vec<Value>| Arc::new(cells);
+        let row = |cells: Vec<Value>| StoredRow::from(cells);
         let (a, b) = (
             row(vec![Value::Int(1), Value::text("a")]),
             row(vec![Value::Float(2.5), Value::Null]),
@@ -2422,7 +2423,7 @@ mod tests {
                 op: WalOp::Insert {
                     table: "t".into(),
                     row_id: 1,
-                    after: Row::clone(&a),
+                    after: a.to_vec(),
                 },
             },
             WalRecord::Op { txn: 7, op: seq },
@@ -2431,8 +2432,8 @@ mod tests {
                 op: WalOp::Update {
                     table: "t".into(),
                     row_id: 1,
-                    before: Row::clone(&a),
-                    after: Row::clone(&b),
+                    before: a.to_vec(),
+                    after: b.to_vec(),
                 },
             },
             WalRecord::Op {
@@ -2440,7 +2441,7 @@ mod tests {
                 op: WalOp::Delete {
                     table: "t".into(),
                     row_id: 1,
-                    before: Row::clone(&b),
+                    before: b.to_vec(),
                 },
             },
             commit,
