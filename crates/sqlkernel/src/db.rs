@@ -7,9 +7,11 @@ use std::sync::Arc;
 
 use crate::ast::Statement;
 use crate::catalog::Catalog;
+use crate::counters::Counter;
+pub use crate::counters::DbStats;
 use crate::error::{SqlError, SqlResult};
 use crate::fault::{crashed_error, CrashPoint, FaultInjector, FaultPlan, PrepareCrash};
-use crate::pager::{self, PageStore, PagedEngine, Pager};
+use crate::pager::{self, PageStore, PagedEngine};
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::CompiledPlan;
 use crate::storage::{new_stamp, MvccShared, Snapshot, Table, TxnStamp};
@@ -153,121 +155,6 @@ impl StatementResult {
     }
 }
 
-/// Cumulative engine counters, used by the benchmark harness to report
-/// work volumes (e.g. rows shipped into the process space) and by tests
-/// to prove the statement cache and index fast paths are actually taken.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DbStats {
-    pub statements_executed: u64,
-    pub rows_returned: u64,
-    /// Scans answered through an index fast path.
-    pub index_scans: u64,
-    /// Scans that walked a whole base table.
-    pub full_scans: u64,
-    /// Statement texts run through the parser.
-    pub parses: u64,
-    /// Statement-cache lookups answered without parsing.
-    pub stmt_cache_hits: u64,
-    /// Statement-cache lookups that had to parse.
-    pub stmt_cache_misses: u64,
-    /// Scans served by an index *range* walk (incl. order-only walks).
-    pub range_scans: u64,
-    /// Statements compiled to a bound plan (re-binds after DDL included).
-    pub plan_binds: u64,
-    /// Bound-expression evaluations performed by compiled plans.
-    pub bound_evals: u64,
-    /// `ORDER BY … LIMIT` sorts served by the bounded top-K heap.
-    pub topk_sorts: u64,
-    /// Expression-over-batch passes run by the vectorized executor (one
-    /// per expression per batch, not one per row).
-    pub batch_evals: u64,
-    /// Input rows that flowed through the batch executor.
-    pub batched_rows: u64,
-    /// Statements aggregated through the one-pass hash aggregator.
-    pub hash_aggs: u64,
-    /// Rows walked by full table scans (`full_scans` counts scans once
-    /// each; this counts their rows, for rows/sec reporting).
-    pub full_scan_rows: u64,
-    /// Compiled single-table walks that stopped at OFFSET + LIMIT rows:
-    /// the walk served the output order (an order-serving index walk or
-    /// no ORDER BY) and its WHERE, if any, ran during the walk.
-    pub limit_pushdowns: u64,
-    /// Compiled join steps executed as a vectorized hash join.
-    pub hash_joins: u64,
-    /// Compiled join steps executed as an index nested-loop probe.
-    pub index_nl_joins: u64,
-    /// Rows inserted into hash-join build tables.
-    pub join_build_rows: u64,
-    /// Rows that probed a hash-join table or index nested loop.
-    pub join_probe_rows: u64,
-    /// WHERE/ON conjuncts pushed into join-side scans.
-    pub pushed_predicates: u64,
-    /// Faults delivered by the installed [`FaultInjector`] (cumulative
-    /// across plan swaps).
-    pub faults_injected: u64,
-    /// Statement retries reported by the recovery layer above the engine
-    /// (via [`Database::note_retry`]).
-    pub retries: u64,
-    /// Rollbacks performed: statement-atomicity undo after a failed or
-    /// panicked statement, explicit `ROLLBACK`, and rollback-on-drop.
-    pub rollbacks: u64,
-    /// Circuit-breaker trips reported by the recovery layer (via
-    /// [`Database::note_breaker_trip`]).
-    pub breaker_trips: u64,
-    /// WAL append batches written (one per logged statement or commit).
-    pub wal_appends: u64,
-    /// Bytes appended to the write-ahead log (checkpoints included).
-    pub wal_bytes: u64,
-    /// Commit records appended to the WAL (group-commit members each
-    /// count once, so `wal_appends / wal_commits` measures coalescing).
-    pub wal_commits: u64,
-    /// Checkpoints completed.
-    pub checkpoints: u64,
-    /// 2PC `Prepare` records appended to the WAL.
-    pub wal_prepares: u64,
-    /// Transactions currently sitting in the prepared (in-doubt) window.
-    pub prepared_txns: u64,
-    /// In-doubt transactions this instance resolved to commit at recovery.
-    pub in_doubt_commits: u64,
-    /// In-doubt transactions this instance resolved to abort at recovery
-    /// (presumed abort included).
-    pub in_doubt_aborts: u64,
-    /// Crash recoveries this instance was born from (0 or 1: a recovered
-    /// database is a fresh instance; counters do not leak across reopen).
-    /// A log-only open over an empty log replays nothing and reports 0.
-    pub recoveries: u64,
-    /// MVCC read snapshots registered (per statement in autocommit, per
-    /// transaction under BEGIN…COMMIT).
-    pub snapshots_taken: u64,
-    /// Visibility resolutions that had to walk a multi-version chain
-    /// (single-version rows resolve without a walk and are not counted).
-    pub version_chains_walked: u64,
-    /// Superseded row versions dropped by inline trims and GC sweeps.
-    pub versions_gced: u64,
-    /// Version chains GC sweeps visited. A sweep visits only the chains
-    /// listed as garbage (more than one version, or a tombstone on top),
-    /// however large the table.
-    pub gc_chains_visited: u64,
-    /// Torn-tail bytes the WAL scan dropped when this instance was
-    /// recovered — recorded, never silently discarded.
-    pub torn_tails_dropped: u64,
-    /// Checksum-failing pages detected and rebuilt from the previous
-    /// checkpoint epoch + WAL redo (paged storage only).
-    pub pages_repaired: u64,
-    /// Always 0. Paged storage has no buffer pool: tables live in
-    /// memory, so there is nothing to evict.
-    pub pool_evictions: u64,
-    /// Always 0: every page read goes to the page store (see
-    /// `pool_misses`).
-    pub pool_hits: u64,
-    /// Pages read from the page store (paged storage only): each live
-    /// page once at open, plus re-reads while repairing a corrupt one.
-    pub pool_misses: u64,
-    /// Pages written to the page store (paged storage only): each page
-    /// of a new checkpoint epoch once.
-    pub pages_written: u64,
-}
-
 /// A parsed statement plus the catalog object names it references —
 /// the unit stored in the statement cache and shared by [`Prepared`].
 #[derive(Debug)]
@@ -353,23 +240,9 @@ struct DbInner {
     /// representation; the engine is consulted only at checkpoint (dirty
     /// tables written as a new page epoch) and open (base image + repair).
     paged: Option<Arc<PagedEngine>>,
-    /// 1 when this instance was rebuilt from a log or page store (an
-    /// empty log opens fresh and leaves it 0).
-    recovery_counter: AtomicU64,
-    /// Torn-tail bytes the recovery scan dropped from the log.
-    torn_tail_counter: AtomicU64,
-    /// In-doubt transactions resolved to commit / abort when this
-    /// instance was recovered (see [`Database::recover_resolving`]).
-    in_doubt_commit_counter: AtomicU64,
-    in_doubt_abort_counter: AtomicU64,
     catalog: RwLock<Catalog>,
     stmt_cache: Mutex<StmtCache>,
-    stmt_counter: AtomicU64,
-    rows_counter: AtomicU64,
     conn_counter: AtomicU64,
-    parse_counter: AtomicU64,
-    cache_hit_counter: AtomicU64,
-    cache_miss_counter: AtomicU64,
     /// Bumped by every statement-cache invalidation; connection-local
     /// statement memos compare it to discard stale entries without ever
     /// touching the global cache mutex on the hit path.
@@ -382,12 +255,10 @@ struct DbInner {
     /// [`Database::set_fault_plan`], so stats stay cumulative.
     faults_base: AtomicU64,
     ticks_base: AtomicU64,
-    retry_counter: AtomicU64,
-    rollback_counter: AtomicU64,
-    breaker_counter: AtomicU64,
-    /// Shared MVCC state (GC watermark + counters), also attached to
-    /// every table in the catalog so storage-level trims can see the
-    /// oldest-active-snapshot floor without reaching back up here.
+    /// Shared state (GC watermark + the engine counters), also attached
+    /// to the catalog, every table in it and the WAL, so storage-level
+    /// trims see the oldest-active-snapshot floor and every layer counts
+    /// without reaching back up here.
     mvcc: Arc<MvccShared>,
     /// Active read snapshots: commit timestamp → number of holders. The
     /// smallest key is the GC floor; versions superseded before it are
@@ -399,7 +270,6 @@ struct DbInner {
     /// Latest committed timestamp. Starts at 1 (the bootstrap stamp) so
     /// the first real commit gets 2.
     commit_clock: AtomicU64,
-    snapshot_counter: AtomicU64,
     /// Commits since the last auto-GC sweep (see `maybe_gc`).
     commits_since_gc: AtomicU64,
     gc_due: AtomicBool,
@@ -426,8 +296,14 @@ impl std::fmt::Debug for Database {
 const STMT_CACHE_CAPACITY: usize = 256;
 
 impl Database {
-    fn build(name: String, wal: Option<Wal>, paged: Option<Arc<PagedEngine>>) -> Database {
-        let catalog = Catalog::new();
+    /// A database over `catalog`, sharing the catalog's counters and GC
+    /// watermark (which `wal`, if any, must share too).
+    fn build(
+        name: String,
+        catalog: Catalog,
+        wal: Option<Wal>,
+        paged: Option<Arc<PagedEngine>>,
+    ) -> Database {
         let mvcc = Arc::clone(catalog.mvcc());
         Database {
             inner: Arc::new(DbInner {
@@ -435,29 +311,16 @@ impl Database {
                 tag: GLOBAL_DB_TAG.fetch_add(1, Ordering::Relaxed),
                 wal,
                 paged,
-                recovery_counter: AtomicU64::new(0),
-                torn_tail_counter: AtomicU64::new(0),
-                in_doubt_commit_counter: AtomicU64::new(0),
-                in_doubt_abort_counter: AtomicU64::new(0),
                 catalog: RwLock::new(catalog),
                 stmt_cache: Mutex::new(StmtCache::new(STMT_CACHE_CAPACITY)),
-                stmt_counter: AtomicU64::new(0),
-                rows_counter: AtomicU64::new(0),
                 conn_counter: AtomicU64::new(0),
-                parse_counter: AtomicU64::new(0),
-                cache_hit_counter: AtomicU64::new(0),
-                cache_miss_counter: AtomicU64::new(0),
                 cache_generation: AtomicU64::new(0),
                 injector: Mutex::new(None),
                 faults_base: AtomicU64::new(0),
                 ticks_base: AtomicU64::new(0),
-                retry_counter: AtomicU64::new(0),
-                rollback_counter: AtomicU64::new(0),
-                breaker_counter: AtomicU64::new(0),
                 mvcc,
                 snapshots: Mutex::new(BTreeMap::new()),
                 commit_clock: AtomicU64::new(1),
-                snapshot_counter: AtomicU64::new(0),
                 commits_since_gc: AtomicU64::new(0),
                 gc_due: AtomicBool::new(false),
             }),
@@ -466,7 +329,7 @@ impl Database {
 
     /// Create an empty, purely in-memory database (no durability).
     pub fn new(name: impl Into<String>) -> Database {
-        Database::build(name.into(), None, None)
+        Database::build(name.into(), Catalog::new(), None, None)
     }
 
     /// Open a database whose writes are logged to `store`, rebuilt from
@@ -539,36 +402,35 @@ impl Database {
             // Nothing to fold: open fresh. Replay would bump the catalog
             // epoch, and every Commit record logs the epoch.
             None if scanned.records.is_empty() && !scanned.truncated => {
-                return Ok(Database::build(name, Some(Wal::new(store, 1, 1)), None));
+                let catalog = Catalog::new();
+                let wal = Wal::new(store, 1, 1, Arc::clone(catalog.mvcc()));
+                return Ok(Database::build(name, catalog, Some(wal), None));
             }
             None => wal::checkpoint_base(&scanned),
         };
         let mut outcome = wal::replay_scanned(base, &scanned);
         let in_doubt = std::mem::take(&mut outcome.in_doubt);
         let resolution = wal::resolve_in_doubt(&mut outcome.catalog, in_doubt, decide)?;
-        let wal = Wal::new(store, outcome.next_lsn, outcome.next_txn);
+        // The replayed catalog was built with its own shared state; give
+        // it this instance's before the log appends the resolutions, so
+        // the GC watermark and every counter, the WAL's included, reach
+        // the new instance.
+        let mut catalog = outcome.catalog;
+        catalog.attach_mvcc(Arc::new(MvccShared::default()));
+        let wal = Wal::new(
+            store,
+            outcome.next_lsn,
+            outcome.next_txn,
+            Arc::clone(catalog.mvcc()),
+        );
         if !resolution.records.is_empty() {
             wal.append(&resolution.records, wal::AppendMode::Full)?;
         }
-        let db = Database::build(name, Some(wal), paged);
-        {
-            let mut catalog = db.inner.catalog.write();
-            *catalog = outcome.catalog;
-            // The replayed catalog was built with its own MVCC state;
-            // re-attach this instance's so the GC watermark and counters
-            // the connections maintain reach the recovered tables.
-            catalog.attach_mvcc(Arc::clone(&db.inner.mvcc));
-        }
-        db.inner
-            .in_doubt_commit_counter
-            .store(resolution.committed, Ordering::Relaxed);
-        db.inner
-            .in_doubt_abort_counter
-            .store(resolution.aborted, Ordering::Relaxed);
-        db.inner.recovery_counter.store(1, Ordering::Relaxed);
-        db.inner
-            .torn_tail_counter
-            .store(outcome.dropped_bytes, Ordering::Relaxed);
+        let db = Database::build(name, catalog, Some(wal), paged);
+        db.count(Counter::InDoubtCommits, resolution.committed);
+        db.count(Counter::InDoubtAborts, resolution.aborted);
+        db.count(Counter::Recoveries, 1);
+        db.count(Counter::TornTailsDropped, outcome.dropped_bytes);
         // Fold the tail (and any page repair) into a fresh checkpoint, so
         // the store is compact and repaired extents are rewritten.
         db.checkpoint()?;
@@ -731,17 +593,17 @@ impl Database {
     /// Record that a client retried a statement after a transient fault.
     /// Called by the recovery layer (flowcore and the product stacks).
     pub fn note_retry(&self) {
-        self.inner.retry_counter.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::Retries, 1);
     }
 
     /// Record that a client's circuit breaker tripped open for this
     /// database.
     pub fn note_breaker_trip(&self) {
-        self.inner.breaker_counter.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::BreakerTrips, 1);
     }
 
     fn note_rollback(&self) {
-        self.inner.rollback_counter.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::Rollbacks, 1);
     }
 
     /// Register a read snapshot at the current commit timestamp, with a
@@ -757,7 +619,7 @@ impl Database {
             self.inner.mvcc.floor.store(floor, Ordering::Release);
         }
         drop(reg);
-        self.inner.snapshot_counter.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::SnapshotsTaken, 1);
         Snapshot {
             ts,
             stamp: new_stamp(),
@@ -839,13 +701,11 @@ impl Database {
             }));
         }
         if let Some(hit) = self.inner.stmt_cache.lock().get(sql) {
-            self.inner.cache_hit_counter.fetch_add(1, Ordering::Relaxed);
+            self.count(Counter::StmtCacheHits, 1);
             return Ok(hit);
         }
-        self.inner
-            .cache_miss_counter
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner.parse_counter.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::StmtCacheMisses, 1);
+        self.count(Counter::Parses, 1);
         let stmt = parse_statement(sql)?;
         let cached = Arc::new(CachedStmt {
             objects: stmt.referenced_objects(),
@@ -918,8 +778,22 @@ impl Database {
     /// another thread may be half-reflected. Use [`Database::snapshot`]
     /// when the numbers must be mutually consistent.
     pub fn stats(&self) -> DbStats {
-        let catalog = self.inner.catalog.read();
-        self.stats_from(&catalog)
+        let mut stats = self.inner.mvcc.counters.snapshot();
+        // The fields their owners keep (see `counters.rs`).
+        stats.faults_injected = self.inner.faults_base.load(Ordering::Relaxed)
+            + self
+                .inner
+                .injector
+                .lock()
+                .as_ref()
+                .map_or(0, |i| i.injected());
+        stats.prepared_txns = self.inner.wal.as_ref().map_or(0, Wal::prepared_txns);
+        if let Some(engine) = &self.inner.paged {
+            stats.pages_repaired = engine.pages_repaired();
+            stats.pool_misses = engine.pager().reads();
+            stats.pages_written = engine.pager().writes();
+        }
+        stats
     }
 
     /// Consistent point-in-time counters: briefly acquires the exclusive
@@ -928,85 +802,13 @@ impl Database {
     /// differential tests; for monitoring-style reads prefer
     /// [`Database::stats`].
     pub fn snapshot(&self) -> DbStats {
-        let catalog = self.inner.catalog.write();
-        self.stats_from(&catalog)
+        let _quiesced = self.inner.catalog.write();
+        self.stats()
     }
 
-    fn stats_from(&self, catalog: &Catalog) -> DbStats {
-        let pager = self.inner.paged.as_ref().map(|e| e.pager());
-        DbStats {
-            statements_executed: self.inner.stmt_counter.load(Ordering::Relaxed),
-            rows_returned: self.inner.rows_counter.load(Ordering::Relaxed),
-            index_scans: catalog.index_scans(),
-            full_scans: catalog.full_scans(),
-            parses: self.inner.parse_counter.load(Ordering::Relaxed),
-            stmt_cache_hits: self.inner.cache_hit_counter.load(Ordering::Relaxed),
-            stmt_cache_misses: self.inner.cache_miss_counter.load(Ordering::Relaxed),
-            range_scans: catalog.range_scans(),
-            plan_binds: catalog.plan_binds(),
-            bound_evals: catalog.bound_evals(),
-            topk_sorts: catalog.topk_sorts(),
-            batch_evals: catalog.batch_evals(),
-            batched_rows: catalog.batched_rows(),
-            hash_aggs: catalog.hash_aggs(),
-            full_scan_rows: catalog.full_scan_rows(),
-            limit_pushdowns: catalog.limit_pushdowns(),
-            hash_joins: catalog.hash_joins(),
-            index_nl_joins: catalog.index_nl_joins(),
-            join_build_rows: catalog.join_build_rows(),
-            join_probe_rows: catalog.join_probe_rows(),
-            pushed_predicates: catalog.pushed_predicates(),
-            faults_injected: self.inner.faults_base.load(Ordering::Relaxed)
-                + self
-                    .inner
-                    .injector
-                    .lock()
-                    .as_ref()
-                    .map(|i| i.injected())
-                    .unwrap_or(0),
-            retries: self.inner.retry_counter.load(Ordering::Relaxed),
-            rollbacks: self.inner.rollback_counter.load(Ordering::Relaxed),
-            breaker_trips: self.inner.breaker_counter.load(Ordering::Relaxed),
-            wal_appends: self.inner.wal.as_ref().map(|w| w.appends()).unwrap_or(0),
-            wal_bytes: self
-                .inner
-                .wal
-                .as_ref()
-                .map(|w| w.bytes_written())
-                .unwrap_or(0),
-            wal_commits: self.inner.wal.as_ref().map(|w| w.commits()).unwrap_or(0),
-            checkpoints: self
-                .inner
-                .wal
-                .as_ref()
-                .map(|w| w.checkpoints())
-                .unwrap_or(0),
-            wal_prepares: self.inner.wal.as_ref().map(|w| w.prepares()).unwrap_or(0),
-            prepared_txns: self
-                .inner
-                .wal
-                .as_ref()
-                .map(|w| w.prepared_txns())
-                .unwrap_or(0),
-            in_doubt_commits: self.inner.in_doubt_commit_counter.load(Ordering::Relaxed),
-            in_doubt_aborts: self.inner.in_doubt_abort_counter.load(Ordering::Relaxed),
-            recoveries: self.inner.recovery_counter.load(Ordering::Relaxed),
-            snapshots_taken: self.inner.snapshot_counter.load(Ordering::Relaxed),
-            version_chains_walked: self.inner.mvcc.chains_walked.load(Ordering::Relaxed),
-            versions_gced: self.inner.mvcc.versions_gced.load(Ordering::Relaxed),
-            gc_chains_visited: self.inner.mvcc.gc_chains_visited.load(Ordering::Relaxed),
-            torn_tails_dropped: self.inner.torn_tail_counter.load(Ordering::Relaxed),
-            pages_repaired: self
-                .inner
-                .paged
-                .as_ref()
-                .map(|e| e.pages_repaired())
-                .unwrap_or(0),
-            pool_evictions: 0,
-            pool_hits: 0,
-            pool_misses: pager.map_or(0, Pager::reads),
-            pages_written: pager.map_or(0, Pager::writes),
-        }
+    /// Add `n` to one of the engine counters.
+    fn count(&self, counter: Counter, n: u64) {
+        self.inner.mvcc.counters.add(counter, n);
     }
 
     /// Two handles to the same database?
@@ -1251,9 +1053,16 @@ impl Connection {
     /// (the plan is reused from the statement cache on repeat calls).
     pub fn execute(&self, sql: &str, params: &[Value]) -> SqlResult<StatementResult> {
         let cached = self.memoized_statement(sql)?;
+        self.run_statement(&cached, params)
+    }
+
+    /// The body of [`Connection::execute`] and
+    /// [`Connection::execute_prepared`]: the fault gate, the statement,
+    /// the settling of its `NEXTVAL` draws and a due GC sweep.
+    fn run_statement(&self, cached: &CachedStmt, params: &[Value]) -> SqlResult<StatementResult> {
         self.fault_gate(&cached.stmt)?;
         let mark = crate::catalog::draw_mark();
-        let result = self.execute_cached(&cached, params);
+        let result = self.execute_cached(cached, params);
         self.settle_draws(mark, result.is_err());
         self.db.maybe_gc();
         result
@@ -1292,10 +1101,7 @@ impl Connection {
                 memo.generation = generation;
                 memo.entries.clear();
             } else if let Some(hit) = memo.entries.get(sql) {
-                self.db
-                    .inner
-                    .cache_hit_counter
-                    .fetch_add(1, Ordering::Relaxed);
+                self.db.count(Counter::StmtCacheHits, 1);
                 return Ok(Arc::clone(hit));
             }
         }
@@ -1324,12 +1130,7 @@ impl Connection {
         prepared: &Prepared,
         params: &[Value],
     ) -> SqlResult<StatementResult> {
-        self.fault_gate(&prepared.cached.stmt)?;
-        let mark = crate::catalog::draw_mark();
-        let result = self.execute_cached(&prepared.cached, params);
-        self.settle_draws(mark, result.is_err());
-        self.db.maybe_gc();
-        result
+        self.run_statement(&prepared.cached, params)
     }
 
     /// Run one DML statement once per parameter set, as a single atomic
@@ -1366,7 +1167,7 @@ impl Connection {
             ));
         }
         self.fault_gate(&cached.stmt)?;
-        self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
+        self.db.count(Counter::StatementsExecuted, 1);
         let named: HashMap<String, Value> = HashMap::new();
 
         // Subquery-free single-table DML batches run on the fast path:
@@ -1459,7 +1260,7 @@ impl Connection {
                 return Arc::clone(plan);
             }
         }
-        catalog.note_plan_bind();
+        catalog.count(Counter::PlanBinds, 1);
         let plan = Arc::new(crate::plan::compile(catalog, &cached.stmt));
         *slot = Some((tag, epoch, Arc::clone(&plan)));
         plan
@@ -1705,7 +1506,7 @@ impl Connection {
     fn execute_cached(&self, cached: &CachedStmt, params: &[Value]) -> SqlResult<StatementResult> {
         match &cached.stmt {
             Statement::Select(s) => {
-                self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
+                self.db.count(Counter::StatementsExecuted, 1);
                 let named: HashMap<String, Value> = HashMap::new();
                 // Readers resolve row visibility against this snapshot;
                 // they take per-table guards only in shared mode and
@@ -1736,10 +1537,7 @@ impl Connection {
                     )?,
                     _ => crate::exec::select::run_select(&catalog, &ctx.snap, s, params, &named)?,
                 };
-                self.db
-                    .inner
-                    .rows_counter
-                    .fetch_add(rs.rows.len() as u64, Ordering::Relaxed);
+                self.db.count(Counter::RowsReturned, rs.rows.len() as u64);
                 Ok(StatementResult::Rows(rs))
             }
             Statement::Update(_) | Statement::Delete(_) => {
@@ -1752,7 +1550,7 @@ impl Connection {
                 let plan = self.compiled_plan(cached, &catalog);
                 if let CompiledPlan::Dml(p) = &*plan {
                     if !p.has_subquery() {
-                        self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
+                        self.db.count(Counter::StatementsExecuted, 1);
                         if let Err(e) = catalog.fault_bind_complete() {
                             Self::invalidate_plan_slot(cached);
                             return Err(e);
@@ -1790,7 +1588,7 @@ impl Connection {
                     drop(catalog);
                     return self.execute_ast_inner(&cached.stmt, params);
                 };
-                self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
+                self.db.count(Counter::StatementsExecuted, 1);
                 if let Err(e) = catalog.fault_bind_complete() {
                     Self::invalidate_plan_slot(cached);
                     return Err(e);
@@ -1803,7 +1601,7 @@ impl Connection {
             Statement::Insert(ins) if Self::insert_is_fast(ins) => {
                 // Subquery-free `INSERT … VALUES`: runs under the shared
                 // shape lock, exclusive only on its target table.
-                self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
+                self.db.count(Counter::StatementsExecuted, 1);
                 let named: HashMap<String, Value> = HashMap::new();
                 let catalog = self.db.inner.catalog.read();
                 self.fast_write(&catalog, &ins.table, None, |snap, table, undo| {
@@ -1836,10 +1634,7 @@ impl Connection {
     /// Execute a semicolon-separated script; returns one result per statement.
     pub fn execute_script(&self, sql: &str) -> SqlResult<Vec<StatementResult>> {
         let stmts = parse_script(sql)?;
-        self.db
-            .inner
-            .parse_counter
-            .fetch_add(stmts.len() as u64, Ordering::Relaxed);
+        self.db.count(Counter::Parses, stmts.len() as u64);
         let mut out = Vec::with_capacity(stmts.len());
         for s in &stmts {
             self.fault_gate(s)?;
@@ -1870,7 +1665,7 @@ impl Connection {
     /// none of them, never a torn mix — and never another connection's
     /// uncommitted work.
     fn execute_ast_inner(&self, stmt: &Statement, params: &[Value]) -> SqlResult<StatementResult> {
-        self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
+        self.db.count(Counter::StatementsExecuted, 1);
         match stmt {
             Statement::Begin => {
                 let mut txn = self.txn.borrow_mut();
@@ -1962,10 +1757,7 @@ impl Connection {
                 let ctx = self.snapshot_ctx();
                 let catalog = self.db.inner.catalog.read();
                 let rs = crate::exec::select::run_select(&catalog, &ctx.snap, s, params, &named)?;
-                self.db
-                    .inner
-                    .rows_counter
-                    .fetch_add(rs.rows.len() as u64, Ordering::Relaxed);
+                self.db.count(Counter::RowsReturned, rs.rows.len() as u64);
                 Ok(StatementResult::Rows(rs))
             }
             other => {
@@ -1975,10 +1767,7 @@ impl Connection {
                     crate::exec::execute(catalog, snap, other, params, &named, undo)
                 })?;
                 if let StatementResult::Rows(rs) = &result {
-                    self.db
-                        .inner
-                        .rows_counter
-                        .fetch_add(rs.rows.len() as u64, Ordering::Relaxed);
+                    self.db.count(Counter::RowsReturned, rs.rows.len() as u64);
                 }
                 // Track temp tables for drop-on-close.
                 if let Statement::CreateTable(c) = other {

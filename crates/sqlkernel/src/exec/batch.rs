@@ -31,6 +31,7 @@ use std::collections::{HashMap, HashSet};
 use crate::ast::JoinKind;
 use crate::bound::{eval_bound_batch, filter_bound_batch, flatten_col_cmps, BoundCtx, BoundExpr};
 use crate::catalog::Catalog;
+use crate::counters::Counter;
 use crate::db::QueryResult;
 use crate::error::SqlResult;
 use crate::exec::select::{cmp_keys, combine_agg_values, TopK};
@@ -115,7 +116,7 @@ fn gather_rows<'t>(
     let rows: Vec<&[Value]> = (access.probe(ctx, evals)?.rows(catalog, ctx.snap, table))
         .map(|(_, row)| &**row)
         .collect();
-    catalog.note_batched_rows(rows.len() as u64);
+    catalog.count(Counter::BatchedRows, rows.len() as u64);
     Ok(rows)
 }
 
@@ -283,8 +284,8 @@ fn inl_join(
 ) -> SqlResult<Vec<Vec<Value>>> {
     let (lcol, rcol) = step.pairs[0];
     let index = table.find_index(&[rcol]).expect("plan epoch guards index");
-    catalog.note_index_nl_join();
-    catalog.note_join_probe_rows(left.len() as u64);
+    catalog.count(Counter::IndexNlJoins, 1);
+    catalog.count(Counter::JoinProbeRows, left.len() as u64);
     let skip_residual = step.residual.is_empty();
     let mut out: Vec<Vec<Value>> = Vec::new();
     let mut probe = SortKey(vec![Value::Null]);
@@ -375,7 +376,7 @@ fn exec_join_step(
             )?;
         }
     } else {
-        catalog.note_hash_join();
+        catalog.count(Counter::HashJoins, 1);
         let skip_residual = step.residual.is_empty();
         let lcols: Vec<usize> = step.pairs.iter().map(|(i, _)| *i).collect();
         let rcols: Vec<usize> = step.pairs.iter().map(|(_, j)| *j).collect();
@@ -385,8 +386,8 @@ fn exec_join_step(
             // scan, then replay the matches left-major so the output
             // order is exactly the probe-left order the interpreter
             // produces.
-            catalog.note_join_build_rows(left.len() as u64);
-            catalog.note_join_probe_rows(right.len() as u64);
+            catalog.count(Counter::JoinBuildRows, left.len() as u64);
+            catalog.count(Counter::JoinProbeRows, right.len() as u64);
             let hash = JoinHash::build(left, &lcols);
             let mut matches: Vec<(u32, u32)> = Vec::new();
             for (ri, r) in right.iter().enumerate() {
@@ -417,8 +418,8 @@ fn exec_join_step(
         } else {
             // Build on the right, probe left rows in order — the
             // interpreter's own shape.
-            catalog.note_join_build_rows(right.len() as u64);
-            catalog.note_join_probe_rows(left.len() as u64);
+            catalog.count(Counter::JoinBuildRows, right.len() as u64);
+            catalog.count(Counter::JoinProbeRows, left.len() as u64);
             let hash = JoinHash::build(&right, &rcols);
             for l in left {
                 let cands = hash.candidates(l, &lcols, &mut probe);
@@ -486,7 +487,7 @@ fn run_join(
         })
         .collect();
 
-    catalog.note_pushed_predicates(jp.pushed);
+    catalog.count(Counter::PushedPredicates, jp.pushed);
 
     let left0 = gather_side(catalog, tables[0], &jp.sides[0], ctx, evals)?;
     let mut cur = exec_join_step(
@@ -876,7 +877,7 @@ pub fn run_select_batched(
                 _ => None,
             };
             if let Some(n) = stop {
-                catalog.note_limit_pushdown();
+                catalog.count(Counter::LimitPushdowns, 1);
                 let mut walked = 0u64;
                 let rows: Vec<&[Value]> = (access.probe(&ctx, &mut evals)?)
                     .rows(catalog, snap, &table)
@@ -885,7 +886,7 @@ pub fn run_select_batched(
                     .filter(|row| cmps.iter().all(|m| m.passes(row)))
                     .take(n)
                     .collect();
-                catalog.note_batched_rows(walked);
+                catalog.count(Counter::BatchedRows, walked);
                 let mut passes = 0;
                 if plan.filter.is_some() {
                     evals.0 += walked;
@@ -903,7 +904,7 @@ pub fn run_select_batched(
         }
         InputPlan::Join(jp) => {
             let joined = run_join(catalog, jp, &ctx, &mut evals)?;
-            catalog.note_batched_rows(joined.len() as u64);
+            catalog.count(Counter::BatchedRows, joined.len() as u64);
             let rows: Vec<&[Value]> = joined.iter().map(Vec::as_slice).collect();
             let filter = plan.filter.as_ref();
             select_tail(
@@ -948,7 +949,7 @@ fn select_tail(
     let descs: Vec<bool> = plan.order.iter().map(|(_, d)| *d).collect();
     let mut topk = match limit {
         Some(n) if !plan.order.is_empty() && !plan.order_served && !plan.distinct => {
-            catalog.note_topk_sort();
+            catalog.count(Counter::TopkSorts, 1);
             Some(TopK::new(
                 n.saturating_add(offset.unwrap_or(0)),
                 descs.clone(),
@@ -998,8 +999,8 @@ fn select_tail(
         limit,
     );
 
-    catalog.note_bound_evals(evals.0);
-    catalog.note_batch_evals(passes);
+    catalog.count(Counter::BoundEvals, evals.0);
+    catalog.count(Counter::BatchEvals, passes);
     Ok(QueryResult {
         columns: plan.columns.clone(),
         rows,
@@ -1098,7 +1099,7 @@ fn run_agg_staged(
             accs: inline.clone().unwrap_or_default(),
         });
     }
-    catalog.note_hash_agg();
+    catalog.count(Counter::HashAggs, 1);
     if one_pass {
         // Inline accumulation visits every selected row once per
         // argument-bearing spec — same eval count the second pass would
@@ -1217,7 +1218,7 @@ pub fn run_agg_plan(
     let mut vrows: Vec<Vec<Value>> = match &plan.input {
         InputPlan::Join(jp) => {
             let joined = run_join(catalog, jp, &ctx, &mut evals)?;
-            catalog.note_batched_rows(joined.len() as u64);
+            catalog.count(Counter::BatchedRows, joined.len() as u64);
             let rows: Vec<&[Value]> = joined.iter().map(Vec::as_slice).collect();
             run_agg_staged(
                 catalog,
@@ -1286,8 +1287,8 @@ pub fn run_agg_plan(
                         }
                     }
                 }
-                catalog.note_batched_rows(walked);
-                catalog.note_hash_agg();
+                catalog.count(Counter::BatchedRows, walked);
+                catalog.count(Counter::HashAggs, 1);
                 if plan.filter.is_some() {
                     evals.0 += walked;
                     passes += walked.div_ceil(BATCH_SIZE as u64);
@@ -1347,7 +1348,7 @@ pub fn run_agg_plan(
     let descs: Vec<bool> = plan.order.iter().map(|(_, d)| *d).collect();
     let mut topk = match limit {
         Some(n) if !plan.order.is_empty() && !plan.distinct => {
-            catalog.note_topk_sort();
+            catalog.count(Counter::TopkSorts, 1);
             Some(TopK::new(
                 n.saturating_add(offset.unwrap_or(0)),
                 descs.clone(),
@@ -1395,8 +1396,8 @@ pub fn run_agg_plan(
         limit,
     );
 
-    catalog.note_bound_evals(evals.0);
-    catalog.note_batch_evals(passes);
+    catalog.count(Counter::BoundEvals, evals.0);
+    catalog.count(Counter::BatchEvals, passes);
     Ok(QueryResult {
         columns: plan.columns.clone(),
         rows,

@@ -15,6 +15,7 @@ use std::collections::HashMap;
 
 use crate::ast::Statement;
 use crate::catalog::Catalog;
+use crate::counters::Counter;
 use crate::db::StatementResult;
 use crate::error::{SqlError, SqlResult};
 use crate::storage::{IndexCursor, RowId, Snapshot, SortKey, StoredRow, Table, Walk};
@@ -56,7 +57,7 @@ impl Probe {
         let index = |col: usize| table.find_index(&[col]).expect("probe implies index");
         match self {
             Probe::Full => {
-                catalog.note_full_scan();
+                catalog.count(Counter::FullScans, 1);
                 ProbeRows::Full {
                     walk: table.iter(snap),
                     catalog,
@@ -64,7 +65,7 @@ impl Probe {
                 }
             }
             Probe::Eq { col, key } => {
-                catalog.note_index_scan();
+                catalog.count(Counter::IndexScans, 1);
                 ProbeRows::Index(table.index_eq(snap, index(col), &SortKey(vec![key])))
             }
             Probe::Range {
@@ -74,7 +75,7 @@ impl Probe {
                 rev,
                 nulls,
             } => {
-                catalog.note_range_scan();
+                catalog.count(Counter::RangeScans, 1);
                 ProbeRows::Index(table.index_range(
                     snap,
                     index(col),
@@ -120,7 +121,7 @@ impl Drop for ProbeRows<'_, '_> {
             catalog, yielded, ..
         } = self
         {
-            catalog.note_full_scan_rows(*yielded);
+            catalog.count(Counter::FullScanRows, *yielded);
         }
     }
 }

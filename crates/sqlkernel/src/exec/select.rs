@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use crate::ast::*;
 use crate::catalog::Catalog;
+use crate::counters::Counter;
 use crate::db::QueryResult;
 use crate::error::{SqlError, SqlResult};
 use crate::exec::Probe;
@@ -182,7 +183,7 @@ pub fn run_select(
     let descs: Vec<bool> = stmt.order_by.iter().map(|o| o.desc).collect();
     let mut topk = match limit {
         Some(n) if !stmt.order_by.is_empty() && !order_served && !stmt.distinct => {
-            catalog.note_topk_sort();
+            catalog.count(Counter::TopkSorts, 1);
             Some(TopK::new(
                 n.saturating_add(offset.unwrap_or(0)),
                 descs.clone(),

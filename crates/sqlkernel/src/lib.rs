@@ -36,6 +36,7 @@
 pub mod ast;
 pub mod bound;
 pub mod catalog;
+mod counters;
 pub mod db;
 pub mod error;
 pub mod exec;

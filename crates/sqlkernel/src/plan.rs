@@ -33,6 +33,7 @@ use crate::bound::{
     BoundCtx, BoundExpr, ColCmp, OwnedColCmp,
 };
 use crate::catalog::Catalog;
+use crate::counters::Counter;
 use crate::error::{SqlError, SqlResult};
 use crate::exec::dml::{run_dml, DmlEval, RowChange};
 use crate::exec::select::{
@@ -1124,6 +1125,6 @@ pub fn run_dml_plan(
         evals: Evals(0),
     };
     let n = run_dml(catalog, snap, held, &plan.table, &mut eval, undo)?;
-    catalog.note_bound_evals(eval.evals.0);
+    catalog.count(Counter::BoundEvals, eval.evals.0);
     Ok(n)
 }

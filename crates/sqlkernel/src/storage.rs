@@ -46,6 +46,7 @@ use std::ops::{Bound, Deref};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
 use std::sync::{Arc, OnceLock};
 
+use crate::counters::{Counter, Counters};
 use crate::error::{SqlError, SqlResult};
 use crate::schema::TableSchema;
 use crate::types::Value;
@@ -104,29 +105,23 @@ impl Snapshot {
     }
 }
 
-/// MVCC bookkeeping shared between a database handle and every table it
-/// owns: the GC watermark (oldest active snapshot timestamp, `u64::MAX`
-/// when no snapshot is active) and engine-wide version counters.
+/// State shared between a database handle, its catalog, every table it
+/// owns and its WAL: the GC watermark (oldest active snapshot timestamp,
+/// `u64::MAX` when no snapshot is active) and the engine counters.
 #[derive(Debug)]
 pub struct MvccShared {
     /// Oldest active snapshot timestamp; versions superseded before this
     /// point are unreachable and may be garbage-collected.
     pub floor: AtomicU64,
-    /// Visibility walks that had to consider more than one version.
-    pub chains_walked: AtomicU64,
-    /// Superseded versions dropped by inline trims and GC sweeps.
-    pub versions_gced: AtomicU64,
-    /// Chains GC sweeps visited: the garbage lists they drained.
-    pub gc_chains_visited: AtomicU64,
+    /// The counted `DbStats` fields.
+    pub(crate) counters: Counters,
 }
 
 impl Default for MvccShared {
     fn default() -> Self {
         MvccShared {
             floor: AtomicU64::new(u64::MAX),
-            chains_walked: AtomicU64::new(0),
-            versions_gced: AtomicU64::new(0),
-            gc_chains_visited: AtomicU64::new(0),
+            counters: Counters::default(),
         }
     }
 }
@@ -480,8 +475,8 @@ fn track_garbage(garbage: &mut BTreeSet<RowId>, id: RowId, chain: &Chain) {
     }
 }
 
-/// The multi-version chains one read resolves, added to
-/// [`MvccShared::chains_walked`] in one step when the read is done
+/// The multi-version chains one read resolves, added to the
+/// `version_chains_walked` counter in one step when the read is done
 /// (dropped).
 struct ChainTally<'t> {
     mvcc: &'t MvccShared,
@@ -503,15 +498,15 @@ impl Drop for ChainTally<'_> {
     fn drop(&mut self) {
         if self.walked > 0 {
             self.mvcc
-                .chains_walked
-                .fetch_add(self.walked, AtomicOrd::Relaxed);
+                .counters
+                .add(Counter::VersionChainsWalked, self.walked);
         }
     }
 }
 
 /// A snapshot walk over a table's rows in row-id order
 /// ([`Table::iter`]). Multi-version chains it resolves are added to
-/// [`MvccShared::chains_walked`] when the walk is dropped.
+/// the `version_chains_walked` counter when the walk is dropped.
 pub struct Walk<'t, 's> {
     chains: Chains<'t>,
     snap: &'s Snapshot,
@@ -540,7 +535,7 @@ impl<'t> Iterator for Walk<'t, '_> {
 /// still carries the entry's key, so a row whose key moved neither
 /// vanishes nor appears twice. Rows are resolved one `next` at a time:
 /// a walk stopped early has resolved (and counted into
-/// [`MvccShared::chains_walked`]) only the entries it reached.
+/// the `version_chains_walked` counter) only the entries it reached.
 pub struct IndexCursor<'t, 's> {
     rows: &'t RowMap,
     index: &'t Index,
@@ -666,7 +661,7 @@ impl Table {
         t
     }
 
-    /// Share GC watermark and version counters with the owning database
+    /// Share the GC watermark and the engine counters with the owning database
     /// (called when the table is added to a catalog).
     pub fn attach_mvcc(&mut self, shared: Arc<MvccShared>) {
         self.mvcc = shared;
@@ -943,7 +938,7 @@ impl Table {
         }
         let gced = trim_chain(indexes, id, chain, floor);
         if gced > 0 {
-            mvcc.versions_gced.fetch_add(gced, AtomicOrd::Relaxed);
+            mvcc.counters.add(Counter::VersionsGced, gced);
         }
         track_garbage(garbage, id, chain);
         Ok((old, row))
@@ -1009,7 +1004,7 @@ impl Table {
         }
         let gced = trim_chain(indexes, id, chain, floor);
         if gced > 0 {
-            mvcc.versions_gced.fetch_add(gced, AtomicOrd::Relaxed);
+            mvcc.counters.add(Counter::VersionsGced, gced);
         }
         garbage.insert(id);
         Ok(old)
@@ -1099,10 +1094,9 @@ impl Table {
             }
             chain.is_garbage()
         });
-        mvcc.gc_chains_visited
-            .fetch_add(visited, AtomicOrd::Relaxed);
+        mvcc.counters.add(Counter::GcChainsVisited, visited);
         if dropped > 0 {
-            mvcc.versions_gced.fetch_add(dropped, AtomicOrd::Relaxed);
+            mvcc.counters.add(Counter::VersionsGced, dropped);
         }
         dropped
     }
@@ -1711,7 +1705,7 @@ mod tests {
         // A reverse walk stopped after one row ("z", a two-version
         // chain) counts that chain only; run out, it also resolves the
         // stale "a" entry of the same chain and skips it.
-        let walked = || t.mvcc.chains_walked.load(AtomicOrd::Relaxed);
+        let walked = || t.mvcc.counters.get(Counter::VersionChainsWalked);
         let before = walked();
         let mut rev = t.index_range(&new_r, idx, None, None, true, true);
         assert_eq!(rev.next().unwrap().1[1], Value::text("z"));

@@ -67,10 +67,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::catalog::{Catalog, Sequence};
+use crate::counters::Counter;
 use crate::error::{SqlError, SqlResult};
 use crate::fault::crashed_error;
 use crate::schema::{Column, TableSchema};
-use crate::storage::{Index, Row, RowId, Snapshot, Table};
+use crate::storage::{Index, MvccShared, Row, RowId, Snapshot, Table};
 use crate::sync::Mutex;
 use crate::txn::UndoOp;
 use crate::types::{DataType, Value};
@@ -1862,11 +1863,8 @@ pub struct Wal {
     store: Arc<dyn LogStore>,
     next_lsn: AtomicU64,
     next_txn: AtomicU64,
-    appends: AtomicU64,
-    bytes_written: AtomicU64,
-    checkpoints: AtomicU64,
-    /// Commit records appended (the denominator of appends-per-commit).
-    commits: AtomicU64,
+    /// The owning database's shared state, for the WAL counters.
+    mvcc: Arc<MvccShared>,
     /// Explicit transactions with a logged `Begin` but no terminator yet.
     active_txns: AtomicU64,
     /// Transactions sitting in the 2PC prepared window: a `Prepare`
@@ -1875,8 +1873,6 @@ pub struct Wal {
     /// undecided transaction into the snapshot, so `Database::checkpoint`
     /// refuses while it is non-zero.
     prepared_txns: AtomicU64,
-    /// Cumulative `Prepare` records appended (monotonic counter).
-    prepares: AtomicU64,
     /// Flush window in scheduler yields a group-commit leader waits
     /// before taking the buffer. 0 disables the wait (but concurrent
     /// arrivals during a flush still coalesce into the next generation).
@@ -1896,21 +1892,23 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Manager over `store`, continuing from the given counters. Its
-    /// writes go after whatever the store holds; [`read_log`] gives a
-    /// new log its [`LOG_HEADER`] first.
-    pub fn new(store: Arc<dyn LogStore>, next_lsn: u64, next_txn: u64) -> Wal {
+    /// Manager over `store`, continuing from the given LSN and
+    /// transaction id and counting into `mvcc`'s counters. Its writes go
+    /// after whatever the store holds; [`read_log`] gives a new log its
+    /// [`LOG_HEADER`] first.
+    pub fn new(
+        store: Arc<dyn LogStore>,
+        next_lsn: u64,
+        next_txn: u64,
+        mvcc: Arc<MvccShared>,
+    ) -> Wal {
         Wal {
             store,
             next_lsn: AtomicU64::new(next_lsn.max(1)),
             next_txn: AtomicU64::new(next_txn.max(1)),
-            appends: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            commits: AtomicU64::new(0),
+            mvcc,
             active_txns: AtomicU64::new(0),
             prepared_txns: AtomicU64::new(0),
-            prepares: AtomicU64::new(0),
             group_window: AtomicU64::new(0),
             group: Mutex::new(GroupState::default()),
             group_done: std::sync::Condvar::new(),
@@ -1960,7 +1958,7 @@ impl Wal {
             }
             start..pos
         })?;
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::Checkpoints, 1);
         Ok(())
     }
 
@@ -1987,7 +1985,7 @@ impl Wal {
     /// A transaction logged its `Prepare` and entered the in-doubt window.
     pub fn note_prepared(&self) {
         self.prepared_txns.fetch_add(1, Ordering::Relaxed);
-        self.prepares.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::WalPrepares, 1);
     }
 
     /// A prepared transaction was decided (committed or aborted).
@@ -2000,29 +1998,9 @@ impl Wal {
         self.prepared_txns.load(Ordering::Relaxed)
     }
 
-    /// `Prepare` records appended so far.
-    pub fn prepares(&self) -> u64 {
-        self.prepares.load(Ordering::Relaxed)
-    }
-
-    /// Append batches appended so far.
-    pub fn appends(&self) -> u64 {
-        self.appends.load(Ordering::Relaxed)
-    }
-
-    /// Bytes appended so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.load(Ordering::Relaxed)
-    }
-
-    /// Checkpoints completed so far.
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints.load(Ordering::Relaxed)
-    }
-
-    /// Commit records appended so far (group members included).
-    pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
+    /// Add `n` to one of the WAL's engine counters.
+    fn count(&self, counter: Counter, n: u64) {
+        self.mvcc.counters.add(counter, n);
     }
 
     /// Set the group-commit flush window, in scheduler yields a leader
@@ -2061,9 +2039,8 @@ impl Wal {
     /// One physical store append, with counter upkeep.
     fn store_write(&self, bytes: &[u8]) -> SqlResult<()> {
         self.store.append(bytes)?;
-        self.appends.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        self.count(Counter::WalAppends, 1);
+        self.count(Counter::WalBytes, bytes.len() as u64);
         Ok(())
     }
 
@@ -2129,7 +2106,7 @@ impl Wal {
             if self.store_write(&state.buf).is_err() {
                 state.failed.push(gen);
             } else {
-                self.commits.fetch_add(commits, Ordering::Relaxed);
+                self.count(Counter::WalCommits, commits);
             }
             recycle(&mut state.buf);
             self.group_done.notify_all();
@@ -2173,7 +2150,7 @@ impl Wal {
             let res = self.store_write(&state.buf);
             recycle(&mut state.buf);
             if res.is_ok() {
-                self.commits.fetch_add(commits, Ordering::Relaxed);
+                self.count(Counter::WalCommits, commits);
             }
             return res;
         }
@@ -2222,7 +2199,7 @@ impl Wal {
             drop(state);
             let res = self.store_write(&bytes);
             if res.is_ok() {
-                self.commits.fetch_add(commits, Ordering::Relaxed);
+                self.count(Counter::WalCommits, commits);
             }
             recycle(&mut bytes);
             state = self.group.lock();
@@ -2277,9 +2254,8 @@ impl Wal {
         }
         drop(state);
         self.store.reset(&log)?;
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written
-            .fetch_add(log.len() as u64, Ordering::Relaxed);
+        self.count(Counter::Checkpoints, 1);
+        self.count(Counter::WalBytes, log.len() as u64);
         Ok(())
     }
 }
@@ -2409,7 +2385,7 @@ mod tests {
             sequences: vec![("s".into(), 1, 1)],
         };
         let store = MemLogStore::new();
-        let wal = Wal::new(Arc::new(store.clone()), 1, 1);
+        let wal = Wal::new(Arc::new(store.clone()), 1, 1, Arc::default());
         wal.append_with(AppendMode::Full, |w| {
             w.record(&WalRecord::Begin { txn: 7 });
             w.statement(7, &undo, &[(1, seq.clone())]);
@@ -2451,7 +2427,14 @@ mod tests {
             expected.extend_from_slice(&encode_record(i as u64 + 1, r));
         }
         assert_eq!(store.bytes(), expected);
-        assert_eq!((wal.appends(), wal.commits()), (1, 1));
+        let counters = &wal.mvcc.counters;
+        assert_eq!(
+            (
+                counters.get(Counter::WalAppends),
+                counters.get(Counter::WalCommits)
+            ),
+            (1, 1)
+        );
     }
 
     /// The reused append buffer gives back what a large append grew it
@@ -2459,7 +2442,7 @@ mod tests {
     #[test]
     fn append_buffer_capacity_is_capped() {
         let store = MemLogStore::new();
-        let wal = Wal::new(Arc::new(store.clone()), 1, 1);
+        let wal = Wal::new(Arc::new(store.clone()), 1, 1, Arc::default());
         let big = WalRecord::Op {
             txn: 1,
             op: WalOp::Insert {
@@ -2560,7 +2543,7 @@ mod tests {
     #[test]
     fn log_rewrites_keep_the_header() {
         let store = MemLogStore::from_bytes(LOG_HEADER.to_vec());
-        let wal = Wal::new(Arc::new(store.clone()), 1, 1);
+        let wal = Wal::new(Arc::new(store.clone()), 1, 1, Arc::default());
         let begin = |txn| WalRecord::Begin { txn };
         wal.append(&[begin(1), begin(2), begin(3)], AppendMode::Full)
             .unwrap();

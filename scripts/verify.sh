@@ -14,10 +14,10 @@ cargo test --workspace -q
 # correctness gate and emits every declared metric. e2ebench is a
 # workspace of its own, so the run above does not reach it.
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml
-# Work budget: the running example's engine counters (scans, parses,
-# binds, WAL, MVCC, pages, audit events) must equal the committed
-# docs/outputs/WORK_running_example.json on every CPU count, so it runs
-# again pinned to one CPU.
+# Work budget: the running example's engine counters (every `DbStats`
+# field), allocations, log digests and audit events must equal the
+# committed docs/outputs/WORK_running_example.json on every CPU count,
+# so it runs again pinned to one CPU.
 cargo test -q --test work_budget
 taskset -c 0 cargo test -q --test work_budget
 cargo clippy --workspace --all-targets -- -D warnings
