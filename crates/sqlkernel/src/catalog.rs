@@ -165,9 +165,8 @@ impl From<CreateProcedureStmt> for Procedure {
 pub struct Catalog {
     tables: HashMap<String, TableSlot>,
     /// State shared with every table (GC watermark + the engine
-    /// counters). A new database adopts this catalog's own; recovery
-    /// gives a replayed catalog the new instance's through
-    /// [`Catalog::attach_mvcc`].
+    /// counters). A database adopts its catalog's own; a recovered one
+    /// adopts the replayed catalog's.
     mvcc: Arc<MvccShared>,
     sequences: HashMap<String, Sequence>,
     procedures: HashMap<String, Procedure>,
@@ -236,16 +235,6 @@ impl Catalog {
         self.tables.insert(k, TableSlot::new(table));
         self.bump_epoch();
         Ok(())
-    }
-
-    /// Install the owning database's shared state (GC watermark + the
-    /// engine counters), re-attaching every existing table. Called when
-    /// recovery hands a replayed catalog to the new instance.
-    pub(crate) fn attach_mvcc(&mut self, shared: Arc<MvccShared>) {
-        self.mvcc = Arc::clone(&shared);
-        for slot in self.tables.values_mut() {
-            slot.lock.get_mut().attach_mvcc(Arc::clone(&shared));
-        }
     }
 
     /// The shared MVCC state currently attached to this catalog's tables.
@@ -568,7 +557,8 @@ mod tests {
     use crate::types::DataType;
 
     fn table(name: &str) -> Table {
-        Table::new(TableSchema::new(name, vec![Column::new("a", DataType::Int)], false).unwrap())
+        let schema = TableSchema::new(name, vec![Column::new("a", DataType::Int)], false).unwrap();
+        Table::new(schema, Default::default())
     }
 
     #[test]

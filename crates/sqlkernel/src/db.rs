@@ -411,12 +411,10 @@ impl Database {
         let mut outcome = wal::replay_scanned(base, &scanned);
         let in_doubt = std::mem::take(&mut outcome.in_doubt);
         let resolution = wal::resolve_in_doubt(&mut outcome.catalog, in_doubt, decide)?;
-        // The replayed catalog was built with its own shared state; give
-        // it this instance's before the log appends the resolutions, so
-        // the GC watermark and every counter, the WAL's included, reach
-        // the new instance.
-        let mut catalog = outcome.catalog;
-        catalog.attach_mvcc(Arc::new(MvccShared::default()));
+        // The replayed catalog's shared state, which every table replay
+        // built shares, becomes this instance's: the GC watermark and
+        // every counter, the WAL's included, reach the new instance.
+        let catalog = outcome.catalog;
         let wal = Wal::new(
             store,
             outcome.next_lsn,

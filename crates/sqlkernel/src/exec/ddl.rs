@@ -1,6 +1,7 @@
 //! DDL execution: tables, indexes, sequences, stored procedures.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ast::*;
 use crate::catalog::{Catalog, Procedure, Sequence, View};
@@ -51,7 +52,8 @@ pub fn create_table(
         });
     }
     let schema = TableSchema::new(stmt.name.clone(), columns, stmt.temporary)?;
-    catalog.add_table(Table::new(schema))?;
+    let table = Table::new(schema, Arc::clone(catalog.mvcc()));
+    catalog.add_table(table)?;
     undo.record(UndoOp::CreateTable {
         name: stmt.name.clone(),
     });

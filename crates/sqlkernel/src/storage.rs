@@ -620,16 +620,17 @@ pub struct Table {
 }
 
 impl Table {
-    /// Create an empty table. A unique index backing the primary key (if
-    /// any) is created automatically, as are single-column unique indexes
-    /// for `UNIQUE` columns.
-    pub fn new(schema: TableSchema) -> Table {
+    /// Create an empty table sharing `mvcc` (its catalog's GC watermark
+    /// and counters). A unique index backing the primary key (if any) is
+    /// created automatically, as are single-column unique indexes for
+    /// `UNIQUE` columns.
+    pub fn new(schema: TableSchema, mvcc: Arc<MvccShared>) -> Table {
         let mut t = Table {
             rows: RowMap::default(),
             live: 0,
             next_row_id: 1,
             indexes: Vec::new(),
-            mvcc: Arc::new(MvccShared::default()),
+            mvcc,
             garbage: BTreeSet::new(),
             schema: Arc::new(schema),
         };
@@ -1306,7 +1307,7 @@ mod tests {
             false,
         )
         .unwrap();
-        Table::new(schema)
+        Table::new(schema, Default::default())
     }
 
     fn row(id: i64, name: &str, qty: i64) -> Row {
@@ -1455,7 +1456,7 @@ mod tests {
             false,
         )
         .unwrap();
-        let mut t = Table::new(schema);
+        let mut t = Table::new(schema, Default::default());
         t.insert(&s, vec![Value::Int(1), Value::Null]).unwrap();
         t.insert(&s, vec![Value::Int(2), Value::Null]).unwrap(); // two NULLs fine
         t.insert(&s, vec![Value::Int(3), Value::Int(9)]).unwrap();
@@ -1486,7 +1487,7 @@ mod tests {
             false,
         )
         .unwrap();
-        let mut t = Table::new(schema);
+        let mut t = Table::new(schema, Default::default());
         let (id, _) = t.insert(&s, vec![Value::Int(1), Value::Null]).unwrap();
         assert_eq!(t.get(id).unwrap()[1], Value::Int(42));
     }
@@ -1870,7 +1871,7 @@ mod tests {
             false,
         )
         .unwrap();
-        let mut t = Table::new(schema);
+        let mut t = Table::new(schema, Default::default());
         t.create_index("m_v", &["v".into()], false).unwrap();
         t
     }

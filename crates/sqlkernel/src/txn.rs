@@ -236,7 +236,7 @@ mod tests {
             false,
         )
         .unwrap();
-        c.add_table(Table::new(schema)).unwrap();
+        c.add_table(Table::new(schema, Default::default())).unwrap();
         c
     }
 
@@ -391,7 +391,7 @@ mod tests {
         let mut c = Catalog::new();
         let (_, mut log) = txn();
         let schema = TableSchema::new("n", vec![Column::new("a", DataType::Int)], false).unwrap();
-        c.add_table(Table::new(schema)).unwrap();
+        c.add_table(Table::new(schema, Default::default())).unwrap();
         log.record(UndoOp::CreateTable { name: "n".into() });
         c.add_sequence(Sequence::new("s", 1, 1)).unwrap();
         log.record(UndoOp::CreateSequence { name: "s".into() });

@@ -1365,7 +1365,7 @@ pub(crate) fn install_image(catalog: &mut Catalog, image: &TableImage) {
     if catalog.has_table(&image.schema.name) {
         return;
     }
-    let mut t = Table::new(image.schema.clone());
+    let mut t = Table::new(image.schema.clone(), Arc::clone(catalog.mvcc()));
     for def in &image.indexes {
         if t.has_index(&def.name) {
             continue; // auto-created by Table::new
@@ -1416,7 +1416,8 @@ pub(crate) fn apply_redo(catalog: &mut Catalog, op: &WalOp) {
             }
         }
         WalOp::CreateTable { schema } => {
-            let _ = catalog.add_table(Table::new(schema.clone()));
+            let table = Table::new(schema.clone(), Arc::clone(catalog.mvcc()));
+            let _ = catalog.add_table(table);
         }
         WalOp::DropTable { image } => {
             let _ = catalog.remove_table(&image.schema.name);
@@ -2681,7 +2682,7 @@ mod tests {
             false,
         )
         .unwrap();
-        let mut t = Table::new(schema);
+        let mut t = Table::new(schema, Default::default());
         let committed = Snapshot::committed();
         t.insert(&committed, vec![Value::Int(1), Value::Float(1.5)])
             .unwrap();
