@@ -23,7 +23,7 @@ use crate::catalog::Catalog;
 use crate::error::{SqlError, SqlResult};
 use crate::expr::{
     apply_binary_op, apply_negation, apply_unary_op, compare, in_membership, is_aggregate_name,
-    like_match, scalar_function, three_and, value_to_three, RowSchema,
+    like_match, predicate_truth, scalar_function, three_and, value_to_three, RowSchema,
 };
 use crate::storage::Snapshot;
 use crate::types::Value;
@@ -785,14 +785,34 @@ pub fn eval_bound_batch(
     Ok(())
 }
 
-/// Evaluate a bound predicate: NULL and FALSE both drop the row.
+/// Evaluate a bound predicate: NULL and FALSE both drop the row, and a
+/// failing conjunct surfaces only if no other conjunct is FALSE or NULL.
+/// Mirrors [`crate::expr::eval_predicate`] exactly.
 pub fn eval_bound_predicate(expr: &BoundExpr, ctx: &BoundCtx<'_>) -> SqlResult<bool> {
-    match eval_bound(expr, ctx)? {
-        Value::Bool(b) => Ok(b),
-        Value::Null => Ok(false),
-        other => Err(SqlError::Semantic(format!(
-            "predicate evaluated to non-boolean {other:?}"
-        ))),
+    let mut failed = None;
+    let kept = conjuncts_hold(expr, ctx, &mut failed);
+    match failed {
+        Some(e) if kept => Err(e),
+        _ => Ok(kept),
+    }
+}
+
+/// [`eval_bound_predicate`]'s walk over an `AND` chain.
+fn conjuncts_hold(expr: &BoundExpr, ctx: &BoundCtx<'_>, failed: &mut Option<SqlError>) -> bool {
+    if let BoundExpr::Binary {
+        left,
+        op: BinOp::And,
+        right,
+    } = expr
+    {
+        return conjuncts_hold(left, ctx, failed) && conjuncts_hold(right, ctx, failed);
+    }
+    match eval_bound(expr, ctx).and_then(predicate_truth) {
+        Ok(holds) => holds,
+        Err(e) => {
+            failed.get_or_insert(e);
+            true
+        }
     }
 }
 

@@ -8,12 +8,14 @@
 //!
 //! `UPDATE` and `DELETE` share one collect/apply path for every executor:
 //! the compiled plan ([`crate::plan::DmlPlan`]), the interpreter and
-//! `Connection::execute_batch` differ only in how they evaluate
-//! expressions (`DmlEval`). The path finds candidate rows through the
-//! same access path a `SELECT` would take — point lookup, range walk or
-//! full scan — re-checks the full WHERE on each candidate, and visits
-//! candidates in ascending row id, so undo entries and WAL frames come out
-//! exactly as a full scan would produce them.
+//! `Connection::execute_batch` differ only in where candidate rows come
+//! from and how expressions are evaluated (`DmlEval`). The compiled plan
+//! finds candidates through the access path a `SELECT` would take —
+//! point lookup, range walk or full scan — and the interpreter, the
+//! differential oracle, always walks the whole table. Either way the
+//! full WHERE is re-checked on each candidate and candidates arrive in
+//! ascending row id (`Probe::rows`), so undo entries and WAL frames
+//! come out exactly as a full scan would produce them.
 //!
 //! Every runner takes an optional *held* table guard. With one, both
 //! phases run under the guard the caller holds — the fast path under the
@@ -29,7 +31,6 @@ use std::sync::Arc;
 use crate::ast::*;
 use crate::catalog::Catalog;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::select::{flatten_and, index_probe};
 use crate::exec::Probe;
 use crate::expr::{eval, eval_predicate, EvalCtx, RowSchema};
 use crate::storage::{Row, RowId, Snapshot, Table};
@@ -165,26 +166,6 @@ pub(crate) trait DmlEval {
     fn change(&mut self, row: &[Value]) -> SqlResult<Option<RowChange>>;
 }
 
-/// Visit a probe's candidates in ascending row id — the order a full scan
-/// visits them — ticking the scan counters of the path taken.
-fn for_each_candidate(
-    catalog: &Catalog,
-    snap: &Snapshot,
-    table: &Table,
-    probe: Probe,
-    mut visit: impl FnMut(RowId, &[Value]) -> SqlResult<()>,
-) -> SqlResult<()> {
-    let key_major = matches!(probe, Probe::Range { .. });
-    let mut rows = probe.rows(catalog, snap, table);
-    if !key_major {
-        return rows.try_for_each(|(id, row)| visit(id, row));
-    }
-    // A range walk is key-major; re-sort to row id order.
-    let mut entries: Vec<_> = rows.collect();
-    entries.sort_unstable_by_key(|(id, _)| *id);
-    entries.into_iter().try_for_each(|(id, row)| visit(id, row))
-}
-
 /// Phase 1 of an `UPDATE`/`DELETE`: the changes, in ascending row id.
 fn collect_changes(
     catalog: &Catalog,
@@ -194,12 +175,11 @@ fn collect_changes(
 ) -> SqlResult<Vec<(RowId, RowChange)>> {
     let probe = eval.probe(table)?;
     let mut changes = Vec::new();
-    for_each_candidate(catalog, snap, table, probe, |id, row| {
+    for (id, row) in probe.rows(catalog, snap, table) {
         if let Some(change) = eval.change(row)? {
             changes.push((id, change));
         }
-        Ok(())
-    })?;
+    }
     Ok(changes)
 }
 
@@ -255,9 +235,9 @@ pub(crate) fn run_dml(
     )
 }
 
-/// The interpreter's [`DmlEval`]: names resolved per execution,
-/// expressions walked as trees — the differential oracle for
-/// [`crate::plan::DmlPlan`].
+/// The interpreter's [`DmlEval`]: every row a candidate, names resolved
+/// per execution, expressions walked as trees — the differential oracle
+/// for [`crate::plan::DmlPlan`].
 struct AstDml<'a> {
     catalog: &'a Catalog,
     snap: &'a Snapshot,
@@ -269,19 +249,6 @@ struct AstDml<'a> {
     /// Filled by [`DmlEval::probe`], once the table is in hand.
     schema: RowSchema,
     positions: Vec<usize>,
-}
-
-impl AstDml<'_> {
-    fn ctx<'c>(&'c self, row: Option<&'c [Value]>) -> EvalCtx<'c> {
-        EvalCtx {
-            catalog: self.catalog,
-            snap: self.snap,
-            params: self.params,
-            named_params: self.named_params,
-            row: row.map(|r| (&self.schema, r)),
-            aggregates: None,
-        }
-    }
 }
 
 impl DmlEval for AstDml<'_> {
@@ -296,16 +263,18 @@ impl DmlEval for AstDml<'_> {
         }
         self.schema =
             RowSchema::for_binding(&binding, table.schema.columns.iter().map(|c| &c.name));
-        let mut conjuncts = Vec::new();
-        if let Some(pred) = self.where_clause {
-            flatten_and(pred, &mut conjuncts);
-        }
-        let probe = index_probe(&conjuncts, &binding, table, None, &self.ctx(None))?;
-        Ok(probe.unwrap_or(Probe::Full))
+        Ok(Probe::Full)
     }
 
     fn change(&mut self, row: &[Value]) -> SqlResult<Option<RowChange>> {
-        let ctx = self.ctx(Some(row));
+        let ctx = EvalCtx {
+            catalog: self.catalog,
+            snap: self.snap,
+            params: self.params,
+            named_params: self.named_params,
+            row: Some((&self.schema, row)),
+            aggregates: None,
+        };
         if let Some(pred) = self.where_clause {
             if !eval_predicate(pred, &ctx)? {
                 return Ok(None);

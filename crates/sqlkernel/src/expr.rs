@@ -305,8 +305,43 @@ pub fn eval(expr: &Expr, ctx: &EvalCtx<'_>) -> SqlResult<Value> {
 }
 
 /// Evaluate a predicate for filtering: NULL and FALSE both drop the row.
+/// Conjuncts of an `AND` chain run left to right and stop at the first
+/// FALSE or NULL. One that fails does not stop them: the row is dropped
+/// if a later conjunct is FALSE or NULL, and only otherwise does the
+/// first failure surface (ADR 0003, rule b) — so no index that skips
+/// the row can change whether the statement fails.
 pub fn eval_predicate(expr: &Expr, ctx: &EvalCtx<'_>) -> SqlResult<bool> {
-    match eval(expr, ctx)? {
+    let mut failed = None;
+    let kept = conjuncts_hold(expr, ctx, &mut failed);
+    match failed {
+        Some(e) if kept => Err(e),
+        _ => Ok(kept),
+    }
+}
+
+/// [`eval_predicate`]'s walk: `false` once a conjunct is FALSE or NULL;
+/// a failing conjunct counts as holding, its error kept in `failed`.
+fn conjuncts_hold(expr: &Expr, ctx: &EvalCtx<'_>, failed: &mut Option<SqlError>) -> bool {
+    if let Expr::Binary {
+        left,
+        op: BinOp::And,
+        right,
+    } = expr
+    {
+        return conjuncts_hold(left, ctx, failed) && conjuncts_hold(right, ctx, failed);
+    }
+    match eval(expr, ctx).and_then(predicate_truth) {
+        Ok(holds) => holds,
+        Err(e) => {
+            failed.get_or_insert(e);
+            true
+        }
+    }
+}
+
+/// A predicate value as a filter verdict: NULL drops the row like FALSE.
+pub(crate) fn predicate_truth(v: Value) -> SqlResult<bool> {
+    match v {
         Value::Bool(b) => Ok(b),
         Value::Null => Ok(false),
         other => Err(SqlError::Semantic(format!(

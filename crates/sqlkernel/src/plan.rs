@@ -9,14 +9,17 @@
 //! value operations.
 //!
 //! Compilation is best-effort and *must not change semantics*. Anything
-//! the compiler does not understand — joins, grouping, views, unions,
-//! aggregates, unresolvable names — yields [`CompiledPlan::Unsupported`]
-//! and the caller falls back to the tree-walking interpreter, which
-//! reports errors canonically. Crucially, the compiler chooses the
-//! access path with the *same* helper functions the interpreter uses
-//! (`find_eq_candidate`, `find_range_candidate`, `naive_order_hint`), so
-//! for any statement both executors emit rows in the same order; the
-//! differential tests in `tests/plan_cache.rs` hold them byte-identical.
+//! the compiler does not understand — views, unions, derived tables,
+//! unresolvable names — yields [`CompiledPlan::Unsupported`] and the
+//! caller falls back to the tree-walking interpreter, which reports
+//! errors canonically. The interpreter takes no access path at all: it
+//! scans every table in full. The access path chosen here can never show
+//! in a result, because the executor follows the three rules of
+//! `docs/adr/0003-access-path-independent-results.md` — rows leave in
+//! row id order unless the ORDER BY decides, a row some WHERE conjunct
+//! rejects is dropped even if another conjunct fails, and the SELECT
+//! list is evaluated only on the rows the output keeps. The differential
+//! tests in `tests/plan_cache.rs` hold both executors byte-identical.
 //!
 //! Plans are cached per statement, keyed by the catalog's schema
 //! [`epoch`](crate::catalog::Catalog::epoch). Any DDL — including
@@ -36,10 +39,7 @@ use crate::catalog::Catalog;
 use crate::counters::Counter;
 use crate::error::{SqlError, SqlResult};
 use crate::exec::dml::{run_dml, DmlEval, RowChange};
-use crate::exec::select::{
-    collect_aggregates, find_eq_candidate, find_range_candidate, flatten_and, naive_order_hint,
-    order_targets_column, projection_plan, split_equi_join,
-};
+use crate::exec::select::{collect_aggregates, flatten_and, projection_plan, split_equi_join};
 use crate::exec::Probe;
 use crate::expr::{aggregate_key, is_aggregate_name, RowSchema};
 use crate::storage::{Snapshot, Table};
@@ -59,21 +59,20 @@ pub(crate) enum Access {
     /// Point lookup: `col = key` over a single-column index.
     IndexEq { col: usize, key: BoundExpr },
     /// Range walk over a single-column index. Bounds are
-    /// `(expr, inclusive)`; `rev` walks the key order backwards.
+    /// `(expr, inclusive)`; with neither, the walk covers the whole
+    /// index, NULL keys included, and is taken only for its order.
+    /// `order` is `Some(desc)` when the walk's key order serves the
+    /// ORDER BY, `None` when rows leave in row id order.
     IndexRange {
         col: usize,
         lower: Option<(BoundExpr, bool)>,
         upper: Option<(BoundExpr, bool)>,
-        rev: bool,
+        order: Option<bool>,
     },
-    /// Whole-index walk taken purely for `ORDER BY` key order
-    /// (NULL keys included in their sort position).
-    IndexOrder { col: usize, desc: bool },
 }
 
 impl Access {
-    /// Evaluate the path's keys for one execution. An `IndexOrder` walk
-    /// is the unbounded range that keeps NULL keys in sort position.
+    /// Evaluate the path's keys for one execution.
     pub(crate) fn probe(&self, ctx: &BoundCtx<'_>, evals: &mut Evals) -> SqlResult<Probe> {
         Ok(match self {
             Access::Full => Probe::Full,
@@ -85,22 +84,39 @@ impl Access {
                 col,
                 lower,
                 upper,
-                rev,
+                order,
             } => Probe::Range {
                 col: *col,
                 lower: evals.bound(lower, ctx)?,
                 upper: evals.bound(upper, ctx)?,
-                rev: *rev,
-                nulls: false,
-            },
-            Access::IndexOrder { col, desc } => Probe::Range {
-                col: *col,
-                lower: None,
-                upper: None,
-                rev: *desc,
-                nulls: true,
+                order: *order,
             },
         })
+    }
+
+    /// Keep the walk's key order only where `serves(col, desc)` says the
+    /// ORDER BY is that order: otherwise a range walk yields row id
+    /// order, and a walk taken only for its order becomes a full scan.
+    /// Returns whether the access path serves the ORDER BY.
+    fn settle_order(&mut self, serves: impl Fn(usize, bool) -> bool) -> bool {
+        let Access::IndexRange {
+            col,
+            lower,
+            upper,
+            order,
+        } = self
+        else {
+            return false;
+        };
+        if order.is_some_and(|desc| serves(*col, desc)) {
+            return true;
+        }
+        if lower.is_none() && upper.is_none() {
+            *self = Access::Full;
+        } else {
+            *order = None;
+        }
+        false
     }
 }
 
@@ -113,9 +129,9 @@ impl Access {
 pub(crate) struct JoinSide {
     /// Catalog table name, as written.
     pub(crate) table: String,
-    /// Access path chosen from the pushed conjuncts (never `IndexOrder`:
-    /// join sides are re-sorted to rowid order, so order is irrelevant
-    /// and every key below is a plan constant).
+    /// Access path chosen from the pushed conjuncts (a range walk yields
+    /// row id order: no ORDER BY reaches a join side). Every key is a
+    /// plan constant.
     pub(crate) access: Access,
     /// Pushed conjuncts, column ordinals local to this side's schema.
     pub(crate) prefilter: Vec<OwnedColCmp>,
@@ -163,6 +179,17 @@ pub(crate) enum InputPlan {
     Join(JoinPlan),
 }
 
+impl InputPlan {
+    /// [`Access::settle_order`] for a single-table input; a join never
+    /// serves an order.
+    fn settle_order(&mut self, serves: impl Fn(usize, bool) -> bool) -> bool {
+        match self {
+            InputPlan::Single { access, .. } => access.settle_order(serves),
+            InputPlan::Join(_) => false,
+        }
+    }
+}
+
 /// Where one ORDER BY sort key comes from, resolved at compile time
 /// following the interpreter's rules: ordinal literal → output column;
 /// bare name matching an output alias → output column; anything else →
@@ -175,14 +202,11 @@ pub(crate) enum OrderKey {
     Row(BoundExpr),
 }
 
-/// A compiled `SELECT` over one table or a join chain. Executed
-/// batch-at-a-time by [`crate::exec::batch::run_select_batched`].
+/// The output stage of a compiled `SELECT`: the SELECT list, DISTINCT,
+/// ORDER BY, OFFSET and LIMIT. The SELECT list and the ORDER BY keys of
+/// an [`AggPlan`] are bound against its virtual row.
 #[derive(Debug)]
-pub struct SelectPlan {
-    pub(crate) input: InputPlan,
-    /// The full WHERE clause; always re-checked, so the access path is
-    /// purely an optimization.
-    pub(crate) filter: Option<BoundExpr>,
+pub(crate) struct OutputPlan {
     pub(crate) columns: Vec<String>,
     pub(crate) projections: Vec<BoundExpr>,
     pub(crate) distinct: bool,
@@ -194,14 +218,25 @@ pub struct SelectPlan {
     pub(crate) offset: Option<BoundExpr>,
 }
 
-impl SelectPlan {
-    /// Are the first OFFSET + LIMIT rows that pass the WHERE, in input
-    /// order, exactly the rows the output is cut from? They are when the
-    /// input already is in output order (the access path serves the
-    /// ORDER BY, or there is none) and no DISTINCT can drop a row.
+impl OutputPlan {
+    /// Are the first OFFSET + LIMIT input rows exactly the rows the
+    /// output is cut from? They are when the input already is in output
+    /// order (the access path serves the ORDER BY, or there is none) and
+    /// no DISTINCT can drop a row.
     pub(crate) fn limit_cuts_input(&self) -> bool {
         (self.order_served || self.order.is_empty()) && !self.distinct
     }
+}
+
+/// A compiled `SELECT` over one table or a join chain. Executed
+/// batch-at-a-time by [`crate::exec::batch::run_select_batched`].
+#[derive(Debug)]
+pub struct SelectPlan {
+    pub(crate) input: InputPlan,
+    /// The full WHERE clause; always re-checked, so the access path is
+    /// purely an optimization.
+    pub(crate) filter: Option<BoundExpr>,
+    pub(crate) output: OutputPlan,
 }
 
 /// One aggregate call site of an [`AggPlan`], argument pre-bound against
@@ -240,12 +275,8 @@ pub struct AggPlan {
     pub(crate) base_width: usize,
     /// HAVING over the virtual row (aggregates already rewritten).
     pub(crate) having: Option<BoundExpr>,
-    pub(crate) columns: Vec<String>,
-    pub(crate) projections: Vec<BoundExpr>,
-    pub(crate) distinct: bool,
-    pub(crate) order: Vec<(OrderKey, bool)>,
-    pub(crate) limit: Option<BoundExpr>,
-    pub(crate) offset: Option<BoundExpr>,
+    /// Never `order_served`: groups are sorted after they are formed.
+    pub(crate) output: OutputPlan,
 }
 
 /// A compiled `UPDATE` or `DELETE`: the access path that finds candidate
@@ -334,18 +365,20 @@ fn bind_opt(expr: Option<&crate::ast::Expr>, schema: &RowSchema) -> Option<Optio
     }
 }
 
-/// Choose the access path exactly as the interpreter's `try_index_scan`
-/// does — same candidate search over the same flattened conjunct list —
-/// so both executors emit rows in the same physical order. Returns the
-/// access plus `(col, desc)` when the path serves that key order.
-/// `None` when a bound expression fails to bind (decline compilation).
+/// Choose a single table's access path: a point lookup for an equality
+/// conjunct (it beats any range walk), else a range walk over the first
+/// indexed column with a range conjunct, else a whole-index walk when
+/// the ORDER BY names an indexed column, else a full scan. A walk keeps
+/// its key order when the ORDER BY names its column; the caller settles
+/// that against the projection ([`Access::settle_order`]). `None` when a
+/// bound expression fails to bind (decline compilation).
 fn choose_access(
     where_clause: Option<&Expr>,
     order_by: &[OrderItem],
     binding: &str,
     table: &Table,
     schema: &RowSchema,
-) -> Option<(Access, Option<(usize, bool)>)> {
+) -> Option<Access> {
     let mut conjuncts = Vec::new();
     if let Some(pred) = where_clause {
         flatten_and(pred, &mut conjuncts);
@@ -353,29 +386,284 @@ fn choose_access(
     let order_hint = naive_order_hint(order_by, binding, table);
     if let Some((col, value_expr)) = find_eq_candidate(&conjuncts, binding, table) {
         let key = bind(value_expr, schema).ok()?;
-        Some((Access::IndexEq { col, key }, None))
+        Some(Access::IndexEq { col, key })
     } else if let Some(spec) = find_range_candidate(&conjuncts, binding, table) {
-        let rev = order_hint.is_some_and(|(c, desc)| c == spec.col && desc);
         let bind_bound = |b: Option<(&Expr, bool)>| match b {
             Some((e, inc)) => bind(e, schema).ok().map(|be| Some((be, inc))),
             None => Some(None),
         };
-        Some((
-            Access::IndexRange {
-                col: spec.col,
-                lower: bind_bound(spec.lower)?,
-                upper: bind_bound(spec.upper)?,
-                rev,
-            },
-            Some((spec.col, rev)),
-        ))
+        Some(Access::IndexRange {
+            col: spec.col,
+            lower: bind_bound(spec.lower)?,
+            upper: bind_bound(spec.upper)?,
+            order: order_hint
+                .filter(|(c, _)| *c == spec.col)
+                .map(|(_, desc)| desc),
+        })
     } else if let Some((col, desc)) =
         order_hint.filter(|(col, _)| table.find_index(&[*col]).is_some())
     {
-        Some((Access::IndexOrder { col, desc }, Some((col, desc))))
+        Some(Access::IndexRange {
+            col,
+            lower: None,
+            upper: None,
+            order: Some(desc),
+        })
     } else {
-        Some((Access::Full, None))
+        Some(Access::Full)
     }
+}
+
+/// First conjunct of the form `col = row-independent-expr` (either side)
+/// over a column with a single-column index.
+fn find_eq_candidate<'a>(
+    conjuncts: &'a [Expr],
+    binding: &str,
+    table: &Table,
+) -> Option<(usize, &'a Expr)> {
+    for c in conjuncts {
+        let Expr::Binary {
+            left,
+            op: BinOp::Eq,
+            right,
+        } = c
+        else {
+            continue;
+        };
+        // One side must be a column of this table, the other a
+        // row-independent expression.
+        let (col, value_expr) = match (left.as_ref(), right.as_ref()) {
+            (Expr::Column { table: t, name: n }, e) if is_row_independent(e) => {
+                match resolve_local(binding, t.as_deref(), n, table) {
+                    Some(pos) => (pos, e),
+                    None => continue,
+                }
+            }
+            (e, Expr::Column { table: t, name: n }) if is_row_independent(e) => {
+                match resolve_local(binding, t.as_deref(), n, table) {
+                    Some(pos) => (pos, e),
+                    None => continue,
+                }
+            }
+            _ => continue,
+        };
+        if table.find_index(&[col]).is_some() {
+            return Some((col, value_expr));
+        }
+    }
+    None
+}
+
+/// What one conjunct contributes to a single-column range. Bounds are
+/// `(expr, inclusive)`.
+enum RangeConstraint<'a> {
+    Lower(&'a Expr, bool),
+    Upper(&'a Expr, bool),
+    Both((&'a Expr, bool), (&'a Expr, bool)),
+}
+
+fn range_conjunct<'a>(
+    c: &'a Expr,
+    binding: &str,
+    table: &Table,
+) -> Option<(usize, RangeConstraint<'a>)> {
+    match c {
+        Expr::Binary { left, op, right }
+            if matches!(op, BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq) =>
+        {
+            // col <op> value
+            if let Expr::Column { table: t, name: n } = left.as_ref() {
+                if is_row_independent(right) {
+                    let col = resolve_local(binding, t.as_deref(), n, table)?;
+                    let rc = match op {
+                        BinOp::Lt => RangeConstraint::Upper(right, false),
+                        BinOp::LtEq => RangeConstraint::Upper(right, true),
+                        BinOp::Gt => RangeConstraint::Lower(right, false),
+                        BinOp::GtEq => RangeConstraint::Lower(right, true),
+                        _ => unreachable!(),
+                    };
+                    return Some((col, rc));
+                }
+            }
+            // value <op> col — same constraint with the sides flipped.
+            if let Expr::Column { table: t, name: n } = right.as_ref() {
+                if is_row_independent(left) {
+                    let col = resolve_local(binding, t.as_deref(), n, table)?;
+                    let rc = match op {
+                        BinOp::Lt => RangeConstraint::Lower(left, false),
+                        BinOp::LtEq => RangeConstraint::Lower(left, true),
+                        BinOp::Gt => RangeConstraint::Upper(left, false),
+                        BinOp::GtEq => RangeConstraint::Upper(left, true),
+                        _ => unreachable!(),
+                    };
+                    return Some((col, rc));
+                }
+            }
+            None
+        }
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated: false,
+        } => {
+            if let Expr::Column { table: t, name: n } = expr.as_ref() {
+                if is_row_independent(low) && is_row_independent(high) {
+                    let col = resolve_local(binding, t.as_deref(), n, table)?;
+                    return Some((col, RangeConstraint::Both((low, true), (high, true))));
+                }
+            }
+            None
+        }
+        _ => None,
+    }
+}
+
+/// A resolved range-scan candidate: the indexed column plus at most one
+/// lower and one upper bound taken from the conjuncts. Remaining
+/// conjuncts (including further bounds on the same column) stay in the
+/// residual WHERE, which always re-runs.
+struct RangeSpec<'a> {
+    col: usize,
+    lower: Option<(&'a Expr, bool)>,
+    upper: Option<(&'a Expr, bool)>,
+}
+
+/// First indexed column constrained by a range conjunct, with its first
+/// lower and first upper bound.
+fn find_range_candidate<'a>(
+    conjuncts: &'a [Expr],
+    binding: &str,
+    table: &Table,
+) -> Option<RangeSpec<'a>> {
+    let mut target = None;
+    for c in conjuncts {
+        if let Some((col, _)) = range_conjunct(c, binding, table) {
+            if table.find_index(&[col]).is_some() {
+                target = Some(col);
+                break;
+            }
+        }
+    }
+    let col = target?;
+    let mut lower: Option<(&Expr, bool)> = None;
+    let mut upper: Option<(&Expr, bool)> = None;
+    for c in conjuncts {
+        match range_conjunct(c, binding, table) {
+            Some((c2, rc)) if c2 == col => match rc {
+                RangeConstraint::Lower(e, inc) => {
+                    if lower.is_none() {
+                        lower = Some((e, inc));
+                    }
+                }
+                RangeConstraint::Upper(e, inc) => {
+                    if upper.is_none() {
+                        upper = Some((e, inc));
+                    }
+                }
+                RangeConstraint::Both(lo, hi) => {
+                    if lower.is_none() {
+                        lower = Some(lo);
+                    }
+                    if upper.is_none() {
+                        upper = Some(hi);
+                    }
+                }
+            },
+            _ => {}
+        }
+    }
+    Some(RangeSpec { col, lower, upper })
+}
+
+/// Cheap syntactic check: does the (single-item) ORDER BY name a column of
+/// the scanned table directly? Used only to pick the walk — the
+/// authoritative skip-sort decision re-resolves against the projection
+/// (aliases can shadow source columns).
+fn naive_order_hint(order_by: &[OrderItem], binding: &str, table: &Table) -> Option<(usize, bool)> {
+    if order_by.len() != 1 {
+        return None;
+    }
+    let item = &order_by[0];
+    if let Expr::Column { table: t, name: n } = &item.expr {
+        let col = resolve_local(binding, t.as_deref(), n, table)?;
+        return Some((col, item.desc));
+    }
+    None
+}
+
+/// Does this ORDER BY item sort by exactly the given source column?
+/// Mirrors [`compile_order_key`]'s resolution order — ordinal literal,
+/// then output alias, then source expression — so an alias shadowing a
+/// source column is honored.
+fn order_targets_column(
+    expr: &Expr,
+    out_columns: &[String],
+    proj_exprs: &[Expr],
+    schema: &RowSchema,
+    col: usize,
+) -> bool {
+    let target = match expr {
+        Expr::Literal(Value::Int(n)) => {
+            if *n >= 1 && (*n as usize) <= proj_exprs.len() {
+                &proj_exprs[*n as usize - 1]
+            } else {
+                return false;
+            }
+        }
+        Expr::Column { table: None, name } => {
+            match out_columns
+                .iter()
+                .position(|c| c.eq_ignore_ascii_case(name))
+            {
+                Some(i) => &proj_exprs[i],
+                None => expr,
+            }
+        }
+        e => e,
+    };
+    match target {
+        Expr::Column { table, name } => schema.resolve(table.as_deref(), name).ok() == Some(col),
+        _ => false,
+    }
+}
+
+/// Does the expression avoid column references and aggregates (i.e. can
+/// it be evaluated once per statement)? Subqueries are conservatively
+/// rejected to keep the fast path cheap to test for.
+fn is_row_independent(e: &Expr) -> bool {
+    let mut independent = true;
+    e.walk(&mut |node| {
+        if matches!(
+            node,
+            Expr::Column { .. }
+                | Expr::InSubquery { .. }
+                | Expr::Exists { .. }
+                | Expr::ScalarSubquery(_)
+        ) {
+            independent = false;
+        }
+        if let Expr::Function { name, .. } = node {
+            if is_aggregate_name(name) || name == "NEXTVAL" {
+                independent = false;
+            }
+        }
+    });
+    independent
+}
+
+fn resolve_local(
+    binding: &str,
+    qualifier: Option<&str>,
+    column: &str,
+    table: &Table,
+) -> Option<usize> {
+    if let Some(q) = qualifier {
+        if !q.eq_ignore_ascii_case(binding) {
+            return None;
+        }
+    }
+    table.schema.col_index(column)
 }
 
 /// Does any expression position of this statement run a subquery?
@@ -402,15 +690,13 @@ fn stmt_contains_subquery(stmt: &SelectStmt) -> bool {
         })
 }
 
-/// A compiled FROM clause: the input plan, the combined row schema
-/// every downstream expression binds against, and the single-table
-/// index-order hint (`(col, desc)`) consumed by the `order_served`
-/// check — join inputs never serve an order.
-type CompiledInput = (InputPlan, RowSchema, Option<(usize, bool)>);
-
 /// Compile the FROM clause into an input plan plus the combined row
 /// schema every downstream expression binds against.
-fn compile_input(catalog: &Catalog, stmt: &SelectStmt, from: &FromClause) -> Option<CompiledInput> {
+fn compile_input(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    from: &FromClause,
+) -> Option<(InputPlan, RowSchema)> {
     let TableSource::Named(name) = &from.base.source else {
         return None;
     };
@@ -421,7 +707,7 @@ fn compile_input(catalog: &Catalog, stmt: &SelectStmt, from: &FromClause) -> Opt
         let table = catalog.table(name).ok()?;
         let binding = from.base.binding_name().unwrap_or(name).to_string();
         let schema = table_row_schema(&table, &binding);
-        let (access, index_order) = choose_access(
+        let access = choose_access(
             stmt.where_clause.as_ref(),
             &stmt.order_by,
             &binding,
@@ -434,11 +720,10 @@ fn compile_input(catalog: &Catalog, stmt: &SelectStmt, from: &FromClause) -> Opt
                 access,
             },
             schema,
-            index_order,
         ));
     }
     let (join, schema) = compile_join(catalog, stmt, from)?;
-    Some((InputPlan::Join(join), schema, None))
+    Some((InputPlan::Join(join), schema))
 }
 
 /// The side whose column range contains every cmp ordinal, if exactly
@@ -452,13 +737,11 @@ fn side_of(cmps: &[OwnedColCmp], offsets: &[usize], widths: &[usize]) -> Option<
         .then_some(s)
 }
 
-/// Choose a join side's access path from its pushed conjuncts. Join
-/// sides are re-sorted to rowid order after gathering, so unlike the
-/// single-table chooser this one owes the interpreter no particular
-/// physical order — any index that serves part of the prefilter is fair
-/// game (the full prefilter still runs over whatever the index yields).
-/// Keys are plan constants, so the scan itself can never raise an
-/// evaluation error the interpreter would not.
+/// Choose a join side's access path from its pushed conjuncts: any index
+/// that serves part of the prefilter is fair game (the full prefilter
+/// still runs over whatever the index yields, in row id order). Keys are
+/// plan constants, so the scan itself can never raise an evaluation
+/// error the interpreter would not.
 fn access_from_cmps(table: &Table, cmps: &[OwnedColCmp]) -> Access {
     for c in cmps {
         if c.op == BinOp::Eq && table.find_index(&[c.col]).is_some() {
@@ -491,7 +774,7 @@ fn access_from_cmps(table: &Table, cmps: &[OwnedColCmp]) -> Access {
             col: c.col,
             lower,
             upper,
-            rev: false,
+            order: None,
         };
     }
     Access::Full
@@ -667,7 +950,7 @@ fn compile_join(
     ))
 }
 
-/// Resolve one ORDER BY item the way the interpreter's `order_key`
+/// Resolve one ORDER BY item the way the interpreter's `sort_key`
 /// resolves it: in-range ordinal literal → output column; bare name
 /// matching an output alias → output column; anything else → bound
 /// expression over the (virtual) source row. An out-of-range ordinal
@@ -719,7 +1002,7 @@ fn compile_select(catalog: &Catalog, stmt: &SelectStmt) -> Option<CompiledPlan> 
         return None;
     }
     let from = stmt.from.as_ref()?;
-    let (input, schema, index_order) = compile_input(catalog, stmt, from)?;
+    let (mut input, schema) = compile_input(catalog, stmt, from)?;
 
     // Projection expansion + binding. Aggregates fail `bind`, sending
     // anything the grouping test above missed to the interpreter.
@@ -740,11 +1023,14 @@ fn compile_select(catalog: &Catalog, stmt: &SelectStmt) -> Option<CompiledPlan> 
         order.push((key, item.desc));
     }
 
-    let order_served = stmt.order_by.len() == 1
-        && index_order.is_some_and(|(col, rev)| {
-            stmt.order_by[0].desc == rev
-                && order_targets_column(&stmt.order_by[0].expr, &columns, &proj_exprs, &schema, col)
-        });
+    // DISTINCT keeps the first of equal rows in row id order, and that
+    // row's sort key: rows must arrive in row id order.
+    let order_served = input.settle_order(|col, desc| {
+        !stmt.distinct
+            && stmt.order_by.len() == 1
+            && stmt.order_by[0].desc == desc
+            && order_targets_column(&stmt.order_by[0].expr, &columns, &proj_exprs, &schema, col)
+    });
 
     // LIMIT/OFFSET are row-independent; bind against the empty schema.
     let empty = RowSchema::empty();
@@ -754,13 +1040,15 @@ fn compile_select(catalog: &Catalog, stmt: &SelectStmt) -> Option<CompiledPlan> 
     Some(CompiledPlan::Select(Box::new(SelectPlan {
         input,
         filter,
-        columns,
-        projections,
-        distinct: stmt.distinct,
-        order,
-        order_served,
-        limit,
-        offset,
+        output: OutputPlan {
+            columns,
+            projections,
+            distinct: stmt.distinct,
+            order,
+            order_served,
+            limit,
+            offset,
+        },
     })))
 }
 
@@ -876,11 +1164,10 @@ fn rewrite_aggs(e: &Expr, keys: &[String]) -> Expr {
 /// error the interpreter must report.
 fn compile_select_agg(catalog: &Catalog, stmt: &SelectStmt) -> Option<CompiledPlan> {
     let from = stmt.from.as_ref()?;
-    // Access-path choice (for the single-table case) is shared with the
-    // plain-select compiler so group first-seen order matches the
-    // interpreter's row arrival order. (`order_served` never applies to
-    // grouped queries, so the index-order hint is dropped.)
-    let (input, schema, _) = compile_input(catalog, stmt, from)?;
+    // The ORDER BY sorts groups, never input rows: rows arrive in row id
+    // order, so groups appear in the interpreter's first-seen order.
+    let (mut input, schema) = compile_input(catalog, stmt, from)?;
+    input.settle_order(|_, _| false);
 
     // Aggregate call sites, discovered in the interpreter's walk order
     // (projections, HAVING, ORDER BY; deduplicated by call-site key).
@@ -965,12 +1252,15 @@ fn compile_select_agg(catalog: &Catalog, stmt: &SelectStmt) -> Option<CompiledPl
         specs,
         base_width: schema.len(),
         having,
-        columns,
-        projections,
-        distinct: stmt.distinct,
-        order,
-        limit,
-        offset,
+        output: OutputPlan {
+            columns,
+            projections,
+            distinct: stmt.distinct,
+            order,
+            order_served: false,
+            limit,
+            offset,
+        },
     })))
 }
 
@@ -994,7 +1284,7 @@ fn compile_dml(
             ),
             None => None,
         };
-        let (access, _) = choose_access(where_clause, &[], &binding, &table, &schema)?;
+        let access = choose_access(where_clause, &[], &binding, &table, &schema)?;
         Some(CompiledPlan::Dml(Box::new(DmlPlan {
             table: name.to_string(),
             access,

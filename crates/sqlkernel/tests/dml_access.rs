@@ -1,11 +1,12 @@
 //! DML access paths and bounded checkpoints.
 //!
-//! `UPDATE`/`DELETE` find their victims through the same access path a
-//! `SELECT` takes: a point lookup or range walk over an index instead of
-//! a full scan. These tests pin the scan counters of each path, the
-//! set-at-a-time batch path, and the checkpoint pieces that keep memory
-//! flat when writes get fast: the streamed dirty set, the streamed page
-//! packer, and the per-page in-memory store.
+//! A compiled `UPDATE`/`DELETE` finds its victims through the same access
+//! path a `SELECT` takes: a point lookup or range walk over an index
+//! instead of a full scan. The interpreter, the differential oracle,
+//! always scans the whole table. These tests pin the scan counters of
+//! each path, the set-at-a-time batch path, and the checkpoint pieces
+//! that keep memory flat when writes get fast: the streamed dirty set,
+//! the streamed page packer, and the per-page in-memory store.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -62,6 +63,28 @@ fn run_both_ways(conn: &Connection, sql: &str, params: &[Value], interpreted: bo
     result.unwrap().affected().unwrap()
 }
 
+/// The compiled statement took `index_scans` point lookups and
+/// `range_scans` range walks and scanned no row; the interpreted one
+/// walked the whole table, `live_rows` rows, and no index.
+fn assert_scanned(
+    d: &DbStats,
+    interpreted: bool,
+    index_scans: u64,
+    range_scans: u64,
+    live_rows: u64,
+) {
+    let want = if interpreted {
+        (0, 0, live_rows)
+    } else {
+        (index_scans, range_scans, 0)
+    };
+    assert_eq!(
+        (d.index_scans, d.range_scans, d.full_scan_rows),
+        want,
+        "interpreted: {interpreted}"
+    );
+}
+
 #[test]
 fn pk_update_and_delete_are_point_lookups() {
     for interpreted in [false, true] {
@@ -76,8 +99,7 @@ fn pk_update_and_delete_are_point_lookups() {
             );
             assert_eq!(n, 1);
         });
-        assert_eq!(d.index_scans, 1, "interpreted: {interpreted}");
-        assert_eq!(d.full_scan_rows, 0, "interpreted: {interpreted}");
+        assert_scanned(&d, interpreted, 1, 0, 50_000);
         let d = delta(&db, || {
             let n = run_both_ways(
                 &conn,
@@ -87,8 +109,7 @@ fn pk_update_and_delete_are_point_lookups() {
             );
             assert_eq!(n, 1);
         });
-        assert_eq!(d.index_scans, 1, "interpreted: {interpreted}");
-        assert_eq!(d.full_scan_rows, 0, "interpreted: {interpreted}");
+        assert_scanned(&d, interpreted, 1, 0, 50_000);
         let rs = conn.query("SELECT v FROM t WHERE k = 31337", &[]).unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Int(31_338)]]);
         assert_eq!(db.table_len("t").unwrap(), 49_999);
@@ -109,9 +130,7 @@ fn range_delete_walks_the_index() {
             );
             assert_eq!(n, 1_000);
         });
-        assert_eq!(d.range_scans, 1, "interpreted: {interpreted}");
-        assert_eq!(d.index_scans, 0, "interpreted: {interpreted}");
-        assert_eq!(d.full_scan_rows, 0, "interpreted: {interpreted}");
+        assert_scanned(&d, interpreted, 0, 1, 50_000);
         assert_eq!(db.table_len("t").unwrap(), 49_000);
     }
 }
@@ -400,19 +419,23 @@ fn index_driven_dml_logs_the_frames_a_full_scan_logs() {
             )
             .unwrap();
         }
+        // Statement by statement through `execute`, so each compiles and
+        // takes its access path (a script runs on the interpreter, which
+        // scans in full).
         let d = delta(&db, || {
-            conn.execute_script(
-                "UPDATE t SET v = v + 1 WHERE k BETWEEN 40 AND 120;
-                 UPDATE t SET k = k + 1000 WHERE k >= 250;
-                 DELETE FROM t WHERE s < 's010';
-                 BEGIN;
-                 UPDATE t SET s = 'moved' WHERE s = 's020';
-                 DELETE FROM t WHERE s = 's020';
-                 DELETE FROM t WHERE k > 1100;
-                 UPDATE t SET v = -1 WHERE s = 'moved';
-                 COMMIT;",
-            )
-            .unwrap();
+            for sql in [
+                "UPDATE t SET v = v + 1 WHERE k BETWEEN 40 AND 120",
+                "UPDATE t SET k = k + 1000 WHERE k >= 250",
+                "DELETE FROM t WHERE s < 's010'",
+                "BEGIN",
+                "UPDATE t SET s = 'moved' WHERE s = 's020'",
+                "DELETE FROM t WHERE s = 's020'",
+                "DELETE FROM t WHERE k > 1100",
+                "UPDATE t SET v = -1 WHERE s = 'moved'",
+                "COMMIT",
+            ] {
+                conn.execute(sql, &[]).unwrap();
+            }
             for k in [3i64, 77, 1290] {
                 conn.execute("DELETE FROM t WHERE k = ?", &[Value::Int(k)])
                     .unwrap();

@@ -33,6 +33,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Chaos: the differential exactly-once suite under rotating storm seeds
 # (each run adds CHAOS_SEED to the three built-in schedules), plus the
 # compiled-join differential corpus (CHAOS_SEED adds a corpus seed), the
+# LIMIT corpus against the interpreter and an index-free twin
+# (CHAOS_SEED is added to every case seed), the
 # property tests (CHAOS_SEED is XORed into every case seed), the GC
 # sweep differential (garbage-list sweep vs full walk; CHAOS_SEED adds a
 # history seed) and the row-map model test (chunked version chains vs a
@@ -40,6 +42,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 for seed in 20260807 271828 31337; do
   CHAOS_SEED="$seed" cargo test -q --test chaos_exactly_once
   CHAOS_SEED="$seed" cargo test -q -p sqlkernel --test join_exec
+  CHAOS_SEED="$seed" cargo test -q -p sqlkernel --test limit_pushdown
   CHAOS_SEED="$seed" cargo test -q --test proptests
   CHAOS_SEED="$seed" cargo test -q -p sqlkernel --lib gc_garbage_list_sweep_matches_full_walk
   CHAOS_SEED="$seed" cargo test -q -p sqlkernel --lib chunked_chains_match_btreemap_model
