@@ -31,12 +31,15 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::ast::JoinKind;
-use crate::bound::{eval_bound_batch, filter_bound_batch, flatten_col_cmps, BoundCtx, BoundExpr};
+use crate::bound::{
+    eval_bound_batch, filter_bound_batch, flatten_col_cmps, row_passes, select_rows, BoundCtx,
+    BoundExpr,
+};
 use crate::catalog::Catalog;
 use crate::counters::Counter;
 use crate::db::QueryResult;
 use crate::error::SqlResult;
-use crate::exec::select::{cmp_keys, combine_agg_values};
+use crate::exec::select::{cmp_keys, combine_agg_values, fold_agg_values, IntTotal};
 use crate::plan::{
     bound_usize, Access, AggPlan, Evals, InputPlan, JoinPlan, JoinSide, JoinStep, OrderKey,
     OutputPlan, SelectPlan,
@@ -140,7 +143,7 @@ fn gather_side<'t>(
     Ok(probe
         .rows(catalog, ctx.snap, table)
         .map(|(_, row)| &**row)
-        .filter(|r| side.prefilter.iter().all(|c| c.passes(r)))
+        .filter(|r| row_passes(&side.prefilter, r))
         .collect())
 }
 
@@ -289,7 +292,7 @@ fn inl_join(
             table
                 .index_eq(ctx.snap, index, &probe)
                 .map(|(_, r)| &**r)
-                .filter(|r| side.prefilter.iter().all(|c| c.passes(r))),
+                .filter(|r| row_passes(&side.prefilter, r)),
         );
         right_matched.clear();
         right_matched.resize(right.len(), false);
@@ -519,21 +522,22 @@ fn fill_selection(
     sel: &mut Vec<u32>,
 ) -> SqlResult<u64> {
     sel.clear();
-    match filter {
-        Some(pred) => {
-            let mut passes = 0u64;
-            for (ci, chunk) in rows.chunks(BATCH_SIZE).enumerate() {
-                passes += 1;
-                evals.0 += chunk.len() as u64;
-                filter_bound_batch(pred, ctx, chunk, (ci * BATCH_SIZE) as u32, sel)?;
-            }
-            Ok(passes)
-        }
-        None => {
-            sel.extend(0..rows.len() as u32);
-            Ok(0)
-        }
+    let Some(pred) = filter else {
+        sel.extend(0..rows.len() as u32);
+        return Ok(0);
+    };
+    if rows.is_empty() {
+        return Ok(0);
     }
+    let mut cmps = Vec::new();
+    let cmps = flatten_col_cmps(pred, ctx, &mut cmps).then_some(cmps.as_slice());
+    let mut passes = 0u64;
+    for (ci, chunk) in rows.chunks(BATCH_SIZE).enumerate() {
+        passes += 1;
+        evals.0 += chunk.len() as u64;
+        filter_bound_batch(pred, cmps, ctx, chunk, (ci * BATCH_SIZE) as u32, sel)?;
+    }
+    Ok(passes)
 }
 
 /// Batch passes the fused projection stage amounts to: one pass per
@@ -554,12 +558,12 @@ fn projection_passes(n_selected: usize, projections: usize, order: &[(OrderKey, 
 /// binder admits, every all-plain-column grouped query (the common
 /// shape by far) aggregates in the same pass that assigns groups.
 ///
-/// `update` is infallible by construction: the one aggregate error the
-/// interpreter can raise (`SUM`/`AVG` over a non-numeric value) is
-/// recorded as a `bad` flag and raised in [`Acc::finish`], which runs
-/// group-major then spec-major — the exact order the interpreter
-/// computes aggregates in — so the error surfaces for the same (group,
-/// spec) with the same message.
+/// `update` is infallible by construction: the aggregate errors the
+/// interpreter can raise (`SUM`/`AVG` over a non-numeric value, an
+/// integer `SUM` beyond `i64`) are recorded in the state and raised in
+/// [`Acc::finish`], which runs group-major then spec-major — the exact
+/// order the interpreter computes aggregates in — so the error surfaces
+/// for the same (group, spec) with the same message.
 #[derive(Clone)]
 enum Acc {
     /// `COUNT(*)`: member rows, NULLs included.
@@ -569,14 +573,22 @@ enum Acc {
         col: usize,
         n: i64,
     },
-    /// `SUM(col)` / `AVG(col)` share one accumulator; `avg` picks the
-    /// finish rule (and the error message).
+    /// `SUM(col)`: the float total in arrival order, the exact total of
+    /// Int values, and whether any value came, all were Ints, one was
+    /// not numeric.
     Sum {
         col: usize,
-        avg: bool,
+        total: f64,
+        exact: IntTotal,
+        seen: bool,
+        all_int: bool,
+        bad: bool,
+    },
+    /// `AVG(col)`: the float total and the count.
+    Avg {
+        col: usize,
         total: f64,
         n: u64,
-        all_int: bool,
         bad: bool,
     },
     /// `MIN(col)` keeps the first of equals, `MAX(col)` the last —
@@ -602,12 +614,18 @@ impl Acc {
         };
         Some(match spec.name.as_str() {
             "COUNT" => Acc::Count { col, n: 0 },
-            "SUM" | "AVG" => Acc::Sum {
+            "SUM" => Acc::Sum {
                 col,
-                avg: spec.name == "AVG",
+                total: 0.0,
+                exact: IntTotal::default(),
+                seen: false,
+                all_int: true,
+                bad: false,
+            },
+            "AVG" => Acc::Avg {
+                col,
                 total: 0.0,
                 n: 0,
-                all_int: true,
                 bad: false,
             },
             "MIN" => Acc::Min { col, best: None },
@@ -627,24 +645,34 @@ impl Acc {
             Acc::Sum {
                 col,
                 total,
-                n,
+                exact,
+                seen,
                 all_int,
                 bad,
-                ..
-            } => {
-                let v = &row[*col];
-                if v.is_null() {
-                    return;
+            } => match row[*col] {
+                Value::Null => {}
+                Value::Int(i) => {
+                    *total += i as f64;
+                    exact.add(i);
+                    *seen = true;
                 }
-                match v.as_f64() {
+                Value::Float(f) => {
+                    *total += f;
+                    *all_int = false;
+                    *seen = true;
+                }
+                _ => *bad = true,
+            },
+            Acc::Avg { col, total, n, bad } => match &row[*col] {
+                Value::Null => {}
+                v => match v.as_f64() {
                     Some(f) => {
                         *total += f;
                         *n += 1;
-                        *all_int &= matches!(v, Value::Int(_));
                     }
                     None => *bad = true,
-                }
-            }
+                },
+            },
             Acc::Min { col, best } => {
                 let v = &row[*col];
                 if !v.is_null()
@@ -674,29 +702,20 @@ impl Acc {
         use crate::error::SqlError;
         Ok(match self {
             Acc::CountStar(n) | Acc::Count { n, .. } => Value::Int(*n),
-            Acc::Sum {
-                avg,
-                total,
-                n,
-                all_int,
-                bad,
-                ..
-            } => {
-                let name = if *avg { "AVG" } else { "SUM" };
-                if *bad {
-                    return Err(SqlError::Semantic(format!(
-                        "{name}() over non-numeric value"
-                    )));
-                } else if *n == 0 {
-                    Value::Null
-                } else if *avg {
-                    Value::Float(*total / *n as f64)
-                } else if *all_int {
-                    Value::Int(*total as i64)
-                } else {
-                    Value::Float(*total)
-                }
+            Acc::Sum { bad: true, .. } => {
+                return Err(SqlError::Semantic("SUM() over non-numeric value".into()))
             }
+            Acc::Avg { bad: true, .. } => {
+                return Err(SqlError::Semantic("AVG() over non-numeric value".into()))
+            }
+            Acc::Sum { seen: false, .. } | Acc::Avg { n: 0, .. } => Value::Null,
+            Acc::Sum {
+                all_int: true,
+                exact,
+                ..
+            } => exact.value()?,
+            Acc::Sum { total, .. } => Value::Float(*total),
+            Acc::Avg { total, n, .. } => Value::Float(*total / *n as f64),
             Acc::Min { best, .. } | Acc::Max { best, .. } => best.clone().unwrap_or(Value::Null),
         })
     }
@@ -718,64 +737,6 @@ impl Group {
             members: Vec::new(),
             accs: inline.clone().unwrap_or_default(),
         }
-    }
-}
-
-/// Fold one aggregate directly over a stored column's values for a
-/// group's members — the no-DISTINCT fast path that skips collecting a
-/// `Vec<Value>` per group. Produces exactly what
-/// [`combine_agg_values`] would over the same non-NULL values in member
-/// order: same empty-group NULLs, same Int/Float SUM typing, same
-/// non-numeric error at the same member, and the same tie behavior
-/// (MIN keeps the first of equals, MAX the last).
-fn fold_column_agg(name: &str, rows: &[&[Value]], members: &[u32], col: usize) -> SqlResult<Value> {
-    use crate::error::SqlError;
-    let values = members
-        .iter()
-        .map(|&i| &rows[i as usize][col])
-        .filter(|v| !v.is_null());
-    match name {
-        "COUNT" => Ok(Value::Int(values.count() as i64)),
-        "SUM" | "AVG" => {
-            let mut total = 0f64;
-            let mut n = 0u64;
-            let mut all_int = true;
-            for v in values {
-                total += v.as_f64().ok_or_else(|| {
-                    SqlError::Semantic(format!("{name}() over non-numeric value"))
-                })?;
-                n += 1;
-                all_int &= matches!(v, Value::Int(_));
-            }
-            if n == 0 {
-                Ok(Value::Null)
-            } else if name == "AVG" {
-                Ok(Value::Float(total / n as f64))
-            } else if all_int {
-                Ok(Value::Int(total as i64))
-            } else {
-                Ok(Value::Float(total))
-            }
-        }
-        "MIN" => {
-            let mut best: Option<&Value> = None;
-            for v in values {
-                if best.is_none_or(|b| v.total_cmp(b) == std::cmp::Ordering::Less) {
-                    best = Some(v);
-                }
-            }
-            Ok(best.cloned().unwrap_or(Value::Null))
-        }
-        "MAX" => {
-            let mut best: Option<&Value> = None;
-            for v in values {
-                if best.is_none_or(|b| v.total_cmp(b) != std::cmp::Ordering::Less) {
-                    best = Some(v);
-                }
-            }
-            Ok(best.cloned().unwrap_or(Value::Null))
-        }
-        other => Err(SqlError::Semantic(format!("unknown aggregate '{other}'"))),
     }
 }
 
@@ -1053,7 +1014,7 @@ pub fn run_select_batched(
                     .rows(catalog, snap, &table)
                     .inspect(|_| walked += 1)
                     .map(|(_, row)| &**row)
-                    .filter(|row| cmps.iter().all(|m| m.passes(row)))
+                    .filter(|row| row_passes(&cmps, row))
                     .take(n)
                     .collect();
                 catalog.count(Counter::BatchedRows, walked);
@@ -1256,7 +1217,8 @@ fn run_agg_staged(
                     Some(BoundExpr::Column(c)) if !spec.distinct => {
                         evals.0 += members.len() as u64;
                         *passes += 1;
-                        fold_column_agg(&spec.name, rows, members, *c)?
+                        let values = members.iter().map(|&i| &rows[i as usize][*c]);
+                        fold_agg_values(&spec.name, values.filter(|v| !v.is_null()))?
                     }
                     Some(arg) => {
                         scratch.agg_values.clear();
@@ -1382,11 +1344,7 @@ pub fn run_agg_plan(
                     if n == 0 {
                         break;
                     }
-                    let mut passed = 0;
-                    for (i, row) in batch[..n].iter().enumerate() {
-                        sel[passed] = i as u32;
-                        passed += cmps.iter().all(|m| m.passes(row)) as usize;
-                    }
+                    let passed = select_rows(&cmps, &batch[..n], 0, &mut sel);
                     walked += n as u64;
                     kept += passed as u64;
                     for &i in &sel[..passed] {

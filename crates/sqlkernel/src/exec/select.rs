@@ -790,39 +790,80 @@ pub(crate) fn combine_agg_values(
         let mut seen = std::collections::HashSet::new();
         values.retain(|v| seen.insert(v.clone()));
     }
+    fold_agg_values(name, values.iter())
+}
 
+/// [`combine_agg_values`] without DISTINCT, over non-NULL values in
+/// member order. A SUM of Int values only is exact ([`IntTotal`]); any
+/// Float makes it, like AVG, a float total in arrival order.
+pub(crate) fn fold_agg_values<'v>(
+    name: &str,
+    values: impl Iterator<Item = &'v Value>,
+) -> SqlResult<Value> {
     match name {
-        "COUNT" => Ok(Value::Int(values.len() as i64)),
+        "COUNT" => Ok(Value::Int(values.count() as i64)),
         "SUM" | "AVG" => {
-            if values.is_empty() {
-                return Ok(Value::Null);
-            }
-            let all_int = values.iter().all(|v| matches!(v, Value::Int(_)));
-            let mut total = 0f64;
-            for v in values.iter() {
+            let (mut total, mut exact, mut n, mut all_int) =
+                (0f64, IntTotal::default(), 0u64, true);
+            for v in values {
                 total += v.as_f64().ok_or_else(|| {
                     SqlError::Semantic(format!("{name}() over non-numeric value"))
                 })?;
+                match v {
+                    Value::Int(i) => exact.add(*i),
+                    _ => all_int = false,
+                }
+                n += 1;
             }
-            if name == "AVG" {
-                Ok(Value::Float(total / values.len() as f64))
+            if n == 0 {
+                Ok(Value::Null)
+            } else if name == "AVG" {
+                Ok(Value::Float(total / n as f64))
             } else if all_int {
-                Ok(Value::Int(total as i64))
+                exact.value()
             } else {
                 Ok(Value::Float(total))
             }
         }
         "MIN" => Ok(values
-            .iter()
             .min_by(|a, b| a.total_cmp(b))
             .cloned()
             .unwrap_or(Value::Null)),
         "MAX" => Ok(values
-            .iter()
             .max_by(|a, b| a.total_cmp(b))
             .cloned()
             .unwrap_or(Value::Null)),
         other => Err(SqlError::Semantic(format!("unknown aggregate '{other}'"))),
+    }
+}
+
+/// The exact total of a SUM over Int values: a 128-bit integer held as
+/// the wrapping `i64` sum and the net count of its wraps. Two 8-byte
+/// words keep an inline accumulator (`exec::batch`'s `Acc`) at its
+/// size, where an `i128` would align it to 16. The total fits `i64`
+/// exactly when the wraps cancel out.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IntTotal {
+    low: i64,
+    wraps: i64,
+}
+
+impl IntTotal {
+    pub(crate) fn add(&mut self, v: i64) {
+        let (low, wrapped) = self.low.overflowing_add(v);
+        self.low = low;
+        if wrapped {
+            self.wraps += v.signum();
+        }
+    }
+
+    /// The total as an `Int`, or the runtime error integer `+` raises
+    /// when it leaves `i64`.
+    pub(crate) fn value(self) -> SqlResult<Value> {
+        match self.wraps {
+            0 => Ok(Value::Int(self.low)),
+            _ => Err(SqlError::Runtime("integer overflow".into())),
+        }
     }
 }
 

@@ -33,7 +33,7 @@ use crate::ast::{
 };
 use crate::bound::{
     as_col_cmps, bind, eval_bound, eval_bound_predicate, flatten_col_cmps, infallible_predicate,
-    BoundCtx, BoundExpr, ColCmp, OwnedColCmp,
+    row_passes, BoundCtx, BoundExpr, ColCmp,
 };
 use crate::catalog::Catalog;
 use crate::counters::Counter;
@@ -134,7 +134,7 @@ pub(crate) struct JoinSide {
     /// plan constant.
     pub(crate) access: Access,
     /// Pushed conjuncts, column ordinals local to this side's schema.
-    pub(crate) prefilter: Vec<OwnedColCmp>,
+    pub(crate) prefilter: Vec<ColCmp<'static>>,
     /// Number of columns this side contributes to the combined row.
     pub(crate) width: usize,
 }
@@ -729,7 +729,7 @@ fn compile_input(
 /// The side whose column range contains every cmp ordinal, if exactly
 /// one side does. Ordinals are in combined-row space here; the caller
 /// rebases them to the side's local schema when pushing.
-fn side_of(cmps: &[OwnedColCmp], offsets: &[usize], widths: &[usize]) -> Option<usize> {
+fn side_of(cmps: &[ColCmp<'_>], offsets: &[usize], widths: &[usize]) -> Option<usize> {
     let first = cmps.first()?.col;
     let s = offsets.partition_point(|o| *o <= first) - 1;
     cmps.iter()
@@ -742,12 +742,12 @@ fn side_of(cmps: &[OwnedColCmp], offsets: &[usize], widths: &[usize]) -> Option<
 /// still runs over whatever the index yields, in row id order). Keys are
 /// plan constants, so the scan itself can never raise an evaluation
 /// error the interpreter would not.
-fn access_from_cmps(table: &Table, cmps: &[OwnedColCmp]) -> Access {
+fn access_from_cmps(table: &Table, cmps: &[ColCmp<'_>]) -> Access {
     for c in cmps {
         if c.op == BinOp::Eq && table.find_index(&[c.col]).is_some() {
             return Access::IndexEq {
                 col: c.col,
-                key: BoundExpr::Const(c.key.clone()),
+                key: BoundExpr::Const((*c.key).clone()),
             };
         }
     }
@@ -761,7 +761,7 @@ fn access_from_cmps(table: &Table, cmps: &[OwnedColCmp]) -> Access {
         let mut upper = None;
         for c2 in cmps.iter().filter(|c2| c2.col == c.col) {
             let bound = Some((
-                BoundExpr::Const(c2.key.clone()),
+                BoundExpr::Const((*c2.key).clone()),
                 matches!(c2.op, BinOp::LtEq | BinOp::GtEq),
             ));
             match c2.op {
@@ -883,7 +883,7 @@ fn compile_join(
             .flat_map(|s| s.residual.iter())
             .all(infallible_predicate);
 
-    let mut prefilters: Vec<Vec<OwnedColCmp>> = vec![Vec::new(); names.len()];
+    let mut prefilters: Vec<Vec<ColCmp<'static>>> = vec![Vec::new(); names.len()];
     let mut pushed = 0u64;
     if pushdown_ok {
         for b in &bound_where {
@@ -1366,7 +1366,7 @@ impl DmlEval for BoundDml<'_> {
         let passes = match (&self.cmps, &self.plan.filter) {
             (Some(cmps), _) => {
                 self.evals.0 += 1;
-                cmps.iter().all(|c| c.passes(row))
+                row_passes(cmps, row)
             }
             (None, Some(pred)) => self.evals.pred(pred, &rc)?,
             (None, None) => true,
