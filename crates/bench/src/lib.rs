@@ -5,7 +5,7 @@
 pub mod report;
 
 use patterns::SqlIntegration;
-use report::{time_us, Metric, Report};
+use report::{time_us_paired, Metric, Report};
 use sqlkernel::parser::parse_statement;
 use sqlkernel::{Connection, Database, SplitMix64, StatementResult, Value};
 
@@ -106,9 +106,9 @@ pub fn seeded_wide_db(name: &str, n_rows: usize) -> Database {
 }
 
 /// Times `query` through the tree-walking interpreter (its pre-parsed
-/// AST, so parsing is excluded) and through its warm compiled plan, and
-/// adds the point `workload = name`. Asserts first that both return
-/// byte-identical rows.
+/// AST, so parsing is excluded) and through its warm compiled plan, their
+/// samples interleaved ([`time_us_paired`]), and adds the point
+/// `workload = name`. Asserts first that both return byte-identical rows.
 pub fn interpreted_vs_compiled(conn: &Connection, name: &str, query: &str, report: &mut Report) {
     let stmt = parse_statement(query).expect("benchmark query parses");
     let interpreted_rows = match conn.execute_ast(&stmt, &[]).unwrap() {
@@ -121,12 +121,14 @@ pub fn interpreted_vs_compiled(conn: &Connection, name: &str, query: &str, repor
         "{name}: compiled result must be byte-identical to interpreted"
     );
 
-    let interpreted = time_us(|| {
-        std::hint::black_box(conn.execute_ast(&stmt, &[]).unwrap());
-    });
-    let compiled = time_us(|| {
-        std::hint::black_box(conn.execute(query, &[]).unwrap());
-    });
+    let (interpreted, compiled) = time_us_paired(
+        || {
+            std::hint::black_box(conn.execute_ast(&stmt, &[]).unwrap());
+        },
+        || {
+            std::hint::black_box(conn.execute(query, &[]).unwrap());
+        },
+    );
     let speedup = interpreted.median / compiled.median;
     eprintln!(
         "{name}: interpreted {:.1}us vs compiled {:.1}us  (x{speedup:.2})",

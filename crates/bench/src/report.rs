@@ -34,8 +34,39 @@ pub fn sample(f: impl FnMut() -> f64) -> Vec<f64> {
 /// Times `f`: calibrates a call count so that one sample lasts at least
 /// `SAMPLE_TIME` (one call in smoke mode), then [`sample`]s the wall
 /// time per call, in µs.
-pub fn time_us(mut f: impl FnMut()) -> Metric {
-    let mut run = |iters: u32| {
+pub fn time_us(f: impl FnMut()) -> Metric {
+    Metric::of("us", &sample(calibrated(f)))
+}
+
+/// Samples per arm of [`time_us_paired`].
+const PAIRED_SAMPLES: usize = 31;
+
+/// Times two arms `a` and `b` as [`time_us`] does, but takes their
+/// samples interleaved, `PAIRED_SAMPLES` each (one in smoke mode), with
+/// the arm that goes first alternating: a drift of the host's speed
+/// during the run lands on both arms alike instead of on the arm that
+/// happened to run second.
+pub fn time_us_paired(a: impl FnMut(), b: impl FnMut()) -> (Metric, Metric) {
+    let (mut a, mut b) = (calibrated(a), calibrated(b));
+    let n = if smoke() { 1 } else { PAIRED_SAMPLES };
+    let (mut sa, mut sb) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for i in 0..n {
+        if i % 2 == 0 {
+            sa.push(a());
+            sb.push(b());
+        } else {
+            sb.push(b());
+            sa.push(a());
+        }
+    }
+    (Metric::of("us", &sa), Metric::of("us", &sb))
+}
+
+/// A sampler for `f`: the call count is calibrated so that one sample
+/// lasts at least `SAMPLE_TIME` (one call in smoke mode); each call of
+/// the sampler returns the wall time per call of one sample, in µs.
+fn calibrated(mut f: impl FnMut()) -> impl FnMut() -> f64 {
+    let mut run = move |iters: u32| {
         let start = Instant::now();
         for _ in 0..iters {
             f();
@@ -51,10 +82,7 @@ pub fn time_us(mut f: impl FnMut()) -> Metric {
         let scale = (SAMPLE_TIME.as_secs_f64() / t.as_secs_f64().max(1e-9)).ceil() as u32;
         iters = iters.saturating_mul(scale).clamp(iters + 1, 1 << 20);
     }
-    Metric::of(
-        "us",
-        &sample(|| run(iters).as_secs_f64() * 1e6 / f64::from(iters)),
-    )
+    move || run(iters).as_secs_f64() * 1e6 / f64::from(iters)
 }
 
 /// One measured quantity: order statistics over its samples.

@@ -28,6 +28,7 @@
 //! is preserved too. The differential corpus in `tests/plan_cache.rs`
 //! holds both executors byte-identical.
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use crate::ast::JoinKind;
@@ -41,8 +42,8 @@ use crate::db::QueryResult;
 use crate::error::SqlResult;
 use crate::exec::select::{cmp_keys, combine_agg_values, fold_agg_values, IntTotal};
 use crate::plan::{
-    bound_usize, Access, AggPlan, Evals, InputPlan, JoinPlan, JoinSide, JoinStep, OrderKey,
-    OutputPlan, SelectPlan,
+    bound_usize, Access, AggPlan, BoundAggSpec, Evals, InputPlan, JoinPlan, JoinSide, JoinStep,
+    OrderKey, OutputPlan, SelectPlan,
 };
 use crate::storage::{Snapshot, SortKey, Table};
 use crate::sync::TableReadGuard;
@@ -52,26 +53,49 @@ use crate::types::Value;
 /// small enough that the selection vector chunk stays cache-resident.
 pub const BATCH_SIZE: usize = 1024;
 
-/// Minimal multiply-rotate hasher (FxHash-style) for the group-key
-/// maps. Grouping probes the map once per input row, and SipHash is the
+/// One FxHash round: rotate, xor in the word, multiply. The multiply
+/// carries each input bit only upward, so the high bits of the result
+/// are the well-mixed ones.
+fn mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// Little-endian load of the first 8 bytes of `b`.
+fn word64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(*b.first_chunk().expect("at least 8 bytes"))
+}
+
+/// Little-endian load of the first 4 bytes of `b`.
+fn word32(b: &[u8]) -> u64 {
+    u64::from(u32::from_le_bytes(
+        *b.first_chunk().expect("at least 4 bytes"),
+    ))
+}
+
+/// Minimal multiply-rotate hasher (FxHash-style) for the hash-join
+/// maps. A join probes its map once per input row, and SipHash is the
 /// single largest cost of that probe; this trades DoS resistance (moot
 /// for hashing a user's own stored values) for a few instructions per
-/// key. Group *order* is tracked separately as first-seen order, so the
-/// hash function can never affect results.
+/// key.
 #[derive(Default)]
 struct FxHasher(u64);
 
 impl std::hash::Hasher for FxHasher {
+    /// Each whole 8-byte chunk as one word, then the rest as one word
+    /// padded with zeros — built from its bytes, so no buffer is copied.
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(buf));
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.write_u64(word64(chunk));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            self.write_u64(rest.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
         }
     }
 
     fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+        self.0 = mix(self.0, n);
     }
 
     fn write_u8(&mut self, n: u8) {
@@ -80,7 +104,7 @@ impl std::hash::Hasher for FxHasher {
 
     fn finish(&self) -> u64 {
         // Fold the high half into the low bits. The multiply in
-        // `write_u64` only propagates entropy upward, and integer keys
+        // `mix` only propagates entropy upward, and integer keys
         // hashed through f64 bit patterns (see `Value::hash`) have
         // all-zero low mantissa bits — without this fold every small
         // int would share its low 38 hash bits, and the bucket index
@@ -101,7 +125,8 @@ pub struct BatchScratch {
     /// Selection vector: indexes (into the gathered row slice) of rows
     /// that passed the WHERE clause.
     sel: Vec<u32>,
-    /// Group-key assembly buffer for the general hash-aggregate path.
+    /// A batch's evaluated group keys, row-major, when the key is not
+    /// one stored column.
     key_buf: Vec<Value>,
     /// Non-NULL aggregate argument values for the group being folded.
     agg_values: Vec<Value>,
@@ -551,192 +576,452 @@ fn projection_passes(n_selected: usize, projections: usize, order: &[(OrderKey, 
     (n_selected.div_ceil(BATCH_SIZE) as u64) * ((projections + row_keys) as u64)
 }
 
-/// Running state for one aggregate call site that folds *inline during
-/// the grouping pass* — the true one-pass path. Eligible call sites are
-/// `COUNT(*)` and non-DISTINCT `COUNT`/`SUM`/`AVG`/`MIN`/`MAX` over a
-/// bare stored column; since those five are the only aggregates the
-/// binder admits, every all-plain-column grouped query (the common
-/// shape by far) aggregates in the same pass that assigns groups.
-///
-/// `update` is infallible by construction: the aggregate errors the
-/// interpreter can raise (`SUM`/`AVG` over a non-numeric value, an
-/// integer `SUM` beyond `i64`) are recorded in the state and raised in
-/// [`Acc::finish`], which runs group-major then spec-major — the exact
-/// order the interpreter computes aggregates in — so the error surfaces
-/// for the same (group, spec) with the same message.
-#[derive(Clone)]
-enum Acc {
-    /// `COUNT(*)`: member rows, NULLs included.
-    CountStar(i64),
-    /// `COUNT(col)`: non-NULL members.
-    Count {
-        col: usize,
-        n: i64,
-    },
-    /// `SUM(col)`: the float total in arrival order, the exact total of
-    /// Int values, and whether any value came, all were Ints, one was
-    /// not numeric.
-    Sum {
-        col: usize,
-        total: f64,
-        exact: IntTotal,
-        seen: bool,
-        all_int: bool,
-        bad: bool,
-    },
-    /// `AVG(col)`: the float total and the count.
-    Avg {
-        col: usize,
-        total: f64,
-        n: u64,
-        bad: bool,
-    },
-    /// `MIN(col)` keeps the first of equals, `MAX(col)` the last —
-    /// matching the interpreter's `min_by`/`max_by` tie behavior.
-    Min {
-        col: usize,
-        best: Option<Value>,
-    },
-    Max {
-        col: usize,
-        best: Option<Value>,
-    },
+/// The words a text group key is read as, each a plain load: up to 8
+/// bytes, one word from two overlapping 4-byte loads (below 4 bytes, the
+/// first, middle and last byte); above 8 bytes, each whole 8-byte chunk
+/// and then the last 8 bytes, which overlap the chunks. Every byte lands
+/// in some word, so two texts of one length are equal exactly when
+/// their words are.
+fn text_words(b: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let n = b.len();
+    let (body, last) = match n {
+        0 => (&b[..0], 0),
+        1..=3 => (
+            &b[..0],
+            u64::from(b[0]) << 16 | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]),
+        ),
+        4..=8 => (&b[..0], word32(b) << 32 | word32(&b[n - 4..])),
+        _ => (b, word64(&b[n - 8..])),
+    };
+    body.chunks_exact(8)
+        .map(word64)
+        .chain(std::iter::once(last))
 }
 
-impl Acc {
+/// Fold one group-key cell into the hash `h`. Cells equal under
+/// `Value`'s `Eq` hash alike: Int and Float through their f64 bits, as
+/// `Value::hash` does, and text through its length and [`text_words`].
+fn key_hash(h: u64, cell: &Value) -> u64 {
+    match cell {
+        Value::Null => mix(h, 1),
+        Value::Bool(b) => mix(h, 2 + u64::from(*b)),
+        Value::Int(i) => mix(h, (*i as f64).to_bits()),
+        Value::Float(f) => mix(h, f.to_bits()),
+        Value::Text(s) => text_words(s.as_bytes()).fold(mix(h, s.len() as u64), mix),
+    }
+}
+
+/// Whether two group-key cells are one key: `Value`'s `Eq`, with the
+/// Text/Text and Int/Int pairs compared inline. Every other pair —
+/// Int/Float among them — goes through `Value`'s `Eq` itself.
+fn key_eq(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Text(x), Value::Text(y)) => {
+            x.len() == y.len() && text_words(x.as_bytes()).eq(text_words(y.as_bytes()))
+        }
+        (Value::Int(x), Value::Int(y)) => x == y,
+        _ => a == b,
+    }
+}
+
+/// A free slot's group id in a [`GroupTable`].
+const FREE: u32 = u32::MAX;
+
+/// The grouping table: open addressing with linear probing over
+/// `(hash, group id)` slots, at most half full, doubling as it fills.
+/// It holds no keys — `same(g)` compares with group `g`'s key where the
+/// caller keeps it — so growing moves slots and hashes nothing again.
+/// The hash is FxHash-style and unkeyed: keys crafted to collide make
+/// probing slow, never wrong (DESIGN §11.3).
+#[derive(Default)]
+struct GroupTable {
+    /// A power of two long from the first key on.
+    slots: Vec<(u64, u32)>,
+    groups: u32,
+}
+
+impl GroupTable {
+    /// The id of the group whose key hashes to `h` and satisfies `same`,
+    /// and whether it is new: ids are 0, 1, 2, … in first-seen order.
+    fn id(&mut self, h: u64, same: impl Fn(usize) -> bool) -> (u32, bool) {
+        if self.slots.len() < 2 * (self.groups as usize + 1) {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(h);
+        loop {
+            match self.slots[i] {
+                (_, FREE) => {
+                    let g = self.groups;
+                    self.slots[i] = (h, g);
+                    self.groups += 1;
+                    return (g, true);
+                }
+                (sh, g) if sh == h && same(g as usize) => return (g, false),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot a hash starts probing at: its top bits, the ones [`mix`]
+    /// mixes best.
+    fn home(&self, h: u64) -> usize {
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![(0, FREE); len]);
+        for (h, g) in old.into_iter().filter(|&(_, g)| g != FREE) {
+            let mut i = self.home(h);
+            while self.slots[i].1 != FREE {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = (h, g);
+        }
+    }
+}
+
+/// `SUM(col)` of one group: the float total in arrival order, the exact
+/// total of Int values, and whether any value came, one was a Float, one
+/// was not numeric.
+#[derive(Clone, Copy, Default)]
+struct SumAcc {
+    total: f64,
+    exact: IntTotal,
+    seen: bool,
+    float: bool,
+    bad: bool,
+}
+
+impl SumAcc {
+    fn add(&mut self, v: &Value) {
+        match *v {
+            Value::Null => {}
+            Value::Int(i) => {
+                self.total += i as f64;
+                self.exact.add(i);
+                self.seen = true;
+            }
+            Value::Float(f) => {
+                self.total += f;
+                self.float = true;
+                self.seen = true;
+            }
+            _ => self.bad = true,
+        }
+    }
+}
+
+/// `AVG(col)` of one group: the float total, the count, and whether one
+/// value was not numeric.
+#[derive(Clone, Copy, Default)]
+struct AvgAcc {
+    total: f64,
+    n: u64,
+    bad: bool,
+}
+
+impl AvgAcc {
+    fn add(&mut self, v: &Value) {
+        if v.is_null() {
+            return;
+        }
+        match v.as_f64() {
+            Some(f) => {
+                self.total += f;
+                self.n += 1;
+            }
+            None => self.bad = true,
+        }
+    }
+}
+
+/// `MIN`/`MAX` step: keep `v` when it is not NULL and `better` holds of
+/// its order against the value kept so far.
+fn keep(best: &mut Option<Value>, v: &Value, better: impl Fn(Ordering) -> bool) {
+    if !v.is_null() && best.as_ref().is_none_or(|b| better(v.total_cmp(b))) {
+        *best = Some(v.clone());
+    }
+}
+
+/// One aggregate call site's running state for every group, indexed by
+/// group id, for call sites that fold *inline during the grouping pass*
+/// — the true one-pass path. Eligible call sites are `COUNT(*)` and
+/// non-DISTINCT `COUNT`/`SUM`/`AVG`/`MIN`/`MAX` over a bare stored
+/// column; since those five are the only aggregates the binder admits,
+/// every all-plain-column grouped query (the common shape by far)
+/// aggregates in the same pass that assigns groups.
+///
+/// [`Accs::fold`] is infallible by construction: the aggregate errors
+/// the interpreter can raise (`SUM`/`AVG` over a non-numeric value, an
+/// integer `SUM` beyond `i64`) are recorded in the state and raised in
+/// [`Accs::finish`], which runs group-major then spec-major — the exact
+/// order the interpreter computes aggregates in — so the error surfaces
+/// for the same (group, spec) with the same message.
+enum Accs {
+    /// `COUNT(*)`: member rows, NULLs included.
+    CountStar(Vec<i64>),
+    /// `COUNT(col)`: non-NULL members.
+    Count(usize, Vec<i64>),
+    Sum(usize, Vec<SumAcc>),
+    Avg(usize, Vec<AvgAcc>),
+    /// `MIN(col)` keeps the first of equals, `MAX(col)` the last —
+    /// matching the interpreter's `min_by`/`max_by` tie behavior.
+    Min(usize, Vec<Option<Value>>),
+    Max(usize, Vec<Option<Value>>),
+}
+
+impl Accs {
     /// `Some` when this spec can fold inline during grouping.
-    fn of(spec: &crate::plan::BoundAggSpec) -> Option<Acc> {
+    fn of(spec: &BoundAggSpec) -> Option<Accs> {
         let col = match &spec.arg {
             // `COUNT(*)`: DISTINCT is irrelevant without an argument.
-            None if spec.name == "COUNT" => return Some(Acc::CountStar(0)),
+            None if spec.name == "COUNT" => return Some(Accs::CountStar(Vec::new())),
             Some(BoundExpr::Column(c)) if !spec.distinct => *c,
             _ => return None,
         };
         Some(match spec.name.as_str() {
-            "COUNT" => Acc::Count { col, n: 0 },
-            "SUM" => Acc::Sum {
-                col,
-                total: 0.0,
-                exact: IntTotal::default(),
-                seen: false,
-                all_int: true,
-                bad: false,
-            },
-            "AVG" => Acc::Avg {
-                col,
-                total: 0.0,
-                n: 0,
-                bad: false,
-            },
-            "MIN" => Acc::Min { col, best: None },
-            "MAX" => Acc::Max { col, best: None },
+            "COUNT" => Accs::Count(col, Vec::new()),
+            "SUM" => Accs::Sum(col, Vec::new()),
+            "AVG" => Accs::Avg(col, Vec::new()),
+            "MIN" => Accs::Min(col, Vec::new()),
+            "MAX" => Accs::Max(col, Vec::new()),
             _ => return None,
         })
     }
 
-    fn update(&mut self, row: &[Value]) {
+    /// Start the next group's state.
+    fn open(&mut self) {
         match self {
-            Acc::CountStar(n) => *n += 1,
-            Acc::Count { col, n } => {
-                if !row[*col].is_null() {
-                    *n += 1;
-                }
+            Accs::CountStar(n) | Accs::Count(_, n) => n.push(0),
+            Accs::Sum(_, s) => s.push(SumAcc::default()),
+            Accs::Avg(_, s) => s.push(AvgAcc::default()),
+            Accs::Min(_, b) | Accs::Max(_, b) => b.push(None),
+        }
+    }
+
+    /// Fold one batch, in arrival order: row `rows[sel[k]]` belongs to
+    /// group `ids[k]`. The call site's kind is matched once per batch.
+    fn fold(&mut self, rows: &[&[Value]], sel: &[u32], ids: &[u32]) {
+        let members = || (ids.iter().zip(sel)).map(|(&g, &i)| (g as usize, rows[i as usize]));
+        match self {
+            Accs::CountStar(n) => ids.iter().for_each(|&g| n[g as usize] += 1),
+            Accs::Count(c, n) => {
+                members().for_each(|(g, row)| n[g] += i64::from(!row[*c].is_null()))
             }
-            Acc::Sum {
-                col,
-                total,
-                exact,
-                seen,
-                all_int,
-                bad,
-            } => match row[*col] {
-                Value::Null => {}
-                Value::Int(i) => {
-                    *total += i as f64;
-                    exact.add(i);
-                    *seen = true;
-                }
-                Value::Float(f) => {
-                    *total += f;
-                    *all_int = false;
-                    *seen = true;
-                }
-                _ => *bad = true,
-            },
-            Acc::Avg { col, total, n, bad } => match &row[*col] {
-                Value::Null => {}
-                v => match v.as_f64() {
-                    Some(f) => {
-                        *total += f;
-                        *n += 1;
-                    }
-                    None => *bad = true,
-                },
-            },
-            Acc::Min { col, best } => {
-                let v = &row[*col];
-                if !v.is_null()
-                    && best
-                        .as_ref()
-                        .is_none_or(|b| v.total_cmp(b) == std::cmp::Ordering::Less)
-                {
-                    *best = Some(v.clone());
-                }
+            Accs::Sum(c, s) => members().for_each(|(g, row)| s[g].add(&row[*c])),
+            Accs::Avg(c, s) => members().for_each(|(g, row)| s[g].add(&row[*c])),
+            Accs::Min(c, b) => {
+                members().for_each(|(g, row)| keep(&mut b[g], &row[*c], Ordering::is_lt))
             }
-            Acc::Max { col, best } => {
-                let v = &row[*col];
-                if !v.is_null()
-                    && best
-                        .as_ref()
-                        .is_none_or(|b| v.total_cmp(b) != std::cmp::Ordering::Less)
-                {
-                    *best = Some(v.clone());
-                }
+            Accs::Max(c, b) => {
+                members().for_each(|(g, row)| keep(&mut b[g], &row[*c], Ordering::is_ge))
             }
         }
     }
 
-    /// Finalize — produces exactly what [`combine_agg_values`] would
-    /// over the same non-NULL values in member order.
-    fn finish(&self) -> SqlResult<Value> {
+    /// Group `g`'s value — exactly what [`combine_agg_values`] gives over
+    /// the same non-NULL values in member order.
+    fn finish(&self, g: usize) -> SqlResult<Value> {
         use crate::error::SqlError;
         Ok(match self {
-            Acc::CountStar(n) | Acc::Count { n, .. } => Value::Int(*n),
-            Acc::Sum { bad: true, .. } => {
-                return Err(SqlError::Semantic("SUM() over non-numeric value".into()))
-            }
-            Acc::Avg { bad: true, .. } => {
-                return Err(SqlError::Semantic("AVG() over non-numeric value".into()))
-            }
-            Acc::Sum { seen: false, .. } | Acc::Avg { n: 0, .. } => Value::Null,
-            Acc::Sum {
-                all_int: true,
-                exact,
-                ..
-            } => exact.value()?,
-            Acc::Sum { total, .. } => Value::Float(*total),
-            Acc::Avg { total, n, .. } => Value::Float(*total / *n as f64),
-            Acc::Min { best, .. } | Acc::Max { best, .. } => best.clone().unwrap_or(Value::Null),
+            Accs::CountStar(n) | Accs::Count(_, n) => Value::Int(n[g]),
+            Accs::Sum(_, s) => match s[g] {
+                SumAcc { bad: true, .. } => {
+                    return Err(SqlError::Semantic("SUM() over non-numeric value".into()))
+                }
+                SumAcc { seen: false, .. } => Value::Null,
+                SumAcc {
+                    float: false,
+                    exact,
+                    ..
+                } => exact.value()?,
+                SumAcc { total, .. } => Value::Float(total),
+            },
+            Accs::Avg(_, s) => match s[g] {
+                AvgAcc { bad: true, .. } => {
+                    return Err(SqlError::Semantic("AVG() over non-numeric value".into()))
+                }
+                AvgAcc { n: 0, .. } => Value::Null,
+                AvgAcc { total, n, .. } => Value::Float(total / n as f64),
+            },
+            Accs::Min(_, b) | Accs::Max(_, b) => b[g].clone().unwrap_or(Value::Null),
         })
     }
 }
 
-/// Per-group state: representative first member (repr base-row values),
-/// plus either inline accumulators (one-pass mode) or a member index
-/// list (fallback mode for DISTINCT / computed arguments).
-struct Group {
-    first: Option<u32>,
-    members: Vec<u32>,
-    accs: Vec<Acc>,
+/// The groups of one grouped statement in first-seen order, built by
+/// the grouping kernel one batch of rows at a time, in three passes:
+/// hash every key of the batch, assign group ids in row order through
+/// the [`GroupTable`] (opening a group at each new key), then fold the
+/// batch into the groups' aggregate state spec-major.
+struct Groups<'r> {
+    table: GroupTable,
+    /// Each group's first row: its representative, and where a key that
+    /// is one stored column is read from, so no key is cloned.
+    reprs: Vec<&'r [Value]>,
+    /// Any other key, evaluated: `group_by.len()` cells a group.
+    keys: Vec<Value>,
+    /// One state per spec when every spec folds inline ([`Accs`]);
+    /// otherwise `None`, and `members` keeps each group's rows for a
+    /// fold after grouping (DISTINCT or computed arguments).
+    accs: Option<Vec<Accs>>,
+    members: Vec<Vec<u32>>,
 }
 
-impl Group {
-    fn new(first: u32, inline: &Option<Vec<Acc>>) -> Group {
-        Group {
-            first: Some(first),
+impl<'r> Groups<'r> {
+    fn new(specs: &[BoundAggSpec]) -> Groups<'r> {
+        Groups {
+            table: GroupTable::default(),
+            reprs: Vec::new(),
+            keys: Vec::new(),
+            accs: specs.iter().map(Accs::of).collect(),
             members: Vec::new(),
-            accs: inline.clone().unwrap_or_default(),
         }
+    }
+
+    /// Open the next group's aggregate state.
+    fn open(&mut self) {
+        match &mut self.accs {
+            Some(accs) => accs.iter_mut().for_each(Accs::open),
+            None => self.members.push(Vec::new()),
+        }
+    }
+
+    /// The kernel over one batch — rows `rows[sel[k]]`, at most
+    /// [`BATCH_SIZE`] — whose key is the stored column `c`.
+    fn by_column(
+        &mut self,
+        c: usize,
+        rows: &[&'r [Value]],
+        sel: &[u32],
+        hashes: &mut [u64; BATCH_SIZE],
+        ids: &mut [u32; BATCH_SIZE],
+    ) {
+        let (hashes, ids) = (&mut hashes[..sel.len()], &mut ids[..sel.len()]);
+        for (h, &i) in hashes.iter_mut().zip(sel) {
+            *h = key_hash(0, &rows[i as usize][c]);
+        }
+        for ((id, &h), &i) in ids.iter_mut().zip(&*hashes).zip(sel) {
+            let row = rows[i as usize];
+            let reprs = &self.reprs;
+            let (g, new) = self.table.id(h, |g| key_eq(&reprs[g][c], &row[c]));
+            if new {
+                self.reprs.push(row);
+                self.open();
+            }
+            *id = g;
+        }
+        self.fold(rows, sel, ids);
+    }
+
+    /// The kernel over one batch whose keys were evaluated into `keys`,
+    /// `w` cells a row in `sel` order. A new group moves its key out.
+    fn by_keys(
+        &mut self,
+        w: usize,
+        keys: &mut [Value],
+        rows: &[&'r [Value]],
+        sel: &[u32],
+        hashes: &mut [u64; BATCH_SIZE],
+        ids: &mut [u32; BATCH_SIZE],
+    ) {
+        let (hashes, ids) = (&mut hashes[..sel.len()], &mut ids[..sel.len()]);
+        for (k, h) in hashes.iter_mut().enumerate() {
+            *h = keys[k * w..][..w].iter().fold(0, key_hash);
+        }
+        for (k, ((id, &h), &i)) in ids.iter_mut().zip(&*hashes).zip(sel).enumerate() {
+            let key = &mut keys[k * w..][..w];
+            let stored = &self.keys;
+            let (g, new) = self.table.id(h, |g| {
+                (stored[g * w..][..w].iter().zip(&*key)).all(|(a, b)| key_eq(a, b))
+            });
+            if new {
+                (self.keys).extend(key.iter_mut().map(|v| std::mem::replace(v, Value::Null)));
+                self.reprs.push(rows[i as usize]);
+                self.open();
+            }
+            *id = g;
+        }
+        self.fold(rows, sel, ids);
+    }
+
+    fn fold(&mut self, rows: &[&'r [Value]], sel: &[u32], ids: &[u32]) {
+        match &mut self.accs {
+            Some(accs) => accs.iter_mut().for_each(|a| a.fold(rows, sel, ids)),
+            None => {
+                for (&g, &i) in ids.iter().zip(sel) {
+                    self.members[g as usize].push(i);
+                }
+            }
+        }
+    }
+
+    /// One virtual row per group: the representative row's values, then
+    /// one slot per aggregate, group-major then spec-major — exactly the
+    /// interpreter's computation order. In one-pass mode this only
+    /// finalizes the accumulators; otherwise it folds each spec over the
+    /// group's members in `rows`. With no rows and no GROUP BY there is
+    /// one empty group (global aggregates).
+    fn finish(
+        mut self,
+        plan: &AggPlan,
+        ctx: &BoundCtx<'_>,
+        evals: &mut Evals,
+        passes: &mut u64,
+        rows: &[&[Value]],
+        agg_values: &mut Vec<Value>,
+    ) -> SqlResult<Vec<Vec<Value>>> {
+        let n = if self.reprs.is_empty() && plan.group_by.is_empty() {
+            self.open();
+            1
+        } else {
+            self.reprs.len()
+        };
+        let mut vrows = Vec::with_capacity(n);
+        for g in 0..n {
+            let mut vrow = Vec::with_capacity(plan.base_width + plan.specs.len());
+            match self.reprs.get(g) {
+                Some(repr) => vrow.extend_from_slice(repr),
+                None => vrow.resize(plan.base_width, Value::Null),
+            }
+            if let Some(accs) = &self.accs {
+                for acc in accs {
+                    vrow.push(acc.finish(g)?);
+                }
+                vrows.push(vrow);
+                continue;
+            }
+            let members = &self.members[g];
+            for spec in &plan.specs {
+                let v = match &spec.arg {
+                    // COUNT(*) counts member rows directly (DISTINCT is
+                    // irrelevant without an argument).
+                    None => Value::Int(members.len() as i64),
+                    // Aggregate over a bare stored column without
+                    // DISTINCT: fold the values in place, no clone per
+                    // member.
+                    Some(BoundExpr::Column(c)) if !spec.distinct => {
+                        evals.0 += members.len() as u64;
+                        *passes += 1;
+                        let values = members.iter().map(|&i| &rows[i as usize][*c]);
+                        fold_agg_values(&spec.name, values.filter(|v| !v.is_null()))?
+                    }
+                    Some(arg) => {
+                        agg_values.clear();
+                        evals.0 += members.len() as u64;
+                        *passes += 1;
+                        eval_bound_batch(arg, ctx, rows, members, agg_values)?;
+                        agg_values.retain(|v| !v.is_null());
+                        combine_agg_values(&spec.name, agg_values, spec.distinct)?
+                    }
+                };
+                vrow.push(v);
+            }
+            vrows.push(vrow);
+        }
+        Ok(vrows)
     }
 }
 
@@ -1086,155 +1371,62 @@ fn select_tail(
     })
 }
 
-/// The staged grouped path: selection vector → grouping pass →
-/// virtual-row build over already-gathered (or joined) input rows,
-/// returning one completed virtual row per group. When every spec folds
-/// a stored column (or is `COUNT(*)`), accumulation happens *inline*
-/// during the grouping pass — the one-pass path — and no member lists
-/// are built; only DISTINCT or computed arguments fall back to member
-/// lists plus a second fold pass.
+/// The staged grouped path over already-gathered (or joined) input
+/// rows: the selection vector, then the grouping kernel over it in
+/// [`BATCH_SIZE`] chunks, then one completed virtual row per group
+/// ([`Groups::finish`]). A key that is one stored column is read from
+/// the rows; any other is evaluated row-major into `key_buf` first, so
+/// a failing key expression errors at the row the interpreter's would.
 #[allow(clippy::too_many_arguments)]
-fn run_agg_staged(
+fn run_agg_staged<'r>(
     catalog: &Catalog,
     plan: &AggPlan,
     ctx: &BoundCtx<'_>,
     evals: &mut Evals,
     passes: &mut u64,
     scratch: &mut BatchScratch,
-    rows: &[&[Value]],
-    inline: &Option<Vec<Acc>>,
+    rows: &[&'r [Value]],
+    mut groups: Groups<'r>,
     single_col: Option<usize>,
 ) -> SqlResult<Vec<Vec<Value>>> {
-    let one_pass = inline.is_some();
     *passes += fill_selection(plan.filter.as_ref(), ctx, rows, evals, &mut scratch.sel)?;
-
-    // Pass 1 — group keys over the selection, row-major, groups kept in
-    // first-seen order.
-    let mut grouped: Vec<Group> = Vec::new();
+    let (sel, key_buf) = (&scratch.sel, &mut scratch.key_buf);
+    let batches = sel.len().div_ceil(BATCH_SIZE) as u64;
+    let mut hashes = [0u64; BATCH_SIZE];
+    let mut ids = [0u32; BATCH_SIZE];
     if let Some(c) = single_col {
-        // Fast path: the key is one stored column — probe the table by
-        // reference and clone the value only when a new group appears.
-        let mut groups: FxMap<Value, usize> = FxMap::default();
-        evals.0 += scratch.sel.len() as u64;
-        *passes += scratch.sel.len().div_ceil(BATCH_SIZE) as u64;
-        for &i in &scratch.sel {
-            let row = rows[i as usize];
-            let g = match groups.get(&row[c]) {
-                Some(&g) => g,
-                None => {
-                    let g = grouped.len();
-                    groups.insert(row[c].clone(), g);
-                    grouped.push(Group::new(i, inline));
-                    g
-                }
-            };
-            let st = &mut grouped[g];
-            if one_pass {
-                for a in &mut st.accs {
-                    a.update(row);
-                }
-            } else {
-                st.members.push(i);
-            }
+        evals.0 += sel.len() as u64;
+        *passes += batches;
+        for chunk in sel.chunks(BATCH_SIZE) {
+            groups.by_column(c, rows, chunk, &mut hashes, &mut ids);
         }
     } else {
-        let mut groups: FxMap<Vec<Value>, usize> = FxMap::default();
-        *passes += (scratch.sel.len().div_ceil(BATCH_SIZE) as u64) * (plan.group_by.len() as u64);
-        for &i in &scratch.sel {
-            let row = rows[i as usize];
-            let rc = BoundCtx {
-                row: Some(row),
-                ..*ctx
-            };
-            scratch.key_buf.clear();
-            for g in &plan.group_by {
-                let v = evals.eval(g, &rc)?;
-                scratch.key_buf.push(v);
-            }
-            let g = match groups.get(scratch.key_buf.as_slice()) {
-                Some(&g) => g,
-                None => {
-                    let g = grouped.len();
-                    groups.insert(scratch.key_buf.clone(), g);
-                    grouped.push(Group::new(i, inline));
-                    g
+        let w = plan.group_by.len();
+        *passes += batches * w as u64;
+        for chunk in sel.chunks(BATCH_SIZE) {
+            key_buf.clear();
+            for &i in chunk {
+                let rc = BoundCtx {
+                    row: Some(rows[i as usize]),
+                    ..*ctx
+                };
+                for g in &plan.group_by {
+                    key_buf.push(evals.eval(g, &rc)?);
                 }
-            };
-            let st = &mut grouped[g];
-            if one_pass {
-                for a in &mut st.accs {
-                    a.update(row);
-                }
-            } else {
-                st.members.push(i);
             }
+            groups.by_keys(w, key_buf, rows, chunk, &mut hashes, &mut ids);
         }
     }
-    // No rows and no GROUP BY → one empty group (global aggregates).
-    if grouped.is_empty() && plan.group_by.is_empty() {
-        grouped.push(Group {
-            first: None,
-            members: Vec::new(),
-            accs: inline.clone().unwrap_or_default(),
-        });
-    }
     catalog.count(Counter::HashAggs, 1);
-    if one_pass {
+    if groups.accs.is_some() {
         // Inline accumulation visits every selected row once per
         // argument-bearing spec — same eval count the second pass would
         // have ticked, just earned during grouping.
         let arg_specs = plan.specs.iter().filter(|s| s.arg.is_some()).count() as u64;
-        evals.0 += scratch.sel.len() as u64 * arg_specs;
-        *passes += scratch.sel.len().div_ceil(BATCH_SIZE) as u64 * arg_specs;
+        evals.0 += sel.len() as u64 * arg_specs;
+        *passes += batches * arg_specs;
     }
-
-    // Pass 2 — one virtual row per group: representative base row
-    // values, then one slot per aggregate. Group-major, spec-major,
-    // exactly the interpreter's computation order. In one-pass mode
-    // this only finalizes accumulators; otherwise aggregates are folded
-    // over the member lists here.
-    let mut vrows: Vec<Vec<Value>> = Vec::with_capacity(grouped.len());
-    for st in &grouped {
-        let mut vrow = Vec::with_capacity(plan.base_width + plan.specs.len());
-        match st.first {
-            Some(i) => vrow.extend(rows[i as usize].iter().cloned()),
-            None => vrow.extend(std::iter::repeat_n(Value::Null, plan.base_width)),
-        }
-        if one_pass {
-            for acc in &st.accs {
-                vrow.push(acc.finish()?);
-            }
-        } else {
-            let members = &st.members;
-            for spec in &plan.specs {
-                let v = match &spec.arg {
-                    // COUNT(*) counts member rows directly (DISTINCT is
-                    // irrelevant without an argument).
-                    None => Value::Int(members.len() as i64),
-                    // Aggregate over a bare stored column without
-                    // DISTINCT: fold the values in place, no clone per
-                    // member.
-                    Some(BoundExpr::Column(c)) if !spec.distinct => {
-                        evals.0 += members.len() as u64;
-                        *passes += 1;
-                        let values = members.iter().map(|&i| &rows[i as usize][*c]);
-                        fold_agg_values(&spec.name, values.filter(|v| !v.is_null()))?
-                    }
-                    Some(arg) => {
-                        scratch.agg_values.clear();
-                        evals.0 += members.len() as u64;
-                        *passes += 1;
-                        eval_bound_batch(arg, ctx, rows, members, &mut scratch.agg_values)?;
-                        scratch.agg_values.retain(|v| !v.is_null());
-                        combine_agg_values(&spec.name, &mut scratch.agg_values, spec.distinct)?
-                    }
-                };
-                vrow.push(v);
-            }
-        }
-        vrows.push(vrow);
-    }
-    Ok(vrows)
+    groups.finish(plan, ctx, evals, passes, rows, &mut scratch.agg_values)
 }
 
 /// Execute a compiled grouped `SELECT` through the one-pass hash
@@ -1244,7 +1436,7 @@ fn run_agg_staged(
 /// over completed virtual rows, then the shared projection tail.
 ///
 /// Column-arg aggregates accumulate inline during the grouping pass
-/// (`Acc`); that is unobservable because inline updates are
+/// (`Accs`); that is unobservable because inline updates are
 /// infallible — the sole aggregate error is deferred and raised in
 /// finalization order, which *is* the interpreter's group-major,
 /// spec-major computation order.
@@ -1274,7 +1466,6 @@ pub fn run_agg_plan(
         None => None,
     };
 
-    let inline: Option<Vec<Acc>> = plan.specs.iter().map(Acc::of).collect();
     let single_col = match plan.group_by.as_slice() {
         [BoundExpr::Column(c)] => Some(*c),
         _ => None,
@@ -1300,6 +1491,7 @@ pub fn run_agg_plan(
             let joined = run_join(catalog, jp, &ctx, &mut evals)?;
             catalog.count(Counter::BatchedRows, joined.len() as u64);
             let rows: Vec<&[Value]> = joined.iter().map(Vec::as_slice).collect();
+            let groups = Groups::new(&plan.specs);
             run_agg_staged(
                 catalog,
                 plan,
@@ -1308,96 +1500,71 @@ pub fn run_agg_plan(
                 &mut passes,
                 scratch,
                 &rows,
-                &inline,
+                groups,
                 single_col,
             )?
         }
         InputPlan::Single { table, access } => {
             let table = catalog.table(table)?;
-            let streamable = match (single_col, &inline) {
-                (Some(c), Some(tmpl)) if matches!(access, Access::Full) && tight_filter => {
-                    Some((c, tmpl))
-                }
-                _ => None,
-            };
-            if let Some((c, tmpl)) = streamable {
-                let mut rows = access.probe(&ctx, &mut evals)?.rows(catalog, snap, &table);
-                let mut groups: FxMap<Value, usize> = FxMap::default();
-                // (representative base row, accumulators), first-seen order.
-                let mut sgroups: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
-                let mut walked = 0u64;
-                let mut kept = 0u64;
-                // Gather a batch of rows, filter it, then fold the rows
-                // that passed: the loads of different rows' payloads
-                // overlap instead of waiting on each other row by row.
-                // The buffers live on the stack: connections are often
-                // opened per statement, so per-connection scratch would
-                // allocate again each time.
-                let mut batch: [&[Value]; BATCH_SIZE] = [&[]; BATCH_SIZE];
-                let mut sel = [0u32; BATCH_SIZE];
-                loop {
-                    let mut n = 0;
-                    for (slot, (_, row)) in batch.iter_mut().zip(rows.by_ref()) {
-                        *slot = row;
-                        n += 1;
-                    }
-                    if n == 0 {
-                        break;
-                    }
-                    let passed = select_rows(&cmps, &batch[..n], 0, &mut sel);
-                    walked += n as u64;
-                    kept += passed as u64;
-                    for &i in &sel[..passed] {
-                        let row = batch[i as usize];
-                        let g = match groups.get(&row[c]) {
-                            Some(&g) => g,
-                            None => {
-                                let g = sgroups.len();
-                                groups.insert(row[c].clone(), g);
-                                sgroups.push((row.to_vec(), tmpl.clone()));
-                                g
-                            }
-                        };
-                        for a in &mut sgroups[g].1 {
-                            a.update(row);
+            let mut groups = Groups::new(&plan.specs);
+            match single_col {
+                Some(c)
+                    if matches!(access, Access::Full) && tight_filter && groups.accs.is_some() =>
+                {
+                    let mut rows = access.probe(&ctx, &mut evals)?.rows(catalog, snap, &table);
+                    let mut walked = 0u64;
+                    let mut kept = 0u64;
+                    // Gather a batch of rows, filter it, then group the
+                    // rows that passed: the loads of different rows'
+                    // payloads overlap instead of waiting on each other
+                    // row by row. The buffers live on the stack:
+                    // connections are often opened per statement, so
+                    // per-connection scratch would allocate again each
+                    // time.
+                    let mut batch: [&[Value]; BATCH_SIZE] = [&[]; BATCH_SIZE];
+                    let mut sel = [0u32; BATCH_SIZE];
+                    let mut hashes = [0u64; BATCH_SIZE];
+                    let mut ids = [0u32; BATCH_SIZE];
+                    loop {
+                        let mut n = 0;
+                        for (slot, (_, row)) in batch.iter_mut().zip(rows.by_ref()) {
+                            *slot = row;
+                            n += 1;
                         }
+                        if n == 0 {
+                            break;
+                        }
+                        let passed = select_rows(&cmps, &batch[..n], 0, &mut sel);
+                        walked += n as u64;
+                        kept += passed as u64;
+                        groups.by_column(c, &batch[..n], &sel[..passed], &mut hashes, &mut ids);
                     }
-                }
-                catalog.count(Counter::BatchedRows, walked);
-                catalog.count(Counter::HashAggs, 1);
-                if plan.filter.is_some() {
-                    evals.0 += walked;
-                    passes += walked.div_ceil(BATCH_SIZE as u64);
-                }
-                let arg_specs = plan.specs.iter().filter(|s| s.arg.is_some()).count() as u64;
-                evals.0 += kept * (1 + arg_specs);
-                passes += kept.div_ceil(BATCH_SIZE as u64) * (1 + arg_specs);
-
-                // Finalize group-major, spec-major — the interpreter's
-                // aggregate computation (and error) order.
-                let mut vrows = Vec::with_capacity(sgroups.len());
-                for (repr, accs) in sgroups {
-                    let mut vrow = repr;
-                    vrow.reserve(plan.specs.len());
-                    for acc in &accs {
-                        vrow.push(acc.finish()?);
+                    catalog.count(Counter::BatchedRows, walked);
+                    catalog.count(Counter::HashAggs, 1);
+                    if plan.filter.is_some() {
+                        evals.0 += walked;
+                        passes += walked.div_ceil(BATCH_SIZE as u64);
                     }
-                    vrows.push(vrow);
+                    let arg_specs = plan.specs.iter().filter(|s| s.arg.is_some()).count() as u64;
+                    evals.0 += kept * (1 + arg_specs);
+                    passes += kept.div_ceil(BATCH_SIZE as u64) * (1 + arg_specs);
+                    let agg_values = &mut scratch.agg_values;
+                    groups.finish(plan, &ctx, &mut evals, &mut passes, &[], agg_values)?
                 }
-                vrows
-            } else {
-                let rows = gather_rows(catalog, &table, access, &ctx, &mut evals)?;
-                run_agg_staged(
-                    catalog,
-                    plan,
-                    &ctx,
-                    &mut evals,
-                    &mut passes,
-                    scratch,
-                    &rows,
-                    &inline,
-                    single_col,
-                )?
+                _ => {
+                    let rows = gather_rows(catalog, &table, access, &ctx, &mut evals)?;
+                    run_agg_staged(
+                        catalog,
+                        plan,
+                        &ctx,
+                        &mut evals,
+                        &mut passes,
+                        scratch,
+                        &rows,
+                        groups,
+                        single_col,
+                    )?
+                }
             }
         }
     };
@@ -1437,4 +1604,119 @@ pub fn run_agg_plan(
         columns: plan.output.columns.clone(),
         rows,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hash::Hasher;
+
+    /// The hasher's `write` as it was before it read words in place: each
+    /// chunk of up to 8 bytes copied into a zeroed buffer.
+    fn chunk_and_pad(bytes: &[u8]) -> u64 {
+        let mut h = FxHasher::default();
+        for chunk in bytes.chunks(8) {
+            let mut buf = [0u8; 8];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            h.write_u64(u64::from_le_bytes(buf));
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn fx_write_hashes_as_the_padded_copy_did() {
+        let bytes: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(37) ^ 0xA5).collect();
+        for len in 0..=24 {
+            // Two starts, so the words are read at different alignments.
+            for start in [0, 3] {
+                let mut h = FxHasher::default();
+                h.write(&bytes[start..start + len]);
+                let want = chunk_and_pad(&bytes[start..start + len]);
+                assert_eq!(h.finish(), want, "length {len} from {start}");
+            }
+        }
+    }
+
+    /// Keys whose equal pairs are few and easy to miss: zeros, NaNs,
+    /// equal Int and Float, and texts of every length 0..=24 with
+    /// variants that differ in one byte (past the first 8 too).
+    fn tricky_keys() -> Vec<Value> {
+        let mut keys = vec![
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(-7),
+            Value::Float(-7.5),
+        ];
+        let base = "abcdefghijklmnopqrstuvwxy";
+        for len in 0..=24 {
+            keys.push(Value::text(&base[..len]));
+            for p in 0..len {
+                let mut v = base[..len].to_string();
+                v.replace_range(p..=p, "X");
+                keys.push(Value::text(&v));
+            }
+        }
+        keys.extend(["é", "ée", "日本語テキスト"].map(Value::text));
+        keys
+    }
+
+    #[test]
+    fn key_hash_and_key_eq_agree_with_value_eq() {
+        let keys = tricky_keys();
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(key_eq(a, b), a == b, "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(key_hash(0, a), key_hash(0, b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+    }
+
+    /// With every hash equal the key compare alone tells groups apart:
+    /// the ids must be `Value`'s `Eq` classes, numbered in first-seen
+    /// order, through every growth of the table.
+    #[test]
+    fn colliding_hashes_group_by_value_eq() {
+        let keys = tricky_keys();
+        let mut table = GroupTable::default();
+        let mut firsts: Vec<&Value> = Vec::new();
+        for k in keys.iter().chain(keys.iter().rev()) {
+            let want = firsts.iter().position(|f| *f == k);
+            let (g, new) = table.id(0, |g| key_eq(firsts[g], k));
+            assert_eq!(
+                (g as usize, new),
+                (want.unwrap_or(firsts.len()), want.is_none()),
+                "{k:?}"
+            );
+            if new {
+                firsts.push(k);
+            }
+        }
+    }
+
+    #[test]
+    fn growth_keeps_every_group() {
+        let mut table = GroupTable::default();
+        let id = |table: &mut GroupTable, i: i64| {
+            table.id(key_hash(0, &Value::Int(i)), |g| g as i64 == i)
+        };
+        for i in 0..5_000 {
+            assert_eq!(id(&mut table, i), (i as u32, true));
+        }
+        for i in (0..5_000).rev() {
+            assert_eq!(id(&mut table, i), (i as u32, false));
+        }
+        assert!(table.slots.len() >= 2 * 5_000);
+    }
 }

@@ -839,9 +839,9 @@ pub(crate) fn fold_agg_values<'v>(
 
 /// The exact total of a SUM over Int values: a 128-bit integer held as
 /// the wrapping `i64` sum and the net count of its wraps. Two 8-byte
-/// words keep an inline accumulator (`exec::batch`'s `Acc`) at its
-/// size, where an `i128` would align it to 16. The total fits `i64`
-/// exactly when the wraps cancel out.
+/// words keep a group's inline SUM state (`exec::batch`'s `SumAcc`) at
+/// 32 bytes, where an `i128` would align it to 16 and grow it to 48.
+/// The total fits `i64` exactly when the wraps cancel out.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct IntTotal {
     low: i64,

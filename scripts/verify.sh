@@ -36,7 +36,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # LIMIT corpus against the interpreter and an index-free twin
 # (CHAOS_SEED is added to every case seed), the comparison-kernel
 # corpus against the interpreter (CHAOS_SEED shifts the seed of its
-# random conjunct chains), the property tests (CHAOS_SEED is XORed into
+# random conjunct chains), the grouping-kernel corpus against the
+# interpreter (CHAOS_SEED shifts the seed of its random keys and
+# values), the property tests (CHAOS_SEED is XORed into
 # every case seed), the GC sweep differential (garbage-list sweep vs
 # full walk; CHAOS_SEED adds a history seed) and the row-map model test
 # (chunked version chains vs a BTreeMap of version vectors; CHAOS_SEED
@@ -46,6 +48,7 @@ for seed in 20260807 271828 31337; do
   CHAOS_SEED="$seed" cargo test -q -p sqlkernel --test join_exec
   CHAOS_SEED="$seed" cargo test -q -p sqlkernel --test limit_pushdown
   CHAOS_SEED="$seed" cargo test -q -p sqlkernel --test cmp_kernels
+  CHAOS_SEED="$seed" cargo test -q -p sqlkernel --test group_kernels
   CHAOS_SEED="$seed" cargo test -q --test proptests
   CHAOS_SEED="$seed" cargo test -q -p sqlkernel --lib gc_garbage_list_sweep_matches_full_walk
   CHAOS_SEED="$seed" cargo test -q -p sqlkernel --lib chunked_chains_match_btreemap_model
